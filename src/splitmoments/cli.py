@@ -223,18 +223,16 @@ def _cmd_vanish(cfg: RunConfig):
         sigma=cfg.params["sigma"],
         sign=cfg.params.get("sign", "minus"),
     )
-    bound = vb.vanishing_bound(q)
-    tf = fejer(q.sigma)
-    spec = mo.MomentSpec.with_minimal_a(tf, q.n, q.sign)
+    res = vb.vanishing_result(q)
     results = [
         {
             "r": q.r,
             "n": q.n,
             "sigma": str(q.sigma),
             "sign": q.sign,
-            "bound": _exact(bound),
-            "threshold": _exact(vb.vanishing_threshold(tf, q.r)),
-            "moment": _exact(mo.predicted_centered_moment(spec)),
+            "bound": _exact(res.bound),
+            "threshold": _exact(res.threshold),
+            "moment": _exact(res.moment),
             "prior_bounds": {k: _exact(v) for k, v in vb.PRIOR_BOUNDS.items()},
         }
     ]
@@ -462,10 +460,21 @@ _RUNNERS = {
 }
 
 
+_REQUIRED = {
+    "moment": ("sigma", "n"),
+    "crosscheck": ("sigma", "n"),
+    "vanish": ("r", "n", "sigma"),
+    "rmt": ("M", "sigma"),
+}
+
+
 def run(cfg: RunConfig) -> int:
     """Execute a config; writes the JSON report; returns the exit status."""
     t0 = time.perf_counter()
     try:
+        missing = [k for k in _REQUIRED.get(cfg.command, ()) if k not in cfg.params]
+        if missing:
+            raise UsageError(f"{cfg.command} requires {', '.join(missing)}")
         results, assumptions, ok = _RUNNERS[cfg.command](cfg)
     except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -495,30 +504,29 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command")
 
     def common(sp):
-        sp.add_argument("--seed", type=int, default=42)
+        sp.add_argument("--seed", type=int, help="default 42")
         sp.add_argument("--json", type=Path, dest="json_path")
         sp.add_argument("--csv", type=Path, dest="csv_path")
 
-    def sigma_opts(sp):
+    def sigma_opt(sp):
         sp.add_argument("--sigma", help="exact rational like 1/2")
-        sp.add_argument("--tf", help="test function name, e.g. fejer:1/2")
 
     sp = sub.add_parser("moment", help="exact predicted centered moment")
-    sigma_opts(sp)
+    sigma_opt(sp)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--a", type=int)
     sp.add_argument("--sign", choices=("plus", "minus"), default="minus")
     common(sp)
 
     sp = sub.add_parser("crosscheck", help="R vs Q-via-classes vs float oracle")
-    sigma_opts(sp)
+    sigma_opt(sp)
     sp.add_argument("--n", type=int, required=True)
     common(sp)
 
     sp = sub.add_parser("vanish", help="order-of-vanishing bound")
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    sigma_opts(sp)
+    sigma_opt(sp)
     sp.add_argument("--sign", choices=("plus", "minus"), default="minus")
     common(sp)
 
@@ -526,7 +534,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--M", type=int, required=True)
     sp.add_argument("--parity", choices=("even", "odd"))
     sp.add_argument("--samples", type=int, default=1000)
-    sigma_opts(sp)
+    sigma_opt(sp)
     sp.add_argument("--nmax", type=int, default=4)
     common(sp)
 
@@ -557,7 +565,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         command = f"verify-{suite}"
     if command is None:
         raise UsageError("a command is required")
-    cfg = RunConfig(command=command, seed=getattr(args, "seed", 42))
+    cfg = RunConfig(command=command)
+    if getattr(args, "seed", None) is not None:
+        cfg.seed = args.seed
     cfg.json_path = getattr(args, "json_path", None)
     cfg.csv_path = getattr(args, "csv_path", None)
     for key in ("n", "a", "r", "M", "samples", "nmax", "qmax", "t_max", "shards",
@@ -566,15 +576,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if val is not None:
             cfg.params[key] = val
     sigma = getattr(args, "sigma", None)
-    tf_name = getattr(args, "tf", None)
-    if tf_name is not None:
-        from .testfn import parse_test_function
-
-        cfg.params["sigma"] = parse_test_function(tf_name).sigma
-    elif sigma is not None:
+    if sigma is not None:
         cfg.params["sigma"] = parse_rational(sigma)
-    elif cfg.command in ("moment", "crosscheck", "vanish", "rmt"):
-        raise UsageError("one of --sigma or --tf is required")
     return cfg
 
 
@@ -593,7 +596,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                     cfg.json_path = over.json_path
                 if over.csv_path:
                     cfg.csv_path = over.csv_path
-                cfg.seed = over.seed
+                if getattr(args, "seed", None) is not None:
+                    cfg.seed = over.seed
         else:
             cfg = _config_from_args(args)
     except (UsageError, DomainError) as exc:

@@ -13,17 +13,22 @@ are trimmed, adjacent pieces describing the same polynomial are merged, and
 leading/trailing zero pieces are dropped.  Two constructions of the same
 function therefore compare equal structurally.
 
-Convolution uses the truncated-power (one-sided) decomposition
+The second representation is the *term list*, the truncated-power
+(one-sided) decomposition
 
-    p(x) = sum_r c_r * (x - xi_r)_+^{k_r}
+    p(x) = sum_xi sum_j c_j * (x - xi)_+^j
 
-under which convolution is term-by-term:
+kept as (knot xi, coefficients c_j) pairs.  :func:`to_terms` and
+:func:`from_terms` convert between the two; the format itself stays private
+to this module.  Convolution is term-by-term,
 
-    (x-a)_+^m * (x-b)_+^n = m! n! / (m+n+1)! * (x-a-b)_+^{m+n+1}.
+    (x-a)_+^m * (x-b)_+^n = m! n! / (m+n+1)! * (x-a-b)_+^{m+n+1},
 
-The decomposition of a compactly supported function telescopes to zero past
-its last breakpoint, so the result converts back to a compactly supported
-piecewise polynomial.
+and because the terms of a compactly supported function telescope to zero
+past its last knot, reflection (:func:`term_reflect`) and the mass below a
+point (:func:`term_mass_below`) also act on the terms directly.  Chains of
+these operations need no piecewise form in between; :func:`convolve` is the
+single-step round trip.
 """
 
 from __future__ import annotations
@@ -52,11 +57,13 @@ __all__ = [
     "definite_integral",
     "integral",
     "reflect",
-    "translate",
     "restrict",
     "multiply_by_monomial",
-    "to_json_dict",
-    "from_json_dict",
+    "to_terms",
+    "from_terms",
+    "term_convolve",
+    "term_reflect",
+    "term_mass_below",
 ]
 
 ZERO = Fraction(0)
@@ -404,14 +411,6 @@ def _binom_power(a: Fraction, b: int, k: int) -> tuple[Fraction, ...]:
     return _ptrim(out)
 
 
-def translate(p: PiecewisePoly, c: RationalLike) -> PiecewisePoly:
-    """x -> p(x - c); local coefficients are unchanged."""
-    c = frac(c)
-    if p.is_zero() or c == 0:
-        return p
-    return _mk((b + c for b in p.breakpoints), p.pieces)
-
-
 def restrict(p: PiecewisePoly, lo: RationalLike, hi: RationalLike) -> PiecewisePoly:
     """Pointwise product with the indicator of [lo, hi)."""
     lo, hi = frac(lo), frac(hi)
@@ -535,12 +534,17 @@ def integral(p: PiecewisePoly) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# convolution (truncated-power decomposition)
+# term lists (truncated-power decomposition) and convolution
 # ---------------------------------------------------------------------------
 
-def _to_truncated(p: PiecewisePoly) -> list[tuple[Fraction, tuple[Fraction, ...]]]:
+Terms = list[tuple[Fraction, tuple[Fraction, ...]]]
+
+
+def to_terms(p: PiecewisePoly) -> Terms:
     """Decompose as sum of c * (x - xi)_+^k terms, grouped per knot xi."""
-    terms: list[tuple[Fraction, tuple[Fraction, ...]]] = []
+    if p.is_zero():
+        return []
+    terms: Terms = []
     prev: tuple[Fraction, ...] = ()
     prev_origin = ZERO
     for i, piece in enumerate(p.pieces):
@@ -557,7 +561,8 @@ def _to_truncated(p: PiecewisePoly) -> list[tuple[Fraction, tuple[Fraction, ...]
     return terms
 
 
-def _from_truncated(terms: list[tuple[Fraction, tuple[Fraction, ...]]]) -> PiecewisePoly:
+def from_terms(terms: Terms) -> PiecewisePoly:
+    """The piecewise form of a term list; the terms must telescope to zero."""
     grouped: dict[Fraction, tuple[Fraction, ...]] = {}
     for xi, coeffs in terms:
         grouped[xi] = _padd(grouped.get(xi, ()), coeffs)
@@ -577,17 +582,12 @@ def _from_truncated(terms: list[tuple[Fraction, tuple[Fraction, ...]]]) -> Piece
     return _mk(knots, pieces)
 
 
-def convolve(p: PiecewisePoly, q: PiecewisePoly) -> PiecewisePoly:
-    """Exact convolution; support is the Minkowski sum of the supports."""
-    if p.is_zero() or q.is_zero():
-        return PiecewisePoly.zero()
-    tp = _to_truncated(p)
-    tq = _to_truncated(q)
+def term_convolve(tp: Terms, tq: Terms) -> Terms:
+    """Exact convolution of two term lists, term by term."""
     out: dict[Fraction, list[Fraction]] = {}
     for xa, ca in tp:
         for xb, cb in tq:
-            knot = xa + xb
-            bucket = out.setdefault(knot, [])
+            bucket = out.setdefault(xa + xb, [])
             for m, am in enumerate(ca):
                 if am == 0:
                     continue
@@ -600,30 +600,25 @@ def convolve(p: PiecewisePoly, q: PiecewisePoly) -> PiecewisePoly:
                     bucket[deg] += am * bn * Fraction(
                         factorial(m) * factorial(n), factorial(deg)
                     )
-    return _from_truncated([(k, _ptrim(v)) for k, v in out.items()])
+    return [(knot, c) for knot, v in out.items() if (c := _ptrim(v))]
 
 
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
+def term_reflect(terms: Terms) -> Terms:
+    """x -> p(-x) on a term list.
 
-def _fr_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
-def to_json_dict(p: PiecewisePoly) -> dict:
-    """JSON-compatible form; coefficients are local to each piece's left edge."""
-    return {
-        "basis": "shifted",
-        "breakpoints": [_fr_str(b) for b in p.breakpoints],
-        "pieces": [[_fr_str(c) for c in piece] for piece in p.pieces],
-    }
+    (-x - xi)_+^j = (-1)^j (x + xi)^j - (-1)^j (x + xi)_+^j, and the full
+    powers (x + xi)^j cancel across the terms because p has compact support,
+    so each term moves to knot -xi with coefficient -(-1)^j c_j.
+    """
+    return [(-xi, tuple(c if j % 2 else -c for j, c in enumerate(cs))) for xi, cs in terms]
 
 
-def from_json_dict(d: dict) -> PiecewisePoly:
-    if d.get("basis", "shifted") != "shifted":
-        raise ValueError("unknown piecewise basis")
-    return _mk(
-        (Fraction(b) for b in d["breakpoints"]),
-        ([Fraction(c) for c in piece] for piece in d["pieces"]),
-    )
+def term_mass_below(terms: Terms, x: RationalLike) -> Fraction:
+    """Integral over (-inf, x]: the sum of c_j (x - xi)^{j+1} / (j+1) over xi < x."""
+    x = frac(x)
+    return sum((_peval(_pintegrate(cs), x - xi) for xi, cs in terms if xi < x), ZERO)
+
+
+def convolve(p: PiecewisePoly, q: PiecewisePoly) -> PiecewisePoly:
+    """Exact convolution; support is the Minkowski sum of the supports."""
+    return from_terms(term_convolve(to_terms(p), to_terms(q)))

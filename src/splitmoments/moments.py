@@ -1,13 +1,12 @@
 """Closed-form moment quantities for the split orthogonal families.
 
-All quantities are exact rationals computed through the piecewise-polynomial
-algebra.  Notation, with ``fhat`` the transform of the test function and
-``sigma`` its support radius:
+All quantities are exact rationals.  Notation, with ``fhat`` the transform
+of the test function and ``sigma`` its support radius:
 
 - ``sigma_phi_sq``: the limiting variance  2 * int |y| fhat(y)^2 dy.
 - ``sine_transform(k, A)``: T_k(A) = int phi^k(x) sin(2 pi x A)/(2 pi x) dx,
-  evaluated losslessly as int_0^A psi_k with psi_k the transform of phi^k
-  (never as an oscillatory real integral).
+  evaluated losslessly as int_0^A psi_k with psi_k = fhat^{*k} the transform
+  of phi^k (never as an oscillatory real integral).
 - ``R_moment(m, i)``: the correction kernel
   2^{m-1} (-1)^{m+1} sum_{l=0}^{i-1} (-1)^l C(m,l) [ -phi(0)^m / 2 + V(m,l) ]
   where V(m,l) integrates the l-fold folded transform against T_{m-l}(1+s).
@@ -19,19 +18,27 @@ algebra.  Notation, with ``fhat`` the transform of the test function and
   recursions that collapse it to I(omega, 0).
 
 The mean of the statistic is ``mean_value`` = fhat(0) + (1/2) int_{-1}^{1} fhat.
+
+The two exact routes share no convolution code above :mod:`exactpoly`.  The
+R route (``sine_transform``, ``R_moment``, ``S_correction``,
+``predicted_centered_moment``, ``I_integral``) works on the term lists cached
+per test function (:func:`testfn.psi_terms`, :func:`testfn.gp_terms`) and
+never builds a piecewise intermediate.  The Q route (``X_xi``,
+``Q_n_via_classes``) convolves piecewise densities afresh on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import comb, factorial
 from typing import Literal
 
 from . import exactpoly as ep
 from .exactpoly import PiecewisePoly, frac
 from .errors import DomainError, InvariantViolation
-from .testfn import TestFunction, phi_power_hat
+from .testfn import TestFunction, gp_terms, psi_terms
 
 __all__ = [
     "MomentSpec",
@@ -158,72 +165,35 @@ def sine_transform(tf: TestFunction, k: int, A) -> Fraction:
         raise DomainError("sine_transform requires A >= 0")
     if k < 1:
         raise DomainError("sine_transform requires k >= 1")
-    if A == 0:
-        return Fraction(0)
-    return ep.definite_integral(phi_power_hat(tf, k), 0, A)
+    psi = psi_terms(tf, k)
+    return ep.term_mass_below(psi, A) - ep.term_mass_below(psi, 0)
 
 
 # ---------------------------------------------------------------------------
-# cached folded densities
+# the folded-coordinate bracket
 #
-# gp = fhat restricted to [0, sigma] is the weight of one nonnegative
-# coordinate.  Sums of folded coordinates use the doubled weight 2*gp, which
-# is pulled out as a scalar so one convolution cache serves every routine.
+# V(m, l) and I(alpha, delta) integrate T_k(1 + s) against rho, the density of
+# a signed sum of folded coordinates |x_j|, each of density 2 gp.  Swapping
+# the order of integration turns int rho(s) F_k(1 + s) ds, with F_k the
+# cumulative of psi_k, into the mass of psi_k * reflect(rho) below 1, so each
+# bracket is one chain of term-list convolutions.
 # ---------------------------------------------------------------------------
 
-def _half_fhat(tf: TestFunction) -> PiecewisePoly:
-    cache = tf._power_cache
-    if "gp" not in cache:
-        cache["gp"] = ep.restrict(tf.fhat, 0, tf.sigma + 1)
-    return cache["gp"]
+def _integral_against_T(tf: TestFunction, k: int, pos: int, neg: int) -> Fraction:
+    """int rho(s) T_k(1 + s) ds for rho the density of `pos` folded
+    coordinates minus `neg` (a unit point mass at 0 when both are 0).
 
-
-def _gp_power(tf: TestFunction, j: int) -> PiecewisePoly:
-    """j-fold self-convolution of the half transform (j >= 1), cached."""
-    cache = tf._power_cache
-    key = ("gpow", j)
-    if key not in cache:
-        if j == 1:
-            cache[key] = _half_fhat(tf)
-        else:
-            cache[key] = ep.convolve(_gp_power(tf, j - 1), _half_fhat(tf))
-    return cache[key]
-
-
-def _signed_sum_density(tf: TestFunction, pos: int, neg: int) -> PiecewisePoly:
-    """Density of sum of `pos` coordinates minus `neg`, each weighted by gp."""
-    if pos + neg < 1:
-        raise ValueError("need at least one coordinate")
-    cache = tf._power_cache
-    key = ("hconv", pos, neg)
-    if key not in cache:
-        if pos == 0:
-            cache[key] = ep.reflect(_gp_power(tf, neg))
-        elif neg == 0:
-            cache[key] = _gp_power(tf, pos)
-        else:
-            cache[key] = ep.convolve(
-                _gp_power(tf, pos), ep.reflect(_gp_power(tf, neg))
-            )
-    return cache[key]
-
-
-def _integral_against_T(tf: TestFunction, k: int, rho: PiecewisePoly) -> Fraction:
-    """int rho(s) * T_k(1 + s) ds, exactly.
-
-    T_k(1+s) = F_k(1+s) - F_k(0) with F_k the cumulative of psi_k; a window of
-    F_k is materialized over 1 + supp(rho) and translated back by 1.
+    This is the mass of psi_k * reflect(rho) below 1 minus F_k(0) int rho,
+    with F_k(0) = phi(0)^k / 2 (psi_k is even), int rho = phi(0)^(pos+neg)
+    and reflect(rho) = 2^(pos+neg) reflect(gp^{*pos}) * gp^{*neg}.
     """
-    supp = rho.support
-    if supp is None:
-        return Fraction(0)
-    lo, hi = supp
-    psi = phi_power_hat(tf, k)
-    window = ep.cumulative(psi, 1 + lo, 1 + hi + 1)
-    t_shift = ep.translate(window, -1)  # value at s is F_k(1+s)
-    left = psi.breakpoints[0]
-    c0 = ep.definite_integral(psi, min(left, 0), 0)  # F_k(0)
-    return ep.integral(ep.multiply(rho, t_shift)) - c0 * ep.integral(rho)
+    conv = psi_terms(tf, k)
+    if pos:
+        conv = ep.term_convolve(conv, ep.term_reflect(gp_terms(tf, pos)))
+    if neg:
+        conv = ep.term_convolve(conv, gp_terms(tf, neg))
+    phi0 = tf.phi_zero()
+    return 2 ** (pos + neg) * ep.term_mass_below(conv, 1) - phi0 ** (k + pos + neg) / 2
 
 
 def _V(tf: TestFunction, m: int, ell: int) -> Fraction:
@@ -231,10 +201,7 @@ def _V(tf: TestFunction, m: int, ell: int) -> Fraction:
 
     l = 0 degenerates to T_m(1) (the folded density is a unit point mass).
     """
-    if ell == 0:
-        return sine_transform(tf, m, 1)
-    rho = ep.scale(_signed_sum_density(tf, ell, 0), Fraction(2) ** ell)
-    return _integral_against_T(tf, m - ell, rho)
+    return _integral_against_T(tf, m - ell, ell, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +247,16 @@ def predicted_centered_moment(spec: MomentSpec) -> Fraction:
 # ---------------------------------------------------------------------------
 # the indicator-integral route (X(xi_l) and Q_n)
 # ---------------------------------------------------------------------------
+
+def _signed_sum_density(tf: TestFunction, pos: int, neg: int) -> PiecewisePoly:
+    """Density of the sum of `pos` coordinates minus `neg`, each weighted by gp.
+
+    Piecewise convolutions rebuilt on each call, so that the Q route shares
+    nothing with the term lists cached for the R route.
+    """
+    gp = ep.restrict(tf.fhat, 0, tf.sigma + 1)
+    return reduce(ep.convolve, [gp] * pos + [ep.reflect(gp)] * neg)
+
 
 def X_xi(tf: TestFunction, n: int, ell: int) -> Fraction:
     """int_{[0,inf)^n} prod fhat(y_i) 1{y_1+..+y_{n-l} - y_{n-l+1}-..-y_n > 1} dy."""
@@ -337,11 +314,4 @@ def I_integral(tf: TestFunction, n: int, alpha: int, delta: int) -> Fraction:
         raise DomainError("alpha, delta must be >= 0")
     if alpha + delta >= n:
         raise DomainError("I_integral requires alpha + delta < n")
-    if alpha == 0 and delta == 0:
-        return sine_transform(tf, n, 1)
-    rho = ep.scale(
-        _signed_sum_density(tf, alpha, delta), Fraction(2) ** (alpha + delta)
-    )
-    # T_k(1+u) with u possibly negative; the cumulative window covers that and
-    # subtracting F_k(0) keeps the signed orientation of int_0^A correct.
-    return _integral_against_T(tf, n - alpha - delta, rho)
+    return _integral_against_T(tf, n - alpha - delta, alpha, delta)

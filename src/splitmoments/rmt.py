@@ -2,9 +2,8 @@
 
 Sampling: Gaussian matrix -> QR -> fix signs so R has positive diagonal
 (giving Haar on O(M)) -> flip the last column when det = -1 (pushing onto
-SO(M)).  Per-sample generators are derived from (seed, sample_index) so the
-stream is bit-identical regardless of worker count; aggregation is in index
-order.
+SO(M)).  Per-sample generators are derived from (seed, sample_index), so the
+stream is bit-identical for a given seed.
 
 Eigenangles: for orthogonal U the symmetric matrix (U + U^T)/2 has the
 eigenvalues cos(theta) with matching multiplicity, so the fast symmetric
@@ -22,7 +21,6 @@ included with weight fhat(sigma).  Z(U) sums F_M over all M angles.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
@@ -40,24 +38,13 @@ __all__ = [
     "sample_haar_so",
     "eigenangles",
     "eigenangles_dense",
-    "f_m_value",
-    "z_value",
     "collect_angle_samples",
     "z_values_for",
     "estimate_centered_moments",
     "empirical_mean_check",
-    "thread_count",
 ]
 
 Parity = Literal["even", "odd"]
-
-
-def thread_count() -> int:
-    """Worker count from SPLITMOMENTS_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("SPLITMOMENTS_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -152,52 +139,19 @@ def _fourier_coeffs(tf: TestFunction, M: int) -> np.ndarray:
     return np.array([float(tf.fhat_at(Fraction(k, M))) for k in range(K + 1)])
 
 
-def f_m_value(tf: TestFunction, M: int, theta) -> float | np.ndarray:
-    """F_M(theta); exact finite cosine sum because fhat has compact support."""
-    if M < 1:
-        raise DomainError("M must be >= 1")
-    coeffs = _fourier_coeffs(tf, M)
-    theta_arr = np.asarray(theta, dtype=float)
-    ks = np.arange(1, len(coeffs))
-    acc = coeffs[0] + 2.0 * np.einsum(
-        "k,k...->...", coeffs[1:], np.cos(np.multiply.outer(ks, theta_arr))
-    )
-    out = acc / M
-    return float(out) if np.isscalar(theta) or theta_arr.ndim == 0 else out
-
-
-def z_value(tf: TestFunction, M: int, sample: EigenangleSample) -> float:
-    """Z(U) = sum of F_M over the sample's angles."""
-    vals = f_m_value(tf, M, np.asarray(sample.angles))
-    return float(np.sum(vals))
-
-
 def collect_angle_samples(spec: EnsembleSpec) -> list[EigenangleSample]:
     """Deterministic index-ordered angle samples for the ensemble.
 
-    Sample i uses a generator seeded by SeedSequence((seed, i)); results are
-    identical for any worker count because work is partitioned by index.
+    Sample i uses a generator seeded by SeedSequence((seed, i)).
     """
-    out: list[EigenangleSample | None] = [None] * spec.samples
-
-    def run(i: int) -> None:
+    out = []
+    for i in range(spec.samples):
         rng = np.random.default_rng(np.random.SeedSequence((spec.seed, i)))
-        u = sample_haar_so(spec.M, rng)
-        s = eigenangles(u)
+        s = eigenangles(sample_haar_so(spec.M, rng))
         if spec.parity == "odd":
             s.check_odd_parity()
-        out[i] = s
-
-    workers = thread_count()
-    if workers <= 1:
-        for i in range(spec.samples):
-            run(i)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as ex:
-            list(ex.map(run, range(spec.samples)))
-    return out  # type: ignore[return-value]
+        out.append(s)
+    return out
 
 
 def z_values_for(

@@ -9,6 +9,11 @@ pointwise real evaluator for phi itself.  The catalog ships the Fejer family
 
 whose transform is the unit-mass triangle.  Any other even function with a
 piecewise-polynomial transform can be registered through the same type.
+
+Each TestFunction carries one :class:`PowerTerms` cache holding the term
+lists (see :mod:`exactpoly`) of the self-convolution powers that the exact
+moment kernels consume: psi_k = fhat^{*k} and gp^{*l}, gp being fhat on
+[0, sigma].
 """
 
 from __future__ import annotations
@@ -22,7 +27,18 @@ from . import exactpoly as ep
 from .exactpoly import PiecewisePoly, frac
 from .errors import DomainError
 
-__all__ = ["TestFunction", "fejer", "phi_power_hat", "phi_value_numeric", "parse_test_function"]
+__all__ = ["TestFunction", "fejer", "phi_power_hat", "psi_terms", "gp_terms", "phi_value_numeric"]
+
+
+@dataclass
+class PowerTerms:
+    """Term lists of self-convolution powers, extended on demand.
+
+    ``psi[k-1]`` holds fhat^{*k} and ``gp[l-1]`` holds gp^{*l}.
+    """
+
+    psi: list = field(default_factory=list)
+    gp: list = field(default_factory=list)
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,7 +49,7 @@ class TestFunction:
     fhat: PiecewisePoly
     phi_at: Callable[[float], float] | None
     label: str
-    _power_cache: dict = field(default_factory=dict, repr=False)
+    _terms: PowerTerms = field(default_factory=PowerTerms, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", frac(self.sigma))
@@ -85,20 +101,35 @@ def fejer(sigma) -> TestFunction:
     return TestFunction(sigma=s, fhat=fhat, phi_at=phi, label=f"fejer:{s}")
 
 
+def _power(powers: list, k: int):
+    """Extend ``powers`` (first entry the base) by convolution up to the k-th."""
+    while len(powers) < k:
+        powers.append(ep.term_convolve(powers[-1], powers[0]))
+    return powers[k - 1]
+
+
+def psi_terms(tf: TestFunction, k: int):
+    """Term list of psi_k = fhat^{*k}, the transform of phi^k (k >= 1), cached."""
+    if not tf._terms.psi:
+        tf._terms.psi.append(ep.to_terms(tf.fhat))
+    return _power(tf._terms.psi, k)
+
+
+def gp_terms(tf: TestFunction, ell: int):
+    """Term list of gp^{*l} with gp = fhat on [0, sigma] (l >= 1), cached.
+
+    The folded coordinate |x| has density 2 gp; gp itself has mass phi(0)/2.
+    """
+    if not tf._terms.gp:
+        tf._terms.gp.append(ep.to_terms(ep.restrict(tf.fhat, 0, tf.sigma + 1)))
+    return _power(tf._terms.gp, ell)
+
+
 def phi_power_hat(tf: TestFunction, m: int) -> PiecewisePoly:
-    """Transform of phi^m: the m-fold self-convolution of fhat (cached)."""
+    """Transform of phi^m: the m-fold self-convolution of fhat."""
     if m < 1:
         raise DomainError("power must be >= 1")
-    cache = tf._power_cache
-    if 1 not in cache:
-        cache[1] = tf.fhat
-    k = max(j for j in cache if isinstance(j, int) and j <= m)
-    cur = cache[k]
-    while k < m:
-        cur = ep.convolve(cur, tf.fhat)
-        k += 1
-        cache[k] = cur
-    return cache[m]
+    return ep.from_terms(psi_terms(tf, m))
 
 
 def phi_value_numeric(tf: TestFunction, x: float) -> float:
@@ -116,11 +147,3 @@ def phi_value_numeric(tf: TestFunction, x: float) -> float:
     # fhat is even, so phi(x) = 2 * int_0^sigma fhat(y) cos(2 pi x y) dy
     val, _ = quad(integrand, 0.0, s, points=breaks, limit=200, epsabs=1e-12)
     return 2.0 * val
-
-
-def parse_test_function(spec: str) -> TestFunction:
-    """Parse a CLI name like ``fejer:1/2`` into a TestFunction."""
-    name, _, arg = spec.partition(":")
-    if name != "fejer" or not arg:
-        raise DomainError(f"unknown test function {spec!r}; expected fejer:<sigma>")
-    return fejer(frac(arg))

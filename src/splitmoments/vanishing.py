@@ -23,6 +23,8 @@ from .testfn import TestFunction, fejer
 
 __all__ = [
     "VanishingQuery",
+    "VanishingResult",
+    "vanishing_result",
     "vanishing_bound",
     "vanishing_threshold",
     "bound_sweep",
@@ -62,8 +64,17 @@ def vanishing_threshold(tf: TestFunction, r: int) -> Fraction:
     return r * phi0 - tf.fhat_at(0) - phi0 / 2
 
 
-def vanishing_bound(q: VanishingQuery) -> Fraction:
-    """Exact Markov bound: moment / threshold^n for the Fejer family."""
+@dataclass(frozen=True)
+class VanishingResult:
+    """The Markov bound together with the moment and threshold it is made of."""
+
+    moment: Fraction
+    threshold: Fraction
+    bound: Fraction
+
+
+def vanishing_result(q: VanishingQuery) -> VanishingResult:
+    """Exact Markov bound moment / threshold^n for the Fejer family, with its parts."""
     tf = fejer(q.sigma)
     threshold = vanishing_threshold(tf, q.r)
     if threshold <= 0:
@@ -73,7 +84,12 @@ def vanishing_bound(q: VanishingQuery) -> Fraction:
         )
     spec = mo.MomentSpec.with_minimal_a(tf, q.n, q.sign)
     moment = mo.predicted_centered_moment(spec)
-    return moment / threshold**q.n
+    return VanishingResult(moment=moment, threshold=threshold, bound=moment / threshold**q.n)
+
+
+def vanishing_bound(q: VanishingQuery) -> Fraction:
+    """Exact Markov bound: moment / threshold^n for the Fejer family."""
+    return vanishing_result(q).bound
 
 
 def assumptions_for(q: VanishingQuery) -> list[str]:

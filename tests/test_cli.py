@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from splitmoments import cli
+from splitmoments import moments as mo
 from splitmoments.errors import UsageError
 
 
@@ -74,6 +75,22 @@ class TestVanish:
         )
         assert code == 0
         assert any("positive-sign" in a for a in report["assumptions"])
+
+    def test_moment_computed_once(self, capsys, monkeypatch):
+        calls = []
+        real = mo.predicted_centered_moment
+
+        def counted(spec):
+            calls.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(mo, "predicted_centered_moment", counted)
+        code, report = run_cli(
+            ["vanish", "--r", "5", "--n", "4", "--sigma", "1/2", "--sign", "minus"], capsys
+        )
+        assert code == 0
+        assert report["results"][0]["moment"]["exact"] == "31/105"
+        assert len(calls) == 1
 
     def test_bad_query_is_usage_error(self, capsys):
         code = cli.main(["vanish", "--r", "5", "--n", "3", "--sigma", "1/2"])
@@ -158,6 +175,25 @@ class TestConfigFile:
         )
         assert code == 0
         assert report["results"][0]["n"] == 4
+
+    def test_file_seed_survives_flags(self, capsys, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("command = moment\nsigma = 1/2\nn = 2\nseed = 7\n")
+        args = ["--config", str(cfg_file), "moment", "--n", "4", "--sigma", "1/2"]
+        code, report = run_cli(args, capsys)
+        assert code == 0
+        assert report["params"]["seed"] == 7
+        code, report = run_cli(args + ["--seed", "9"], capsys)
+        assert report["params"]["seed"] == 9
+
+    def test_missing_required_key(self, capsys, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("command = moment\nn = 4\n")
+        code = cli.main(["--config", str(cfg_file)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "sigma" in captured.err
 
     def test_config_only(self, capsys, tmp_path):
         cfg_file = tmp_path / "run.cfg"

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from splitmoments import exactpoly as ep
 from splitmoments.errors import DomainError
-from splitmoments.testfn import fejer, parse_test_function, phi_power_hat, phi_value_numeric
+from splitmoments.testfn import fejer, phi_power_hat, phi_value_numeric
 
 
 class TestFejer:
@@ -123,16 +123,3 @@ class TestParsevalConsistency:
             points=[0.0],
         )
         assert abs(float(exact) - num) < 1e-9
-
-
-class TestParse:
-    def test_cli_name(self):
-        tf = parse_test_function("fejer:1/2")
-        assert tf.sigma == F(1, 2)
-
-    def test_integer_sigma(self):
-        assert parse_test_function("fejer:1").sigma == 1
-
-    def test_unknown_name(self):
-        with pytest.raises(DomainError):
-            parse_test_function("gauss:1")
