@@ -143,12 +143,19 @@ class MomentSpec:
 # ---------------------------------------------------------------------------
 
 def sigma_phi_sq(tf: TestFunction) -> Fraction:
-    """2 * int |y| fhat(y)^2 dy, exactly (= 4 int_0^sigma y fhat^2 by evenness)."""
-    sq = ep.multiply(tf.fhat, tf.fhat)
-    if sq.is_zero():
-        return Fraction(0)
-    pos = ep.multiply_by_monomial(ep.restrict(sq, 0, tf.sigma + 1), 1)
-    return 4 * ep.integral(pos)
+    """2 * int |y| fhat(y)^2 dy, exactly (= 4 int_0^sigma y fhat^2 by evenness).
+
+    Computed once per TestFunction and kept in its term cache.
+    """
+    cache = tf._terms
+    if cache.var is None:
+        sq = ep.multiply(tf.fhat, tf.fhat)
+        if sq.is_zero():
+            cache.var = Fraction(0)
+        else:
+            pos = ep.multiply_by_monomial(ep.restrict(sq, 0, tf.sigma + 1), 1)
+            cache.var = 4 * ep.integral(pos)
+    return cache.var
 
 
 def mean_value(tf: TestFunction) -> Fraction:

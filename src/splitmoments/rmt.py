@@ -1,29 +1,42 @@
 """Haar Monte Carlo over SO(even)/SO(odd) for the linear eigenvalue statistic.
 
-Sampling: Gaussian matrix -> QR -> fix signs so R has positive diagonal
-(giving Haar on O(M)) -> flip the last column when det = -1 (pushing onto
-SO(M)).  Per-sample generators are derived from (seed, sample_index), so the
-stream is bit-identical for a given seed.
+The eigenvalues of U in SO(M) are the pairs exp(+-i theta_j), j = 1..n with
+n = floor(M/2), plus a fixed eigenvalue 1 when M is odd.  By the Weyl
+integration formula the cosines x_j = cos theta_j form a beta = 2 Jacobi
+ensemble on [-1, 1] with weight (1 - x)^a (1 + x)^b, where a = b = -1/2 for
+SO(2n) and a = 1/2, b = -1/2 for SO(2n+1).
 
-Eigenangles: for orthogonal U the symmetric matrix (U + U^T)/2 has the
-eigenvalues cos(theta) with matching multiplicity, so the fast symmetric
-solver recovers the angle multiset; angles are emitted as exact +- pairs
-plus fixed angles 0 and pi.  A dense nonsymmetric route is kept as the
-reference implementation (the contract is the multiset within 1e-9).
+Sampling (``sample_cosines``) draws the cosines directly from the
+Killip-Nenciu tridiagonal model (Killip and Nenciu 2004, *Matrix models for
+circular ensembles*, Thm 2; see also Edelman and Sutton 2008, *The
+beta-Jacobi matrix model*): independent real Verblunsky coefficients
+alpha_0..alpha_{2n-2} with Beta laws on [-1, 1] give, through the Geronimus
+relations, an n x n Jacobi matrix whose eigenvalues are 2 x_j.  The matrices
+are eigensolved in batches.  Sample i uses a generator seeded by
+SeedSequence((seed, i)), so the stream is bit-identical for a given seed.
 
 The statistic uses the finite Fourier sum
 
     F_M(theta) = (1/M) [ fhat(0) + 2 sum_{k=1}^{K} fhat(k/M) cos(k theta) ],
 
 with K = floor(sigma M); when sigma M is an integer the boundary term is
-included with weight fhat(sigma).  Z(U) sums F_M over all M angles.
+included with weight fhat(sigma).  Z(U) sums F_M over all M angles, so it
+needs only the power traces Tr U^k = 2 sum_j T_k(x_j) + (M mod 2), which the
+Chebyshev recurrence gives from the cosines (``power_traces``).
+
+Reference route, kept for the tests that check the sampler against it:
+Gaussian matrix -> QR -> fix signs so R has positive diagonal (Haar on O(M))
+-> flip the last column when det = -1 (``sample_haar_so``), then the angle
+multiset from the symmetric solver on (U + U^T)/2 (``eigenangles``) or the
+dense nonsymmetric solver (``eigenangles_dense``), collected per seed by
+``collect_angle_samples``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
@@ -39,7 +52,10 @@ __all__ = [
     "eigenangles",
     "eigenangles_dense",
     "collect_angle_samples",
+    "sample_cosines",
+    "power_traces",
     "z_values_for",
+    "finite_mean",
     "estimate_centered_moments",
     "empirical_mean_check",
 ]
@@ -140,7 +156,7 @@ def _fourier_coeffs(tf: TestFunction, M: int) -> np.ndarray:
 
 
 def collect_angle_samples(spec: EnsembleSpec) -> list[EigenangleSample]:
-    """Deterministic index-ordered angle samples for the ensemble.
+    """Reference angle samples through dense Haar matrices, index-ordered.
 
     Sample i uses a generator seeded by SeedSequence((seed, i)).
     """
@@ -154,20 +170,99 @@ def collect_angle_samples(spec: EnsembleSpec) -> list[EigenangleSample]:
     return out
 
 
-def z_values_for(
-    tf: TestFunction, spec: EnsembleSpec, samples: Sequence[EigenangleSample]
-) -> np.ndarray:
-    """Z over precollected samples (angles do not depend on the test function)."""
+def _verblunsky_shapes(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Beta shapes (s_k, t_k) of alpha_0..alpha_{2n-2} for the cosines of SO(M).
+
+    alpha_k has density prop. to (1 - x)^(s_k - 1) (1 + x)^(t_k - 1) on
+    [-1, 1]; Killip-Nenciu Thm 2 at beta = 2 with the weight exponents a, b.
+    """
+    n = M // 2
+    a, b = (-0.5, -0.5) if M % 2 == 0 else (0.5, -0.5)
+    k = np.arange(2 * n - 1)
+    even = k % 2 == 0
+    s = np.where(even, (2 * n - k - 2) / 2 + a + 1, (2 * n - k - 3) / 2 + a + b + 2)
+    t = np.where(even, (2 * n - k - 2) / 2 + b + 1, (2 * n - k - 1) / 2)
+    return s, t
+
+
+def _jacobi_cosines(alpha: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues / 2 of the Jacobi matrices of a (rows, 2n-1) stack.
+
+    Geronimus relations with alpha_{-2} = alpha_{-1} = alpha_{2n-1} = -1:
+    diagonal (1 - alpha_{2k-1}) alpha_{2k} - (1 + alpha_{2k-1}) alpha_{2k-2},
+    off-diagonal sqrt((1 - alpha_{2k-1})(1 - alpha_{2k}^2)(1 + alpha_{2k+1})).
+    """
+    rows, n = alpha.shape[0], (alpha.shape[1] + 1) // 2
+    ext = np.full((rows, 2 * n + 2), -1.0)
+    ext[:, 2:-1] = alpha  # ext[:, j + 2] = alpha_j
+    odd = ext[:, 1::2]  # alpha_{2k-1}, k = 0..n
+    even = ext[:, 0::2]  # alpha_{2k-2}, k = 0..n
+    diag = (1 - odd[:, :-1]) * even[:, 1:] - (1 + odd[:, :-1]) * even[:, :-1]
+    off = np.sqrt((1 - odd[:, :-2]) * (1 - even[:, 1:-1] ** 2) * (1 + odd[:, 1:-1]))
+    J = np.zeros((rows, n, n))
+    i = np.arange(n)
+    J[:, i, i] = diag
+    J[:, i[:-1], i[1:]] = off
+    J[:, i[1:], i[:-1]] = off
+    return np.linalg.eigvalsh(J) / 2
+
+
+_EIG_BATCH = 256  # Jacobi matrices per eigensolve call, bounding the (rows, n, n) stack
+
+
+def sample_cosines(spec: EnsembleSpec) -> np.ndarray:
+    """(samples, floor(M/2)) array of the cosines x_j = cos theta_j, rows ascending.
+
+    Sample i draws its Verblunsky coefficients from a generator seeded by
+    SeedSequence((seed, i)).
+    """
+    n = spec.M // 2
+    s, t = _verblunsky_shapes(spec.M)
+    alpha = np.empty((spec.samples, 2 * n - 1))
+    for i in range(spec.samples):
+        rng = np.random.default_rng(np.random.SeedSequence((spec.seed, i)))
+        alpha[i] = 1 - 2 * rng.beta(s, t)
+    return np.concatenate(
+        [_jacobi_cosines(alpha[i0 : i0 + _EIG_BATCH]) for i0 in range(0, spec.samples, _EIG_BATCH)]
+    )
+
+
+def power_traces(cosines: np.ndarray, M: int, K: int) -> np.ndarray:
+    """(samples, K + 1) array of Tr U^k = sum over all M angles of cos(k theta).
+
+    With the angles +-theta_j and, for odd M, the fixed angle 0,
+    Tr U^k = 2 sum_j T_k(x_j) + (M mod 2); T_k comes from the Chebyshev
+    recurrence T_{k+1} = 2 x T_k - T_{k-1}.
+    """
+    x = np.asarray(cosines, dtype=float)
+    out = np.empty((x.shape[0], K + 1))
+    out[:, 0] = M
+    prev, cur = np.ones_like(x), x
+    for k in range(1, K + 1):
+        out[:, k] = 2 * cur.sum(axis=1) + M % 2
+        prev, cur = cur, 2 * x * cur - prev
+    return out
+
+
+def z_values_for(tf: TestFunction, spec: EnsembleSpec, cosines: np.ndarray) -> np.ndarray:
+    """Z per sample from its cosines (they do not depend on the test function)."""
     coeffs = _fourier_coeffs(tf, spec.M)
-    ks = np.arange(1, len(coeffs))
-    angles = np.array([s.angles for s in samples])  # (N, M)
-    acc = np.full(angles.shape[0], coeffs[0] * spec.M)
-    chunk = max(1, int(2e7 // (angles.shape[1] * max(len(ks), 1))))
-    for i0 in range(0, angles.shape[0], chunk):
-        block = angles[i0 : i0 + chunk]  # (b, M)
-        cosines = np.cos(block[:, None, :] * ks[None, :, None])  # (b, K, M)
-        acc[i0 : i0 + block.shape[0]] += 2.0 * np.einsum("k,bkm->b", coeffs[1:], cosines)
-    return acc / spec.M
+    weights = 2 * coeffs
+    weights[0] = coeffs[0]
+    return power_traces(cosines, spec.M, len(coeffs) - 1) @ weights / spec.M
+
+
+def finite_mean(tf: TestFunction, M: int) -> Fraction:
+    """Exact E[Z] over SO(M): fhat(0) + (2/M) sum_{even k <= K} fhat(k/M).
+
+    E Tr U^k is 1 for even k and 0 for odd k when 0 < k < M; the only other
+    term, k = M at sigma = 1, carries fhat(1), which must vanish.
+    """
+    if tf.sigma > 1 or tf.fhat_at(1) != 0:
+        raise DomainError("finite-M mean requires sigma <= 1 and fhat(1) = 0")
+    K = (tf.sigma.numerator * M) // tf.sigma.denominator
+    even = sum((tf.fhat_at(Fraction(k, M)) for k in range(2, K + 1, 2)), Fraction(0))
+    return tf.fhat_at(0) + Fraction(2, M) * even
 
 
 @dataclass(frozen=True)
@@ -176,7 +271,6 @@ class MomentReport:
     empirical: float
     stderr: float
     predicted: Fraction | None
-    z_score: float | None
     samples: int
     supported: bool
     note: str = ""
@@ -189,15 +283,11 @@ class MomentReport:
 def _report(n, values, predicted, supported, note=""):
     emp = float(np.mean(values))
     se = float(np.std(values, ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
-    z = None
-    if predicted is not None and se > 0:
-        z = (emp - float(predicted)) / se
     return MomentReport(
         n=n,
         empirical=emp,
         stderr=se,
         predicted=predicted,
-        z_score=z,
         samples=len(values),
         supported=supported,
         note=note,
@@ -208,7 +298,6 @@ def estimate_centered_moments(
     tf: TestFunction,
     spec: EnsembleSpec,
     n_max: int,
-    angle_samples: Sequence[EigenangleSample] | None = None,
     z_vals: np.ndarray | None = None,
 ) -> list[MomentReport]:
     """Empirical E[(Z - mu)^n] for 2 <= n <= n_max against exact predictions.
@@ -218,9 +307,7 @@ def estimate_centered_moments(
     this coincides with its jackknife estimate).
     """
     if z_vals is None:
-        if angle_samples is None:
-            angle_samples = collect_angle_samples(spec)
-        z_vals = z_values_for(tf, spec, angle_samples)
+        z_vals = z_values_for(tf, spec, sample_cosines(spec))
     mu = float(mo.mean_value(tf))
     centered = z_vals - mu
     sign = "plus" if spec.parity == "even" else "minus"
@@ -242,14 +329,11 @@ def estimate_centered_moments(
 def empirical_mean_check(
     tf: TestFunction,
     spec: EnsembleSpec,
-    angle_samples: Sequence[EigenangleSample] | None = None,
     z_vals: np.ndarray | None = None,
 ) -> MomentReport:
     """Empirical E[Z] against the exact limiting mean."""
     if tf.sigma > 1:
         raise DomainError("mean comparison requires sigma <= 1")
     if z_vals is None:
-        if angle_samples is None:
-            angle_samples = collect_angle_samples(spec)
-        z_vals = z_values_for(tf, spec, angle_samples)
+        z_vals = z_values_for(tf, spec, sample_cosines(spec))
     return _report(1, z_vals, mo.mean_value(tf), True)

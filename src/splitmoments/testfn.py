@@ -13,7 +13,7 @@ piecewise-polynomial transform can be registered through the same type.
 Each TestFunction carries one :class:`PowerTerms` cache holding the term
 lists (see :mod:`exactpoly`) of the self-convolution powers that the exact
 moment kernels consume: psi_k = fhat^{*k} and gp^{*l}, gp being fhat on
-[0, sigma].
+[0, sigma], and the variance sigma_phi^2 once it has been computed.
 """
 
 from __future__ import annotations
@@ -34,11 +34,13 @@ __all__ = ["TestFunction", "fejer", "phi_power_hat", "psi_terms", "gp_terms", "p
 class PowerTerms:
     """Term lists of self-convolution powers, extended on demand.
 
-    ``psi[k-1]`` holds fhat^{*k} and ``gp[l-1]`` holds gp^{*l}.
+    ``psi[k-1]`` holds fhat^{*k} and ``gp[l-1]`` holds gp^{*l}; ``var`` holds
+    sigma_phi^2 (see :func:`moments.sigma_phi_sq`).
     """
 
     psi: list = field(default_factory=list)
     gp: list = field(default_factory=list)
+    var: Fraction | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,6 +52,7 @@ class TestFunction:
     phi_at: Callable[[float], float] | None
     label: str
     _terms: PowerTerms = field(default_factory=PowerTerms, init=False, repr=False)
+    _phi0: Fraction = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", frac(self.sigma))
@@ -61,13 +64,14 @@ class TestFunction:
         if supp is not None and (supp[0] < -self.sigma or supp[1] > self.sigma):
             raise DomainError("fhat must vanish outside [-sigma, sigma]")
         # Fourier inversion at 0: phi(0) = integral of fhat
+        object.__setattr__(self, "_phi0", ep.integral(self.fhat))
         if self.phi_at is not None:
             if abs(self.phi_at(0.0) - float(self.phi_zero())) > 1e-10:
                 raise DomainError("phi_at(0) must equal the integral of fhat")
 
     def phi_zero(self) -> Fraction:
-        """Exact phi(0) = total integral of fhat."""
-        return ep.integral(self.fhat)
+        """Exact phi(0) = total integral of fhat, computed once at construction."""
+        return self._phi0
 
     def fhat_at(self, y) -> Fraction:
         return ep.evaluate(self.fhat, y)

@@ -128,6 +128,25 @@ class TestRmtCommand:
         assert len(lines) == 201
         assert report["results"][0]["n"] == 1
 
+    def test_single_sample_is_usage_error(self, capsys):
+        code = cli.main(["rmt", "--M", "4", "--samples", "1", "--sigma", "1/2", "--nmax", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+
+    def test_mean_gated_on_finite_M_mean(self, capsys):
+        code, report = run_cli(
+            ["rmt", "--M", "100", "--samples", "50", "--sigma", "3/5", "--nmax", "2", "--seed", "3"],
+            capsys,
+        )
+        mean = report["results"][0]
+        assert mean["predicted"]["exact"] == "13/6"
+        assert mean["finite_M_mean"]["exact"] == "43/20"
+        assert mean["passed"] == (abs(mean["empirical"] - 43 / 20) <= mean["gate"])
+        assert mean["z_score"] == (mean["empirical"] - 43 / 20) / mean["stderr"]
+        assert report["results"][1]["finite_M_mean"] is None
+
     def test_reproducible_z_stream(self, capsys, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["rmt", "--M", "8", "--parity", "even", "--samples", "50",

@@ -1,4 +1,5 @@
-"""Haar sampling, eigenangles, the linear statistic, and small-M moment gates."""
+"""The cosine sampler against the dense Haar reference, eigenangles, the linear
+statistic, and small-M moment gates."""
 
 import math
 from fractions import Fraction as F
@@ -73,18 +74,35 @@ class TestEigenangles:
             rmt.eigenangles(U).check_odd_parity()
 
 
-def z_of(tf, M, samples):
-    """Z through z_values_for for samples of the ensemble with M angles each."""
+def half_cosines(sample):
+    """The floor(M/2) cosines cos theta_j of a reference sample's angle pairs."""
+    a = np.sort(np.abs(sample.angles))
+    if len(a) % 2:
+        a = a[1:]  # the fixed angle 0 of SO(odd)
+    return np.cos(a[::2])
+
+
+def z_of(tf, M, cosines):
+    """Z through z_values_for for rows of floor(M/2) cosines."""
     parity = "even" if M % 2 == 0 else "odd"
-    spec = rmt.EnsembleSpec(M=M, parity=parity, samples=len(samples), seed=0)
-    return rmt.z_values_for(tf, spec, samples)
+    spec = rmt.EnsembleSpec(M=M, parity=parity, samples=len(cosines), seed=0)
+    return rmt.z_values_for(tf, spec, np.asarray(cosines))
 
 
 def f_m(tf, M, theta):
     """F_M at each theta, M even: M/2 pairs (theta, -theta) have Z = M F_M(theta)."""
     thetas = np.atleast_1d(theta)
-    samples = [rmt.EigenangleSample(angles=(t, -t) * (M // 2)) for t in thetas]
-    return z_of(tf, M, samples) / M
+    cosines = np.repeat(np.cos(thetas)[:, None], M // 2, axis=1)
+    return z_of(tf, M, cosines) / M
+
+
+def z_direct(tf, M, thetas):
+    """Z by np.cos over all M angles +-theta_j (and 0 for odd M)."""
+    coeffs = rmt._fourier_coeffs(tf, M)
+    k = np.arange(1, len(coeffs))
+    angles = np.concatenate([thetas, -thetas, np.zeros((len(thetas), M % 2))], axis=1)
+    f = coeffs[0] + 2 * np.cos(angles[:, :, None] * k) @ coeffs[1:]
+    return f.sum(axis=1) / M
 
 
 class TestFMValue:
@@ -119,30 +137,80 @@ class TestZValue:
     def test_identity_matrix(self):
         tf = fejer(F(1, 2))
         s = rmt.eigenangles(np.eye(2))
-        assert z_of(tf, 2, [s])[0] == pytest.approx(2.0)
+        assert z_of(tf, 2, [half_cosines(s)])[0] == pytest.approx(2.0)
 
     def test_conjugation_invariance(self):
         tf = fejer(F(3, 5))
         rng = np.random.default_rng(6)
         U = rmt.sample_haar_so(8, rng)
         Q = rmt.sample_haar_so(8, rng)
-        z1, z2 = z_of(tf, 8, [rmt.eigenangles(U), rmt.eigenangles(Q @ U @ Q.T)])
+        samples = [rmt.eigenangles(U), rmt.eigenangles(Q @ U @ Q.T)]
+        z1, z2 = z_of(tf, 8, [half_cosines(s) for s in samples])
         assert z1 == pytest.approx(z2, abs=1e-8)
 
     def test_real_valued(self):
         tf = fejer(F(3, 5))
         rng = np.random.default_rng(7)
         U = rmt.sample_haar_so(10, rng)
-        z = z_of(tf, 10, [rmt.eigenangles(U)])
+        z = z_of(tf, 10, [half_cosines(rmt.eigenangles(U))])
         assert z.dtype == np.float64 and z.shape == (1,)
+
+    @pytest.mark.parametrize("M", [2, 3, 100, 101])
+    def test_recurrence_matches_cos(self, M):
+        tf = fejer(F(3, 5))
+        thetas = np.random.default_rng(M).uniform(0, math.pi, size=(50, M // 2))
+        got = z_of(tf, M, np.cos(thetas))
+        assert np.max(np.abs(got - z_direct(tf, M, thetas))) < 1e-12
+
+
+class TestSamplerAgainstReference:
+    """The Killip-Nenciu cosines against the dense Haar route, in distribution."""
+
+    @pytest.mark.parametrize("M", [20, 21])
+    def test_two_sample_ks(self, M):
+        parity = "even" if M % 2 == 0 else "odd"
+        fast = rmt.sample_cosines(rmt.EnsembleSpec(M=M, parity=parity, samples=2000, seed=31))
+        ref_spec = rmt.EnsembleSpec(M=M, parity=parity, samples=2000, seed=32)
+        ref = np.array([half_cosines(s) for s in rmt.collect_angle_samples(ref_spec)])
+        assert fast.shape == ref.shape == (2000, M // 2)
+        assert stats.ks_2samp(fast.ravel(), ref.ravel()).pvalue > 0.01
+        tf = fejer(F(3, 5))
+        assert stats.ks_2samp(z_of(tf, M, fast), z_of(tf, M, ref)).pvalue > 0.01
+
+    @pytest.mark.parametrize("M", [10, 11])
+    def test_pooled_power_traces(self, M):
+        # E Tr U^k over SO(M) is 1 for even k and 0 for odd k, 0 < k < M
+        parity = "even" if M % 2 == 0 else "odd"
+        spec = rmt.EnsembleSpec(M=M, parity=parity, samples=20000, seed=17)
+        cosines = rmt.sample_cosines(spec)
+        traces = rmt.power_traces(cosines, M, M - 1)
+        assert np.all(traces[:, 0] == M)
+        for k in range(1, M):
+            col = traces[:, k]
+            err = abs(col.mean() - (1 - k % 2))
+            assert err <= 4 * col.std(ddof=1) / np.sqrt(len(col)), (k, err)
+        tf = fejer(F(1, 2))
+        z = rmt.z_values_for(tf, spec, cosines)
+        err = abs(z.mean() - float(rmt.finite_mean(tf, M)))
+        assert err <= 4 * z.std(ddof=1) / np.sqrt(len(z))
+
+    def test_finite_mean_exact(self):
+        tf = fejer(F(3, 5))
+        assert rmt.finite_mean(tf, 100) == F(43, 20)
+        assert rmt.finite_mean(tf, 101) == F(21935, 10201)
+
+    def test_finite_mean_domain(self):
+        with pytest.raises(DomainError):
+            rmt.finite_mean(fejer(F(3, 2)), 10)
 
 
 class TestReproducibility:
     def test_bit_identical_streams(self):
         spec = rmt.EnsembleSpec(M=8, parity="even", samples=50, seed=99)
-        a = rmt.collect_angle_samples(spec)
-        b = rmt.collect_angle_samples(spec)
-        assert all(x.angles == y.angles for x, y in zip(a, b))
+        a = rmt.sample_cosines(spec)
+        assert np.array_equal(a, rmt.sample_cosines(spec))
+        other = rmt.EnsembleSpec(M=8, parity="even", samples=50, seed=100)
+        assert not np.array_equal(a, rmt.sample_cosines(other))
 
     def test_spec_validation(self):
         with pytest.raises(DomainError):
@@ -157,8 +225,7 @@ class TestMomentEstimation:
     def test_mean_and_variance_small_M(self):
         tf = fejer(F(3, 5))
         spec = rmt.EnsembleSpec(M=40, parity="even", samples=4000, seed=11)
-        angles = rmt.collect_angle_samples(spec)
-        zv = rmt.z_values_for(tf, spec, angles)
+        zv = rmt.z_values_for(tf, spec, rmt.sample_cosines(spec))
         mean_rep = rmt.empirical_mean_check(tf, spec, z_vals=zv)
         assert abs(mean_rep.empirical - float(mean_rep.predicted)) <= max(
             4 * mean_rep.stderr, 2.0 / spec.M
@@ -173,8 +240,7 @@ class TestMomentEstimation:
         # centering defect (see the n=3 analysis in the acceptance module)
         tf = fejer(F(1, 4))
         spec = rmt.EnsembleSpec(M=48, parity="even", samples=400, seed=13)
-        angles = rmt.collect_angle_samples(spec)
-        zv = rmt.z_values_for(tf, spec, angles)
+        zv = rmt.z_values_for(tf, spec, rmt.sample_cosines(spec))
         reports = rmt.estimate_centered_moments(tf, spec, 3, z_vals=zv)
         gauss = {2: 1 / 3, 3: 0.0}
         for r in reports:
@@ -195,7 +261,7 @@ class TestMomentEstimation:
         with pytest.raises(InvariantViolation):
             rmt.MomentReport(
                 n=2, empirical=0.0, stderr=0.0, predicted=None,
-                z_score=None, samples=5, supported=True,
+                samples=5, supported=True,
             )
 
     def test_mean_bias_shrinks_with_M(self):
