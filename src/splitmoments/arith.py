@@ -27,7 +27,6 @@ from .errors import DomainError, InvariantViolation
 
 __all__ = [
     "DirichletCharacter",
-    "SumValue",
     "factorize",
     "mobius",
     "euler_phi",
@@ -314,19 +313,7 @@ def is_primitive(chi: DirichletCharacter) -> bool:
 # Gauss and Kloosterman sums
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SumValue:
-    value: complex
-    exactness: str  # "exact-integer" | "float-with-tolerance"
-
-    def as_int(self) -> int:
-        r = round(self.value.real)
-        if abs(self.value - r) > 1e-6:
-            raise InvariantViolation(f"value {self.value} is not an integer")
-        return r
-
-
-def gauss_sum(chi: DirichletCharacter, n: int, check_bound: bool = True) -> SumValue:
+def gauss_sum(chi: DirichletCharacter, n: int, check_bound: bool = True) -> complex:
     """G_chi(n) = sum over a mod q of chi(a) e(an/q)."""
     q = chi.modulus
     total = 0j
@@ -345,7 +332,7 @@ def gauss_sum(chi: DirichletCharacter, n: int, check_bound: bool = True) -> SumV
             raise InvariantViolation(
                 f"|G_chi({n})| = {abs(total)} exceeds sqrt({q}) for primitive chi"
             )
-    return SumValue(value=total, exactness="float-with-tolerance")
+    return total
 
 
 def _gcd0(a: int, q: int) -> int:
@@ -353,7 +340,7 @@ def _gcd0(a: int, q: int) -> int:
     return math.gcd(a % q, q) if (a % q) != 0 else q
 
 
-def kloosterman(m: int, n: int, q: int, check_bound: bool = True) -> SumValue:
+def kloosterman(m: int, n: int, q: int, check_bound: bool = True) -> float:
     """S(m, n; q) = sum over units d of e((m d + n dbar)/q); real-valued."""
     if q < 1:
         raise DomainError("modulus must be >= 1")
@@ -376,7 +363,7 @@ def kloosterman(m: int, n: int, q: int, check_bound: bool = True) -> SumValue:
             raise InvariantViolation(
                 f"|S({m},{n};{q})| = {abs(value)} exceeds Weil-type bound {bound}"
             )
-    return SumValue(value=complex(value), exactness="float-with-tolerance")
+    return value
 
 
 def verify_kloosterman_factorization(
@@ -393,13 +380,13 @@ def verify_kloosterman_factorization(
         raise DomainError("N must be prime")
     if b % N == 0 or Q % N == 0 or m % N == 0:
         raise DomainError("N must not divide b, Q, or m")
-    lhs = kloosterman(m * m, N * Q, N * b).value.real
+    lhs = kloosterman(m * m, N * Q, N * b)
     r = gcd_saturate(Q, b)
     rhs = 0j
     for chi in enumerate_characters(b):
         rhs += (
-            gauss_sum(chi, m * m).value
-            * gauss_sum(chi, r).value
+            gauss_sum(chi, m * m)
+            * gauss_sum(chi, r)
             * chi.value(Q // r).conjugate()
             * chi.value(N)
         )

@@ -8,14 +8,24 @@ Subcommands:
     rmt         SO(M) Monte Carlo moment report (optional per-sample CSV)
     verify      identity suites: combinat | arith | all
 
-Every run emits a JSON report {command, params, results, assumptions, timing}
-embedding the fully resolved configuration; exact rationals are serialized as
-"p/q" strings next to a 15-significant-digit decimal.  Exit status: 0 all
-checks passed, 1 a verification failed, 2 usage error.
+``PARAMS`` declares each command's keys once, each with its parser and its
+default (or ``REQUIRED``); the key ``t_max`` is the flag ``--t-max``.  A run
+is given by flags, by a config file (``--config``) or by both: the file is
+read first and a flag overrides only the key it sets.  Defaults are the same
+for flags and files, a key the command does not take and a required key left
+unset are usage errors, and ``verify all`` runs the full suite unless
+``quick`` is set.
 
-Config files are line-oriented ``key = value`` with ``#`` comments; unknown
-and duplicate keys are errors, and rational-valued keys reject float literals
-("0.6" must be written "3/5").
+Every run emits a JSON report {command, params, results, assumptions, timing,
+passed} embedding the fully resolved configuration; exact rationals are
+serialized as "p/q" strings next to a 15-significant-digit decimal.  Exit
+status: 0 all checks passed, 1 a verification failed, 2 usage error.
+
+Config files are line-oriented ``key = value`` with ``#`` comments and a
+``command`` line (``verify-combinat`` for ``verify combinat``), which a
+subcommand on the command line replaces.  Unknown and duplicate keys are
+errors; switches take 1/true/yes or 0/false/no, and rational-valued keys
+reject float literals ("0.6" must be written "3/5").
 """
 
 from __future__ import annotations
@@ -33,12 +43,13 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from . import arith, moments as mo, rmt, sop, vanishing as vb
-from .errors import DomainError, UsageError
+from .errors import DomainError, InvariantViolation, ResourceLimitError, UsageError
 from .testfn import fejer
 
-__all__ = ["main", "run", "RunConfig", "load_config", "parse_rational"]
-
-COMMANDS = ("moment", "rmt", "verify-combinat", "verify-arith", "vanish", "crosscheck", "verify-all")
+__all__ = [
+    "main", "run", "RunConfig", "PARAMS", "REQUIRED", "resolve", "load_config",
+    "parse_argv", "parse_rational",
+]
 
 
 _FLOAT_LITERAL = re.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+(\.\d*)?[eE][+-]?\d+)$")
@@ -57,43 +68,101 @@ def parse_rational(text: str) -> Fraction:
         raise UsageError(f"malformed rational {token!r}: {exc}") from exc
 
 
+def _at_least(lo: int):
+    """Parser of integers >= lo."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise ValueError(f"must be >= {lo}")
+        return value
+    return parse
+
+
+def _one_of(*options: str):
+    def parse(text: str) -> str:
+        if text not in options:
+            raise ValueError(f"expected {' | '.join(options)}")
+        return text
+    return parse
+
+
+def _switch(text: str) -> bool:
+    word = text.lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError("expected 1/true/yes or 0/false/no")
+    return word in ("1", "true", "yes")
+
+
+REQUIRED = object()  # the default of a key that must be given
+
+_SIGMA = (parse_rational, REQUIRED)
+_SIGN = (_one_of("plus", "minus"), "minus")
+_COMMON = {"seed": (_at_least(0), 42), "json": (Path, None), "csv": (Path, None)}
+
+# PARAMS[command][key] = (parser, default or REQUIRED).  A default of None
+# means the command derives the value (moment's a: the minimal valid a).
+PARAMS: dict[str, dict[str, tuple]] = {
+    "moment": {"sigma": _SIGMA, "n": (int, REQUIRED), "a": (int, None), "sign": _SIGN,
+               **_COMMON},
+    "crosscheck": {"sigma": _SIGMA, "n": (int, REQUIRED), **_COMMON},
+    "vanish": {"r": (int, REQUIRED), "n": (int, REQUIRED), "sigma": _SIGMA, "sign": _SIGN,
+               **_COMMON},
+    "rmt": {"M": (int, REQUIRED), "parity": (_one_of("even", "odd"), None),
+            "samples": (_at_least(2), 1000), "sigma": _SIGMA, "nmax": (int, 4), **_COMMON},
+    "verify-combinat": {"n": (int, 5), "a": (int, None), "t_max": (_at_least(1), 3),
+                        "shards": (_at_least(1), 1), **_COMMON},
+    "verify-arith": {"qmax": (int, 200), "kloosterman_sweep": (_switch, False), **_COMMON},
+    "verify-all": {"quick": (_switch, False), **_COMMON},
+}
+
+
 @dataclass
 class RunConfig:
     command: str
     params: dict[str, Any] = field(default_factory=dict)
-    seed: int = 42
-    json_path: Path | None = None
-    csv_path: Path | None = None
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise UsageError(f"unknown command {self.command!r}")
 
 
-_CONFIG_SCHEMA: dict[str, Any] = {
-    "command": str,
-    "sigma": parse_rational,
-    "n": int,
-    "a": int,
-    "r": int,
-    "sign": str,
-    "parity": str,
-    "M": int,
-    "samples": int,
-    "nmax": int,
-    "seed": int,
-    "qmax": int,
-    "t_max": int,
-    "shards": int,
-    "quick": lambda s: s.lower() in ("1", "true", "yes"),
-    "json": Path,
-    "csv": Path,
-}
+def resolve(command: str, given: dict[str, Any],
+            where: dict[str, str] | None = None) -> RunConfig:
+    """The complete configuration of ``command`` from the values ``given``.
+
+    A string value is parsed by its key's parser and any other value is taken
+    as it is, so resolving a resolved config changes nothing.  Keys not given
+    take their defaults.  ``where`` maps a key to its source ("file:line"),
+    which prefixes the error messages about it.
+    """
+    table = PARAMS.get(command)
+    if table is None:
+        raise UsageError(f"unknown command {command!r}")
+    where = where or {}
+    params = {}
+    for key, value in given.items():
+        at = f"{where[key]}: " if key in where else ""
+        if key not in table:
+            raise UsageError(f"{at}unknown key {key!r} for {command}")
+        if isinstance(value, str):
+            try:
+                value = table[key][0](value)
+            except ValueError as exc:  # UsageError included
+                raise UsageError(f"{at}bad value for {key}: {exc}") from exc
+        params[key] = value
+    missing = [key for key, (_, default) in table.items()
+               if default is REQUIRED and key not in params]
+    if missing:
+        raise UsageError(f"{command} requires {', '.join(missing)}")
+    return RunConfig(command, {key: params.get(key, default)
+                               for key, (_, default) in table.items()})
 
 
-def load_config(path: str | Path) -> RunConfig:
-    """Parse a ``key = value`` config file into a RunConfig."""
-    seen: dict[str, Any] = {}
+def load_config(path: str | Path, command: str | None = None,
+                flags: dict[str, Any] | None = None) -> RunConfig:
+    """Resolve a ``key = value`` config file.
+
+    ``command`` replaces the file's ``command`` line, and ``flags`` override
+    the file's values key by key.
+    """
+    values: dict[str, str] = {}
+    where: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -101,27 +170,18 @@ def load_config(path: str | Path) -> RunConfig:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _CONFIG_SCHEMA:
-            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in seen:
+        key = key.strip()
+        if key in values:
             raise UsageError(f"{path}:{lineno}: duplicate key {key!r}")
-        try:
-            seen[key] = _CONFIG_SCHEMA[key](value)
-        except UsageError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-    command = seen.pop("command", None)
+        values[key] = value.strip()
+        where[key] = f"{path}:{lineno}"
+    file_command = values.pop("command", None)
+    command = command or file_command
     if command is None:
         raise UsageError(f"{path}: missing 'command'")
-    cfg = RunConfig(command=command)
-    if "seed" in seen:
-        cfg.seed = seen.pop("seed")
-    cfg.json_path = seen.pop("json", None)
-    cfg.csv_path = seen.pop("csv", None)
-    cfg.params = seen
-    return cfg
+    flags = flags or {}
+    return resolve(command, {**values, **flags},
+                   {key: at for key, at in where.items() if key not in flags})
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +207,10 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(report: dict, cfg: RunConfig) -> None:
+def _emit(report: dict, json_path: Path | None) -> None:
     text = json.dumps(_jsonable(report), indent=2)
-    if cfg.json_path:
-        Path(cfg.json_path).write_text(text + "\n")
+    if json_path:
+        json_path.write_text(text + "\n")
     print(text)
 
 
@@ -159,11 +219,12 @@ def _emit(report: dict, cfg: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_moment(cfg: RunConfig):
+    """exact predicted centered moment"""
     sigma = cfg.params["sigma"]
     n = cfg.params["n"]
-    sign = cfg.params.get("sign", "minus")
+    sign = cfg.params["sign"]
     tf = fejer(sigma)
-    a = cfg.params.get("a")
+    a = cfg.params["a"]
     spec = (
         mo.MomentSpec(tf=tf, n=n, a=a, sign=sign)
         if a is not None
@@ -185,6 +246,7 @@ def _cmd_moment(cfg: RunConfig):
 
 
 def _cmd_crosscheck(cfg: RunConfig):
+    """R vs Q-via-classes vs float oracle"""
     from . import quadrature as qd
 
     sigma = cfg.params["sigma"]
@@ -217,11 +279,12 @@ def _cmd_crosscheck(cfg: RunConfig):
 
 
 def _cmd_vanish(cfg: RunConfig):
+    """order-of-vanishing bound"""
     q = vb.VanishingQuery(
         r=cfg.params["r"],
         n=cfg.params["n"],
         sigma=cfg.params["sigma"],
-        sign=cfg.params.get("sign", "minus"),
+        sign=cfg.params["sign"],
     )
     res = vb.vanishing_result(q)
     results = [
@@ -240,21 +303,19 @@ def _cmd_vanish(cfg: RunConfig):
 
 
 def _cmd_rmt(cfg: RunConfig):
-    sigma = cfg.params["sigma"]
-    samples = cfg.params.get("samples", 1000)
-    if samples < 2:
-        raise UsageError("rmt requires samples >= 2 (the gates need a standard error)")
+    """Haar Monte Carlo moment report"""
+    M = cfg.params["M"]
     spec = rmt.EnsembleSpec(
-        M=cfg.params["M"],
-        parity=cfg.params.get("parity", "even" if cfg.params["M"] % 2 == 0 else "odd"),
-        samples=samples,
-        seed=cfg.seed,
+        M=M,
+        parity=cfg.params["parity"] or ("even" if M % 2 == 0 else "odd"),
+        samples=cfg.params["samples"],
+        seed=cfg.params["seed"],
     )
-    tf = fejer(sigma)
-    n_max = cfg.params.get("nmax", 4)
+    tf = fejer(cfg.params["sigma"])
+    n_max = cfg.params["nmax"]
     z_vals = rmt.z_values_for(tf, spec, rmt.sample_cosines(spec))
-    if cfg.csv_path:
-        with open(cfg.csv_path, "w", newline="") as fh:
+    if cfg.params["csv"]:
+        with open(cfg.params["csv"], "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["sample_index", "Z"])
             for i, z in enumerate(z_vals):
@@ -297,16 +358,19 @@ def _cmd_rmt(cfg: RunConfig):
         " limits with finite-M allowance c/M, c = 2 (no finite-M rates are available)",
         "z_score is measured from the same centre as the gate",
         "cosines of the eigenangles from the Killip-Nenciu tridiagonal model",
-        f"per-sample RNG: SeedSequence((seed={cfg.seed}, index))",
+        f"per-sample RNG: SeedSequence((seed={spec.seed}, index))",
     ]
     return results, assumptions, ok
 
 
 def _cmd_verify_combinat(cfg: RunConfig):
-    n = cfg.params.get("n", 5)
-    a = cfg.params.get("a", (n + 1) // 2)
-    t_max = cfg.params.get("t_max", 3)
-    shards = cfg.params.get("shards", 1)
+    """combinatorial lemmas on the class expansion"""
+    n = cfg.params["n"]
+    a = cfg.params["a"]
+    if a is None:
+        a = (n + 1) // 2
+    t_max = cfg.params["t_max"]
+    shards = cfg.params["shards"]
     if shards > 1:
         table: dict = {}
         for k in range(shards):
@@ -362,7 +426,8 @@ def _cmd_verify_combinat(cfg: RunConfig):
 
 
 def _cmd_verify_arith(cfg: RunConfig):
-    qmax = cfg.params.get("qmax", 200)
+    """Ramanujan, Gauss and Kloosterman sum identities"""
+    qmax = cfg.params["qmax"]
     results = []
     ok = True
     fails = 0
@@ -370,7 +435,7 @@ def _cmd_verify_arith(cfg: RunConfig):
         for n in range(1, qmax + 1):
             try:
                 arith.ramanujan(n, q)
-            except Exception:
+            except InvariantViolation:
                 fails += 1
     results.append({"identity": "ramanujan three-way", "range": qmax, "failures": fails})
     ok &= fails == 0
@@ -382,7 +447,7 @@ def _cmd_verify_arith(cfg: RunConfig):
                 gauss_checked += 1
                 try:
                     arith.gauss_sum(chi, n)
-                except Exception:
+                except InvariantViolation:
                     gauss_fails += 1
     results.append(
         {"identity": "gauss bounds (primitive) + principal=Ramanujan",
@@ -397,14 +462,14 @@ def _cmd_verify_arith(cfg: RunConfig):
                 kl_checked += 1
                 try:
                     arith.kloosterman(m, n, q)
-                except Exception:
+                except InvariantViolation:
                     kl_fails += 1
     results.append(
         {"identity": "kloosterman Weil-type bound", "checked": kl_checked, "failures": kl_fails}
     )
     ok &= kl_fails == 0
 
-    if cfg.params.get("kloosterman_sweep", True):
+    if cfg.params["kloosterman_sweep"]:
         sweep_checked = sweep_fails = 0
         for N in (3, 5, 7):
             for b in range(1, 21):
@@ -428,36 +493,24 @@ def _cmd_verify_arith(cfg: RunConfig):
 
 
 def _cmd_verify_all(cfg: RunConfig):
-    quick = cfg.params.get("quick", True)
+    """all suites: full unless quick"""
+    quick = cfg.params["quick"]
+    suites = (
+        ("verify-combinat", {"n": 5, "a": 3} if quick else {"n": 7, "a": 4}),
+        ("verify-arith", {"qmax": 60 if quick else 200, "kloosterman_sweep": not quick}),
+        ("crosscheck", {"sigma": Fraction(1, 2), "n": 4}),
+        ("vanish", {"r": 5, "n": 4, "sigma": Fraction(1, 2)}),
+    )
     results = []
     assumptions = []
     ok = True
-
-    sub = RunConfig(command="verify-combinat", seed=cfg.seed)
-    sub.params = {"n": 5 if quick else 7, "a": 3 if quick else 4}
-    r, _, good = _cmd_verify_combinat(sub)
-    results.append({"suite": "combinat", "passed": good, "results": r})
-    ok &= good
-
-    sub = RunConfig(command="verify-arith", seed=cfg.seed)
-    sub.params = {"qmax": 60 if quick else 200, "kloosterman_sweep": not quick}
-    r, _, good = _cmd_verify_arith(sub)
-    results.append({"suite": "arith", "passed": good, "results": r})
-    ok &= good
-
-    sub = RunConfig(command="crosscheck", seed=cfg.seed)
-    sub.params = {"sigma": Fraction(1, 2), "n": 4}
-    r, _, good = _cmd_crosscheck(sub)
-    results.append({"suite": "crosscheck", "passed": good, "results": r})
-    ok &= good
-
-    sub = RunConfig(command="vanish", seed=cfg.seed)
-    sub.params = {"r": 5, "n": 4, "sigma": Fraction(1, 2), "sign": "minus"}
-    r, notes, good = _cmd_vanish(sub)
-    passed = r[0]["bound"]["exact"] == "496/65625"
-    results.append({"suite": "vanish", "passed": passed, "results": r})
-    assumptions.extend(notes)
-    ok &= passed
+    for command, given in suites:
+        r, notes, good = _RUNNERS[command](resolve(command, given))
+        if command == "vanish":
+            good = r[0]["bound"]["exact"] == "496/65625"
+        results.append({"suite": command.removeprefix("verify-"), "passed": good, "results": r})
+        assumptions.extend(notes)
+        ok &= good
     return results, assumptions, ok
 
 
@@ -472,34 +525,24 @@ _RUNNERS = {
 }
 
 
-_REQUIRED = {
-    "moment": ("sigma", "n"),
-    "crosscheck": ("sigma", "n"),
-    "vanish": ("r", "n", "sigma"),
-    "rmt": ("M", "sigma"),
-}
-
-
 def run(cfg: RunConfig) -> int:
     """Execute a config; writes the JSON report; returns the exit status."""
     t0 = time.perf_counter()
     try:
-        missing = [k for k in _REQUIRED.get(cfg.command, ()) if k not in cfg.params]
-        if missing:
-            raise UsageError(f"{cfg.command} requires {', '.join(missing)}")
+        cfg = resolve(cfg.command, cfg.params)
         results, assumptions, ok = _RUNNERS[cfg.command](cfg)
-    except (UsageError, DomainError) as exc:
+    except (UsageError, DomainError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = {
         "command": cfg.command,
-        "params": {**cfg.params, "seed": cfg.seed},
+        "params": cfg.params,
         "results": results,
         "assumptions": assumptions,
         "timing": {"seconds": round(time.perf_counter() - t0, 3)},
         "passed": ok,
     }
-    _emit(report, cfg)
+    _emit(report, cfg.params["json"])
     return 0 if ok else 1
 
 
@@ -508,111 +551,56 @@ def run(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One flag per PARAMS key, absent from the namespace when not given.
+
+    A subcommand's help line is its runner's docstring.
+    """
+    quiet = argparse.SUPPRESS
     p = argparse.ArgumentParser(
         prog="splitmoments",
         description="exact moments of low-lying-zero statistics, with verification suites",
+        argument_default=quiet,
     )
     p.add_argument("--config", type=Path, help="key = value configuration file")
     sub = p.add_subparsers(dest="command")
-
-    def common(sp):
-        sp.add_argument("--seed", type=int, help="default 42")
-        sp.add_argument("--json", type=Path, dest="json_path")
-        sp.add_argument("--csv", type=Path, dest="csv_path")
-
-    def sigma_opt(sp):
-        sp.add_argument("--sigma", help="exact rational like 1/2")
-
-    sp = sub.add_parser("moment", help="exact predicted centered moment")
-    sigma_opt(sp)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--a", type=int)
-    sp.add_argument("--sign", choices=("plus", "minus"), default="minus")
-    common(sp)
-
-    sp = sub.add_parser("crosscheck", help="R vs Q-via-classes vs float oracle")
-    sigma_opt(sp)
-    sp.add_argument("--n", type=int, required=True)
-    common(sp)
-
-    sp = sub.add_parser("vanish", help="order-of-vanishing bound")
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sigma_opt(sp)
-    sp.add_argument("--sign", choices=("plus", "minus"), default="minus")
-    common(sp)
-
-    sp = sub.add_parser("rmt", help="Haar Monte Carlo moment report")
-    sp.add_argument("--M", type=int, required=True)
-    sp.add_argument("--parity", choices=("even", "odd"))
-    sp.add_argument("--samples", type=int, default=1000)
-    sigma_opt(sp)
-    sp.add_argument("--nmax", type=int, default=4)
-    common(sp)
-
-    sp = sub.add_parser("verify", help="identity verification suites")
-    vsub = sp.add_subparsers(dest="suite")
-    spc = vsub.add_parser("combinat")
-    spc.add_argument("--n", type=int, default=5)
-    spc.add_argument("--a", type=int)
-    spc.add_argument("--t-max", type=int, default=3, dest="t_max")
-    spc.add_argument("--shards", type=int, default=1)
-    common(spc)
-    spa = vsub.add_parser("arith")
-    spa.add_argument("--qmax", type=int, default=200)
-    spa.add_argument("--kloosterman-sweep", action="store_true", dest="kloosterman_sweep")
-    common(spa)
-    spall = vsub.add_parser("all")
-    spall.add_argument("--quick", action="store_true")
-    common(spall)
+    verify = None
+    for command, table in PARAMS.items():
+        name, _, suite = command.partition("-")
+        if suite and verify is None:
+            verify = sub.add_parser(name, help="identity verification suites").add_subparsers()
+        sp = (verify if suite else sub).add_parser(
+            suite or name, help=_RUNNERS[command].__doc__, argument_default=quiet
+        )
+        sp.set_defaults(command=command)
+        for key, (parse, default) in table.items():
+            flag = "--" + key.replace("_", "-")
+            note = (None if default is None
+                    else "required" if default is REQUIRED else f"default {default}")
+            if parse is _switch:
+                sp.add_argument(flag, dest=key, action="store_const", const="1", help=note)
+            else:
+                sp.add_argument(flag, dest=key, help=note)
     return p
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    command = args.command
+def parse_argv(argv: Sequence[str] | None = None) -> RunConfig:
+    """The resolved configuration of a command line, ``--config`` file included."""
+    args = vars(_build_parser().parse_args(argv))
+    config = args.pop("config", None)
+    command = args.pop("command", None)
     if command == "verify":
-        suite = getattr(args, "suite", None)
-        if suite is None:
-            raise UsageError("verify requires a suite: combinat | arith | all")
-        command = f"verify-{suite}"
+        raise UsageError("verify requires a suite: combinat | arith | all")
+    if config is not None:
+        return load_config(config, command, args)
     if command is None:
         raise UsageError("a command is required")
-    cfg = RunConfig(command=command)
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    cfg.json_path = getattr(args, "json_path", None)
-    cfg.csv_path = getattr(args, "csv_path", None)
-    for key in ("n", "a", "r", "M", "samples", "nmax", "qmax", "t_max", "shards",
-                "sign", "parity", "quick", "kloosterman_sweep"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg.params[key] = val
-    sigma = getattr(args, "sigma", None)
-    if sigma is not None:
-        cfg.params["sigma"] = parse_rational(sigma)
-    return cfg
+    return resolve(command, args)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.config:
-            cfg = load_config(args.config)
-            # flags override file values
-            if args.command:
-                over = _config_from_args(args)
-                cfg.command = over.command
-                cfg.params.update(over.params)
-                if over.json_path:
-                    cfg.json_path = over.json_path
-                if over.csv_path:
-                    cfg.csv_path = over.csv_path
-                if getattr(args, "seed", None) is not None:
-                    cfg.seed = over.seed
-        else:
-            cfg = _config_from_args(args)
-    except (UsageError, DomainError) as exc:
+        cfg = parse_argv(argv)
+    except (UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     return run(cfg)

@@ -81,6 +81,8 @@ def valid_a_range(tf: TestFunction, n: int) -> range:
 
     Empty when sigma exceeds the overall 2/n hypothesis.
     """
+    if n < 1:
+        raise DomainError("moment order n must be >= 1")
     if tf.sigma > Fraction(2, n):
         return range(0)
     lo = minimal_a(tf, n)

@@ -66,15 +66,10 @@ def _fhat_np(tf: TestFunction, y: np.ndarray) -> np.ndarray:
 
 
 def _phi_pow(tf: TestFunction, k: int, x: np.ndarray) -> np.ndarray:
-    """phi(x)^k vectorized (closed form for the Fejer family)."""
-    if tf.label.startswith("fejer"):
-        s = float(tf.sigma)
-        t = np.pi * s * x
-        with np.errstate(invalid="ignore", divide="ignore"):
-            v = np.where(np.abs(t) < 1e-9, 1.0 - t * t / 3.0, np.sin(t) / np.where(t == 0, 1.0, t))
-        return (v * v) ** k
-    phi = np.vectorize(lambda xx: tf.phi_at(xx) if tf.phi_at else 0.0)
-    return phi(x) ** k
+    """phi(x)^k through the test function's vectorized closed form."""
+    if tf.phi_at is None:
+        raise DomainError(f"the quadrature oracle needs phi_at; {tf.label} has none")
+    return tf.phi_at(x) ** k
 
 
 # Gauss-Legendre nodes/weights on [-1, 1], order 16, reused across panels.

@@ -55,7 +55,6 @@ __all__ = [
     "exp_neg_coeff",
     "g_combin",
     "verify_single_simp",
-    "h_combin",
     "h_partial_sums",
     "verify_h_vanishes",
     "symmetric_transform_check",
@@ -421,18 +420,6 @@ def verify_single_simp(n: int, f: int) -> bool:
     lhs = 2 * factorial(n) * (-1) ** n * total
     rhs = 2 * _c(n, f) * ((-1) ** (n + f + 1) - 1)
     return lhs == rhs
-
-
-def h_combin(f: int, g: int, mu1: int, mud: int) -> int:
-    """C(f,g) - C(f-mu1,g-mu1) - C(f-mud,g) + C(f-mu1-mud,g-mu1)."""
-    if mu1 < 1 or mud < 1:
-        raise DomainError("mu1, mud must be >= 1")
-    return (
-        _c(f, g)
-        - _c(f - mu1, g - mu1)
-        - _c(f - mud, g)
-        + _c(f - mu1 - mud, g - mu1)
-    )
 
 
 def h_partial_sums(f: int, g: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:

@@ -2,7 +2,8 @@
 
 A test function phi is described by the exact transform ``fhat`` (an even,
 compactly supported :class:`PiecewisePoly` on [-sigma, sigma]) together with a
-pointwise real evaluator for phi itself.  The catalog ships the Fejer family
+real evaluator ``phi_at`` for phi itself, which the quadrature oracle applies
+elementwise to numpy arrays.  The catalog ships the Fejer family
 
     phi(x) = (sin(pi sigma x) / (pi sigma x))^2,
     fhat(y) = 1/sigma - |y|/sigma^2   on |y| < sigma,
@@ -22,6 +23,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
+
+import numpy as np
 
 from . import exactpoly as ep
 from .exactpoly import PiecewisePoly, frac
@@ -95,11 +98,12 @@ def fejer(sigma) -> TestFunction:
     )
     sf = float(s)
 
-    def phi(x: float) -> float:
-        t = math.pi * sf * x
-        if abs(t) < 1e-8:
-            return 1.0 - t * t / 3.0  # series around the removable singularity
-        v = math.sin(t) / t
+    def phi(x):
+        """phi at a float or elementwise on an array."""
+        t = np.pi * sf * np.asarray(x, dtype=float)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            # series around the removable singularity at 0
+            v = np.where(np.abs(t) < 1e-8, 1.0 - t * t / 3.0, np.sin(t) / t)
         return v * v
 
     return TestFunction(sigma=s, fhat=fhat, phi_at=phi, label=f"fejer:{s}")

@@ -1,7 +1,9 @@
 """CLI driver: parsing, reports, exit codes, config files."""
 
+import importlib.util
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,23 @@ def run_cli(args, capsys):
     out = capsys.readouterr().out
     report = json.loads(out) if out.strip() else None
     return code, report
+
+
+def assert_usage_error(args, capsys):
+    """``args`` exits 2 with no report and a one-line message."""
+    code = cli.main(args)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1, captured.err
+    return captured.err
+
+
+def write_config(tmp_path, command, **values):
+    path = tmp_path / "run.cfg"
+    lines = [f"command = {command}"] + [f"{k} = {v}" for k, v in values.items()]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
 
 
 class TestMomentCommand:
@@ -166,7 +185,7 @@ class TestConfigFile:
         cfg = cli.load_config(cfg_file)
         assert cfg.command == "moment"
         assert cfg.params["sigma"] == F(3, 5)
-        assert cfg.seed == 11
+        assert cfg.params["seed"] == 11
 
     def test_float_rejected(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -220,6 +239,151 @@ class TestConfigFile:
         code, report = run_cli(["--config", str(cfg_file)], capsys)
         assert code == 0
         assert report["results"][0]["bound"]["exact"] == "496/65625"
+
+
+class TestConfigMerge:
+    """A flag overrides only the key it sets; files and flags share defaults."""
+
+    def test_file_sign_survives_flags(self, capsys, tmp_path):
+        cfg_file = write_config(tmp_path, "moment", sign="plus")
+        code, report = run_cli(
+            ["--config", cfg_file, "moment", "--n", "4", "--sigma", "1/2"], capsys
+        )
+        assert code == 0
+        assert report["results"][0]["exact"] == "13/35"
+
+    def test_file_satisfies_required_key(self, capsys, tmp_path):
+        cfg_file = write_config(tmp_path, "moment", n=4)
+        code, report = run_cli(["--config", cfg_file, "moment", "--sigma", "1/3"], capsys)
+        assert code == 0
+        assert report["results"][0]["n"] == 4
+
+    def test_file_samples_and_nmax_survive_flags(self, capsys, tmp_path):
+        cfg_file = write_config(tmp_path, "rmt", samples=50, nmax=2, sigma="1/2")
+        code, report = run_cli(["--config", cfg_file, "rmt", "--M", "10"], capsys)
+        assert code in (0, 1)  # statistical gate at small M may fail
+        assert [r["n"] for r in report["results"]] == [1, 2]
+        assert report["results"][0]["samples"] == 50
+        assert report["params"]["samples"] == 50
+
+    def test_kloosterman_sweep_from_file(self, capsys, tmp_path):
+        cfg_file = write_config(tmp_path, "verify-arith", qmax=5, kloosterman_sweep=0)
+        code, report = run_cli(["--config", cfg_file], capsys)
+        assert code == 0
+        assert report["params"]["kloosterman_sweep"] is False
+        assert len(report["results"]) == 3
+
+    def test_key_the_command_does_not_take(self, capsys, tmp_path):
+        cfg_file = write_config(tmp_path, "moment", sigma="1/2", n=4, M=7)
+        err = assert_usage_error(["--config", cfg_file], capsys)
+        assert "'M'" in err
+
+    def test_bad_switch_value(self, capsys, tmp_path):
+        cfg_file = write_config(tmp_path, "verify-all", quick="maybe")
+        assert_usage_error(["--config", cfg_file], capsys)
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_malformed_value_is_one_line(self, source, capsys, tmp_path):
+        args = ["moment", "--sigma", "1/2", "--n", "4"]
+        if source == "flag":
+            args += ["--seed", "x"]
+        else:
+            args = ["--config", write_config(tmp_path, "moment", seed="x")] + args
+        assert "seed" in assert_usage_error(args, capsys)
+
+
+class TestBadInput:
+    """Out-of-range values fail with exit 2 and one line, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["crosscheck", "--sigma", "1/2", "--n", "0"],
+            ["verify", "combinat", "--n", "9"],
+            ["verify", "combinat", "--t-max", "0"],
+            ["verify", "combinat", "--n", "3", "--shards", "0"],
+            ["verify", "combinat", "--n", "3", "--shards", "-1"],
+            ["rmt", "--M", "10", "--sigma", "1/2", "--samples", "5", "--seed", "-1"],
+            ["verify"],
+            [],
+        ],
+        ids=["crosscheck-n0", "combinat-n9", "t-max0", "shards0", "shards-1",
+             "seed-1", "verify-no-suite", "no-command"],
+    )
+    def test_usage_error(self, args, capsys):
+        assert_usage_error(args, capsys)
+
+    def test_missing_config_file(self, capsys, tmp_path):
+        assert_usage_error(["--config", str(tmp_path / "absent.cfg")], capsys)
+
+
+EXAMPLE = {
+    "sigma": "1/3", "n": "4", "a": "2", "r": "5", "sign": "plus", "M": "11",
+    "parity": "odd", "samples": "30", "nmax": "2", "qmax": "10", "t_max": "2",
+    "shards": "2", "quick": "1", "kloosterman_sweep": "1", "seed": "7",
+    "json": "out.json", "csv": "z.csv",
+}
+SWITCHES = ("quick", "kloosterman_sweep")
+
+
+def as_flags(command, keys):
+    argv = command.split("-")
+    for key in keys:
+        flag = "--" + key.replace("_", "-")
+        argv += [flag] if key in SWITCHES else [flag, EXAMPLE[key]]
+    return argv
+
+
+def load_bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+class TestParamsTable:
+    @pytest.mark.parametrize("command", list(cli.PARAMS))
+    def test_flags_and_file_agree(self, command, tmp_path):
+        table = cli.PARAMS[command]
+        required = [k for k, (_, default) in table.items() if default is cli.REQUIRED]
+        for keys in (required, list(table)):
+            from_flags = cli.parse_argv(as_flags(command, keys))
+            cfg_file = write_config(tmp_path, command, **{k: EXAMPLE[k] for k in keys})
+            assert cli.parse_argv(["--config", cfg_file]) == from_flags
+            half = len(keys) // 2
+            cfg_file = write_config(tmp_path, command, **{k: EXAMPLE[k] for k in keys[:half]})
+            mixed = cli.parse_argv(["--config", cfg_file] + as_flags(command, keys[half:]))
+            assert mixed == from_flags
+        defaults = cli.parse_argv(as_flags(command, required)).params
+        assert {k: defaults[k] for k in table if k not in required} == {
+            k: default for k, (_, default) in table.items() if k not in required
+        }
+
+    def test_verify_all_is_full_unless_quick(self, tmp_path):
+        assert cli.parse_argv(["verify", "all"]).params["quick"] is False
+        cfg_file = write_config(tmp_path, "verify-all")
+        assert cli.parse_argv(["--config", cfg_file]).params["quick"] is False
+
+    def test_resolve_is_idempotent(self):
+        cfg = cli.parse_argv(as_flags("rmt", list(cli.PARAMS["rmt"])))
+        assert cli.resolve(cfg.command, cfg.params) == cfg
+
+    @pytest.mark.parametrize("workload", sorted(load_bench_workloads()))
+    def test_benchmark_argv_resolves(self, workload):
+        for op in load_bench_workloads()[workload](0):
+            argv = op["argv"]
+            cfg = cli.parse_argv(argv)
+            table = cli.PARAMS[cfg.command]
+            for i, token in enumerate(argv):
+                if not token.startswith("--"):
+                    continue
+                key = token[2:].replace("-", "_")
+                given = argv[i + 1] if i + 1 < len(argv) else None
+                if given is None or given.startswith("--"):
+                    assert cfg.params[key] is True
+                else:
+                    assert cfg.params[key] == table[key][0](given)
 
 
 class TestParseRational:

@@ -7,6 +7,7 @@ import pytest
 
 from splitmoments import moments as mo
 from splitmoments import quadrature as qd
+from splitmoments import testfn
 from splitmoments.errors import DomainError
 from splitmoments.testfn import fejer
 
@@ -285,6 +286,19 @@ class TestOracleConcordance:
 
     def test_t_transform_direct(self):
         assert abs(qd.t_transform_numeric(HALF, 1, 0.25) - 0.375) < 1e-9
+
+    def test_phi_comes_from_phi_at_not_the_label(self):
+        custom = testfn.TestFunction(
+            sigma=HALF.sigma, fhat=HALF.fhat, phi_at=HALF.phi_at, label="custom"
+        )
+        assert qd.oracle_R_moment(custom, 4, 2) == qd.oracle_R_moment(HALF, 4, 2)
+
+    def test_oracle_refuses_missing_phi_at(self):
+        bare = testfn.TestFunction(sigma=HALF.sigma, fhat=HALF.fhat, phi_at=None, label="custom")
+        with pytest.raises(DomainError, match="phi_at"):
+            qd.t_transform_numeric(bare, 2, 1.0)
+        with pytest.raises(DomainError, match="phi_at"):
+            qd.oracle_R_moment(bare, 4, 2)
 
 
 class TestSineProductIdentity:
