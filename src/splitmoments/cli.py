@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import re
 import sys
@@ -100,7 +101,9 @@ _SIGN = (_one_of("plus", "minus"), "minus")
 _COMMON = {"seed": (_at_least(0), 42), "json": (Path, None), "csv": (Path, None)}
 
 # PARAMS[command][key] = (parser, default or REQUIRED).  A default of None
-# means the command derives the value (moment's a: the minimal valid a).
+# means the command derives the value (moment's a: the minimal valid a;
+# verify combinat's a: ceil(n/2), which is >= 2 as n >= 3).  The lower
+# bounds of verify's keys refuse suites that would check nothing.
 PARAMS: dict[str, dict[str, tuple]] = {
     "moment": {"sigma": _SIGMA, "n": (int, REQUIRED), "a": (int, None), "sign": _SIGN,
                **_COMMON},
@@ -109,9 +112,10 @@ PARAMS: dict[str, dict[str, tuple]] = {
                **_COMMON},
     "rmt": {"M": (int, REQUIRED), "parity": (_one_of("even", "odd"), None),
             "samples": (_at_least(2), 1000), "sigma": _SIGMA, "nmax": (int, 4), **_COMMON},
-    "verify-combinat": {"n": (int, 5), "a": (int, None), "t_max": (_at_least(1), 3),
-                        "shards": (_at_least(1), 1), **_COMMON},
-    "verify-arith": {"qmax": (int, 200), "kloosterman_sweep": (_switch, False), **_COMMON},
+    "verify-combinat": {"n": (_at_least(3), 5), "a": (_at_least(2), None),
+                        "t_max": (_at_least(1), 3), **_COMMON},
+    "verify-arith": {"qmax": (_at_least(1), 200), "kloosterman_sweep": (_switch, False),
+                     **_COMMON},
     "verify-all": {"quick": (_switch, False), **_COMMON},
 }
 
@@ -207,10 +211,18 @@ def _jsonable(obj):
     return obj
 
 
+def _write(path: Path, text: str) -> None:
+    """Write an output file; a path that cannot be written is a usage error."""
+    try:
+        path.write_text(text, newline="")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _emit(report: dict, json_path: Path | None) -> None:
     text = json.dumps(_jsonable(report), indent=2)
     if json_path:
-        json_path.write_text(text + "\n")
+        _write(json_path, text + "\n")
     print(text)
 
 
@@ -315,11 +327,12 @@ def _cmd_rmt(cfg: RunConfig):
     n_max = cfg.params["nmax"]
     z_vals = rmt.z_values_for(tf, spec, rmt.sample_cosines(spec))
     if cfg.params["csv"]:
-        with open(cfg.params["csv"], "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sample_index", "Z"])
-            for i, z in enumerate(z_vals):
-                writer.writerow([i, repr(float(z))])
+        rows = io.StringIO()
+        writer = csv.writer(rows)
+        writer.writerow(["sample_index", "Z"])
+        for i, z in enumerate(z_vals):
+            writer.writerow([i, repr(float(z))])
+        _write(cfg.params["csv"], rows.getvalue())
     mean_rep = rmt.empirical_mean_check(tf, spec, z_vals=z_vals)
     finite_mean = rmt.finite_mean(tf, spec.M)
     reports = [mean_rep] + rmt.estimate_centered_moments(tf, spec, n_max, z_vals=z_vals)
@@ -369,15 +382,7 @@ def _cmd_verify_combinat(cfg: RunConfig):
     a = cfg.params["a"]
     if a is None:
         a = (n + 1) // 2
-    t_max = cfg.params["t_max"]
-    shards = cfg.params["shards"]
-    if shards > 1:
-        table: dict = {}
-        for k in range(shards):
-            for key, val in sop.sum_TA_all(n, a, t_max=t_max, shard=(k, shards)).items():
-                table[key] = table.get(key, Fraction(0)) + val
-    else:
-        table = sop.sum_TA_all(n, a, t_max=t_max)
+    table = sop.sum_TA_all(n, a, t_max=cfg.params["t_max"])
     results = []
     ok = True
     counterexamples = []
@@ -531,18 +536,18 @@ def run(cfg: RunConfig) -> int:
     try:
         cfg = resolve(cfg.command, cfg.params)
         results, assumptions, ok = _RUNNERS[cfg.command](cfg)
+        report = {
+            "command": cfg.command,
+            "params": cfg.params,
+            "results": results,
+            "assumptions": assumptions,
+            "timing": {"seconds": round(time.perf_counter() - t0, 3)},
+            "passed": ok,
+        }
+        _emit(report, cfg.params["json"])
     except (UsageError, DomainError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = {
-        "command": cfg.command,
-        "params": cfg.params,
-        "results": results,
-        "assumptions": assumptions,
-        "timing": {"seconds": round(time.perf_counter() - t0, 3)},
-        "passed": ok,
-    }
-    _emit(report, cfg.params["json"])
     return 0 if ok else 1
 
 

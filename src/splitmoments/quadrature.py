@@ -1,47 +1,53 @@
 """Floating-point oracle recomputations of the exact moment quantities.
 
-Everything here deliberately avoids the exact convolution/antiderivative
-machinery: quantities are recomputed from their definitions with double
-precision quadrature so that agreement with the exact route is meaningful
-cross-validation.
+Everything here deliberately avoids the exact convolution and term-list
+machinery: quantities are recomputed from their definitions in double
+precision, so that agreement with the exact route is meaningful
+cross-validation.  Every integral except X(xi_l) runs on one rule,
+16-point Gauss-Legendre (GL) on equal panels:
 
-- sigma_phi_sq: Gauss-Kronrod on |y| fhat(y)^2.
-- R(m, i) and I(alpha, delta): the definitional oscillatory inner integral
-  T_k(A) = int phi^k(x) sin(2 pi x A)/(2 pi x) dx is evaluated by composite
-  Gauss-Legendre panels out to a cutoff chosen from the envelope bound
-  phi(x)^k <= (pi sigma x)^{-2k}, tabulated on an A-grid and interpolated;
-  the outer folded variables use nested Gauss-Kronrod.
-- X(xi_l): iterated 1-D integration realized as trapezoid grid convolution
-  of the coordinate weights with Richardson extrapolation (the nested
-  adaptive route is equivalent but far slower at depth n).
+- sigma_phi_sq = 4 int_0^sigma y fhat(y)^2 dy: one panel per piece of fhat,
+  exact while the pieces have degree <= 15.
+- phi_value_numeric: phi(x) = 2 int_0^sigma fhat(y) cos(2 pi x y) dy on
+  panels over the pieces of fhat.
+- T_k(A) = int phi^k(x) sin(2 pi x A)/(2 pi x) dx = 2 sum g(xi) sin(2 pi A xi)
+  with g(xi) = phi^k(xi) w / (2 pi xi), on panels out to a cutoff chosen
+  from the envelope phi(x)^k <= (pi sigma x)^{-2k}.
+- R(m, i) and I(alpha, delta): the folded integrals
+  int_{[0,sigma]^d} prod 2 fhat(x_j) T_k(1 + sum s_j x_j) dx factorise in
+  Fourier space into 2 sum g(xi) Im[e^{2 pi i xi} F(xi)^pos conj(F(xi))^neg],
+  F(xi) = int_0^sigma 2 fhat(y) e^{2 pi i y xi} dy on panels over the pieces
+  of fhat; depth 0 is F^0 = 1, that is T_k(1).
+- X(xi_l): trapezoid grid convolution of the coordinate weights with
+  Richardson extrapolation.
 
-Target absolute error is 1e-8; routines raise ToleranceError when their
-internal error estimates exceed the target.
+Target absolute error is 1e-8; ToleranceError is raised where a rule cannot
+meet it (sigma_phi_sq on high-degree pieces, a non-converging X(xi_l)).
 """
 
 from __future__ import annotations
 
 import math
 from math import comb
-from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
-from . import exactpoly as ep
 from .errors import DomainError, ToleranceError
 from .testfn import TestFunction
 
 __all__ = [
-    "oracle_numeric",
     "oracle_sigma_phi_sq",
     "oracle_R_moment",
     "oracle_X_xi",
     "oracle_I_integral",
+    "phi_value_numeric",
     "t_transform_numeric",
 ]
 
 _TARGET = 1e-8
+# 16-point Gauss-Legendre on [-1, 1]: exact for polynomials of degree <= 31.
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+_CHUNK = 1 << 20  # elements in one temporary (xi, y) array
 
 
 def _fhat_np(tf: TestFunction, y: np.ndarray) -> np.ndarray:
@@ -65,120 +71,114 @@ def _fhat_np(tf: TestFunction, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _phi_pow(tf: TestFunction, k: int, x: np.ndarray) -> np.ndarray:
-    """phi(x)^k through the test function's vectorized closed form."""
+def _panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GL nodes and weights on the panels between consecutive ``edges``."""
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return (mid[:, None] + half[:, None] * _GL_X).ravel(), (half[:, None] * _GL_W).ravel()
+
+
+def _fhat_rule(tf: TestFunction, freq: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes y and weights 2 fhat(y) w of the rule for int_0^sigma 2 fhat(y) h(y) dy.
+
+    Each piece of fhat is cut into panels no longer than 1/freq (one panel
+    when freq is 0), so h(y) = e^{2 pi i y xi} is resolved for |xi| <= freq.
+    """
+    s = float(tf.sigma)
+    breaks = sorted({0.0, s} | {float(b) for b in tf.fhat.breakpoints if 0 < b < tf.sigma})
+    edges = [np.linspace(lo, hi, 2 + int((hi - lo) * freq))[:-1]
+             for lo, hi in zip(breaks, breaks[1:])]
+    y, w = _panels(np.concatenate(edges + [[s]]))
+    return y, 2.0 * _fhat_np(tf, y) * w
+
+
+def _t_kernel(tf: TestFunction, k: int, freq: float, fold: int = 0,
+              v: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes xi and weights g(xi) = phi^k(xi) w / (2 pi xi) of the rule for T_k.
+
+    T_k(A) = 2 sum g(xi) sin(2 pi A xi).  The panels resolve oscillation up
+    to frequency ``freq`` on top of phi^k's band k sigma.  The rule stops
+    where the envelope (pi sigma xi)^{-2k}, times (v / (pi xi))^fold for a
+    factor the integrand carries besides, leaves a tail under a tenth of the
+    target.  phi^k comes from the test function's vectorized ``phi_at``.
+    """
     if tf.phi_at is None:
         raise DomainError(f"the quadrature oracle needs phi_at; {tf.label} has none")
-    return tf.phi_at(x) ** k
-
-
-# Gauss-Legendre nodes/weights on [-1, 1], order 16, reused across panels.
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+    s = float(tf.sigma)
+    p = 2 * k + fold
+    c = (math.pi * s) ** (-2 * k) * (v / math.pi) ** fold / (math.pi * p)
+    cutoff = max(4.0 / s, (c / (_TARGET * 0.1)) ** (1.0 / p))
+    xi, w = _panels(np.linspace(0.0, cutoff, int(cutoff * (freq + k * s + 1.0) * 2) + 9))
+    return xi, tf.phi_at(xi) ** k * w / (2 * np.pi * xi)
 
 
 def t_transform_numeric(tf: TestFunction, k: int, A: float) -> float:
     """T_k(A) by direct oscillatory quadrature of the defining integral."""
-    if A == 0.0:
-        return 0.0
-    sign = 1.0
-    if A < 0:
-        sign, A = -1.0, -A
-    s = float(tf.sigma)
-    # envelope phi(x)^k <= (pi s x)^{-2k}; tail past X contributes at most
-    # (pi s)^{-2k} X^{-2k} / (4 pi k) (times 2 for evenness, folded in).
-    c = (math.pi * s) ** (-2 * k) / (2 * math.pi * k)
-    cutoff = max(4.0 / s, (c / (_TARGET * 0.1)) ** (1.0 / (2 * k)))
-    freq = A + k * s + 1.0
-    n_panels = int(cutoff * freq * 2) + 8
-    edges = np.linspace(0.0, cutoff, n_panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    x = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
-    w = (half[:, None] * _GL_W[None, :]).ravel()
-    fx = _phi_pow(tf, k, x) * np.sin(2 * np.pi * A * x) / (2 * np.pi * x)
-    return sign * 2.0 * float(np.dot(w, fx))
+    xi, g = _t_kernel(tf, k, abs(A))
+    return 2.0 * float(g @ np.sin(2 * np.pi * A * xi))
 
 
-class _TTable:
-    """T_k on a uniform A-grid with cubic interpolation for nested quadrature."""
+def _folded(tf: TestFunction, k: int, pos: int, neg: int) -> float:
+    """int over [0,sigma]^(pos+neg) of prod 2 fhat(x_j) * T_k(1 + sum s_j x_j).
 
-    def __init__(self, tf: TestFunction, k: int, a_lo: float, a_hi: float):
-        from scipy.interpolate import CubicSpline
+    The first ``pos`` signs s_j are +1 and the last ``neg`` are -1.  Summing
+    T_k's rule under the integral gives
+    2 sum g(xi) Im[e^{2 pi i xi} F(xi)^pos conj(F(xi))^neg] with
+    F(xi) = int_0^sigma 2 fhat(y) e^{2 pi i y xi} dy, evaluated in chunks of
+    xi.  By parts, |F(xi)| <= v / (pi xi), v being the end values of fhat on
+    [0, sigma] plus its variation there; v is read off the one-panel rule's
+    nodes and doubled for margin, and shortens T_k's rule when pos + neg > 0.
+    """
+    fold = pos + neg
+    y, _ = _fhat_rule(tf, 0.0)
+    f = _fhat_np(tf, y)
+    v = 2.0 * (abs(f[0]) + abs(f[-1]) + np.abs(np.diff(f)).sum())
+    xi, g = _t_kernel(tf, k, 1.0 + max(pos, neg) * float(tf.sigma), fold, v)
+    y, fw = _fhat_rule(tf, xi[-1] if fold else 0.0)
+    total = 0.0
+    step = max(1, _CHUNK // y.size)
+    for j in range(0, xi.size, step):
+        x = xi[j : j + step]
+        z = np.exp(2j * np.pi * x)
+        if fold:
+            arg = 2 * np.pi * np.outer(x, y)
+            F = np.cos(arg) @ fw + 1j * (np.sin(arg) @ fw)
+            z *= F**pos * np.conj(F) ** neg
+        total += float(g[j : j + step] @ z.imag)
+    return 2.0 * total
 
-        pad = 1e-6
-        a_lo, a_hi = a_lo - pad, a_hi + pad
-        npts = max(64, int((a_hi - a_lo) * 3000) + 1)
-        grid = np.linspace(a_lo, a_hi, npts)
-        s = float(tf.sigma)
-        c = (math.pi * s) ** (-2 * k) / (2 * math.pi * k)
-        cutoff = max(4.0 / s, (c / (_TARGET * 0.1)) ** (1.0 / (2 * k)))
-        freq = max(abs(a_lo), abs(a_hi)) + k * s + 1.0
-        n_panels = int(cutoff * freq * 2) + 8
-        edges = np.linspace(0.0, cutoff, n_panels + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        x = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
-        w = (half[:, None] * _GL_W[None, :]).ravel()
-        g = _phi_pow(tf, k, x) / (2 * np.pi * x) * w
-        # T(A) = 2 * sum_x g(x) sin(2 pi A x); evaluate in sample chunks
-        vals = np.empty(npts)
-        chunk = max(1, int(4e6 // max(x.size, 1)))
-        for i0 in range(0, npts, chunk):
-            aa = grid[i0 : i0 + chunk]
-            vals[i0 : i0 + chunk] = 2.0 * (np.sin(2 * np.pi * np.outer(aa, x)) @ g)
-        self._spline = CubicSpline(grid, vals)
 
-    def __call__(self, A: float) -> float:
-        return float(self._spline(A))
+def phi_value_numeric(tf: TestFunction, x: float) -> float:
+    """phi(x) via the closed form when available, else by inverting fhat.
+
+    phi(x) = 2 int_0^sigma fhat(y) cos(2 pi x y) dy, fhat being even.
+    """
+    if tf.phi_at is not None:
+        return float(tf.phi_at(x))
+    y, fw = _fhat_rule(tf, abs(x))
+    return float(np.cos(2 * np.pi * x * y) @ fw)
 
 
 def oracle_sigma_phi_sq(tf: TestFunction) -> float:
-    s = float(tf.sigma)
-    breaks = sorted({float(b) for b in tf.fhat.breakpoints if 0 < b < tf.sigma})
-
-    def f(y: float) -> float:
-        v = ep.evaluate_float(tf.fhat, y)
-        return y * v * v
-
-    val, err = quad(f, 0.0, s, points=breaks, limit=200, epsabs=1e-11)
-    if err > 1e-9:
-        raise ToleranceError(f"sigma_phi_sq oracle error estimate {err:.2e}")
-    return 4.0 * val
-
-
-def _nested_V(tf: TestFunction, k: int, signs: Sequence[int]) -> float:
-    """int over [0,s]^len(signs) of prod 2 fhat(x_j) * T_k(1 + sum signs_j x_j)."""
-    s = float(tf.sigma)
-    n_pos = sum(1 for sg in signs if sg > 0)
-    n_neg = len(signs) - n_pos
-    a_lo = 1.0 - n_neg * s
-    a_hi = 1.0 + n_pos * s
-    table = _TTable(tf, k, a_lo, a_hi)
-
-    def level(j: int, acc: float) -> float:
-        if j == len(signs):
-            return table(acc)
-
-        def f(x: float) -> float:
-            return 2.0 * ep.evaluate_float(tf.fhat, x) * level(j + 1, acc + signs[j] * x)
-
-        val, _ = quad(f, 0.0, s, limit=100, epsabs=1e-10 if j > 0 else 1e-9)
-        return val
-
-    return level(0, 1.0)
+    """sigma_phi^2 = 4 int_0^sigma y fhat(y)^2 dy, one GL panel per piece."""
+    degree = max((len(p) - 1 for p in tf.fhat.pieces), default=0)
+    if 2 * degree + 1 > 2 * _GL_X.size - 1:
+        raise ToleranceError(
+            f"sigma_phi_sq oracle: {_GL_X.size}-point GL is not exact on fhat pieces "
+            f"of degree {degree}"
+        )
+    y, fw = _fhat_rule(tf, 0.0)
+    return 2.0 * float((y * _fhat_np(tf, y)) @ fw)
 
 
 def oracle_R_moment(tf: TestFunction, m: int, i: int) -> float:
-    """R(m, i) from the definitional formula with numeric T and nested quad."""
+    """R(m, i) from the definitional formula: folded integrals V(m, l), l < i."""
     if i < 1 or i > m:
         raise DomainError("oracle_R_moment requires 1 <= i <= m")
     phi0_m = float(tf.phi_zero()) ** m
     total = 0.0
     for ell in range(i):
-        if ell == 0:
-            v = t_transform_numeric(tf, m, 1.0)
-        else:
-            v = _nested_V(tf, m - ell, [+1] * ell)
+        v = _folded(tf, m - ell, ell, 0)
         total += (-1) ** ell * comb(m, ell) * (-phi0_m / 2 + v)
     return 2.0 ** (m - 1) * (-1) ** (m + 1) * total
 
@@ -186,10 +186,7 @@ def oracle_R_moment(tf: TestFunction, m: int, i: int) -> float:
 def oracle_I_integral(tf: TestFunction, n: int, alpha: int, delta: int) -> float:
     if alpha < 0 or delta < 0 or alpha + delta >= n:
         raise DomainError("oracle_I_integral requires alpha, delta >= 0, alpha+delta < n")
-    k = n - alpha - delta
-    if alpha == 0 and delta == 0:
-        return t_transform_numeric(tf, n, 1.0)
-    return _nested_V(tf, k, [+1] * alpha + [-1] * delta)
+    return _folded(tf, n - alpha - delta, alpha, delta)
 
 
 def _grid_X_xi(tf: TestFunction, n: int, ell: int, points_per_sigma: int) -> float:
@@ -238,21 +235,3 @@ def oracle_X_xi(tf: TestFunction, n: int, ell: int, target: float = _TARGET) -> 
             f"X_xi oracle did not converge: v1={v1!r}, v2={v2!r}"
         )
     return rich
-
-
-def oracle_numeric(tf: TestFunction, descriptor) -> float:
-    """Dispatch on a descriptor tuple ("name", *params).
-
-    Supported: ("sigma_phi_sq",), ("R_moment", m, i), ("X_xi", n, ell),
-    ("I_integral", n, alpha, delta).
-    """
-    name, *params = descriptor
-    if name == "sigma_phi_sq":
-        return oracle_sigma_phi_sq(tf)
-    if name == "R_moment":
-        return oracle_R_moment(tf, *params)
-    if name == "X_xi":
-        return oracle_X_xi(tf, *params)
-    if name == "I_integral":
-        return oracle_I_integral(tf, *params)
-    raise DomainError(f"unknown oracle descriptor {descriptor!r}")

@@ -114,24 +114,11 @@ def compositions(n: int, parts: int | None = None) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def enumerate_sops(
-    n: int, shard: tuple[int, int] | None = None
-) -> Iterator[SystemOfParameters]:
-    """All systems of parameters: m ascending, compositions lex, eps as n-bit ints.
-
-    ``shard=(k, K)`` keeps only epsilon integers in the k-th of K contiguous
-    ranges, so shards partition the enumeration and reduce by addition.
-    """
-    lo, hi = 0, 1 << n
-    if shard is not None:
-        k, K = shard
-        if not 0 <= k < K:
-            raise DomainError("shard index out of range")
-        step = -(-(1 << n) // K)
-        lo, hi = k * step, min((k + 1) * step, 1 << n)
+def enumerate_sops(n: int) -> Iterator[SystemOfParameters]:
+    """All systems of parameters: m ascending, compositions lex, eps as n-bit ints."""
     comps = [c for m in range(1, n + 1) for c in compositions(n, m)]
     for lambdas in comps:
-        for bits in range(lo, hi):
+        for bits in range(1 << n):
             eps = tuple(1 if bits & (1 << j) else -1 for j in range(n))
             yield SystemOfParameters(lambdas, eps)
 
@@ -309,27 +296,20 @@ def tuple_feasible(subsets: Iterable[Iterable[int]], n: int, a: int) -> bool:
 _sum_ta_cache: dict[tuple[int, int, int], dict[CanonicalKey, Fraction]] = {}
 
 
-def sum_TA_all(
-    n: int,
-    a: int,
-    t_max: int = 3,
-    cap: int = ENUMERATION_CAP,
-    shard: tuple[int, int] | None = None,
-) -> dict[CanonicalKey, Fraction]:
+def sum_TA_all(n: int, a: int, t_max: int = 3) -> dict[CanonicalKey, Fraction]:
     """sum_S T(S, C) A(S) for every class C with t <= t_max, in one pass.
 
     Enumerates all sum_m C(n-1, m-1) * 2^n systems of parameters; for each,
     accumulates A(S) onto the canonical key of every t-subset of I(S).
-    Shards (by epsilon ranges) reduce by plain addition of their dicts.
     """
-    if n > cap:
-        raise ResourceLimitError(f"n={n} exceeds enumeration cap {cap}")
+    if n > ENUMERATION_CAP:
+        raise ResourceLimitError(f"n={n} exceeds enumeration cap {ENUMERATION_CAP}")
     key = (n, a, t_max)
-    if shard is None and key in _sum_ta_cache:
+    if key in _sum_ta_cache:
         return _sum_ta_cache[key]
     acc: dict[CanonicalKey, Fraction] = {}
     canon_memo: dict[frozenset[frozenset[int]], CanonicalKey] = {}
-    for S in enumerate_sops(n, shard=shard):
+    for S in enumerate_sops(n):
         mins = i_min(S, a)
         if not mins:
             continue
@@ -343,16 +323,15 @@ def sum_TA_all(
                     ck = _canonical_key(combo, n)
                     canon_memo[fs] = ck
                 acc[ck] = acc.get(ck, Fraction(0)) + w
-    if shard is None:
-        _sum_ta_cache[key] = acc
+    _sum_ta_cache[key] = acc
     return acc
 
 
-def sum_TA(n: int, a: int, cls: TClass, cap: int = ENUMERATION_CAP) -> Fraction:
+def sum_TA(n: int, a: int, cls: TClass) -> Fraction:
     """sum over all systems of parameters of T(S, cls) * A(S)."""
     if cls.n != n:
         raise DomainError("class was built for a different n")
-    table = sum_TA_all(n, a, t_max=max(cls.t, 3), cap=cap)
+    table = sum_TA_all(n, a, t_max=max(cls.t, 3))
     return table.get(cls.canonical, Fraction(0))
 
 

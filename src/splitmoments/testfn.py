@@ -19,7 +19,6 @@ moment kernels consume: psi_k = fhat^{*k} and gp^{*l}, gp being fhat on
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -30,7 +29,7 @@ from . import exactpoly as ep
 from .exactpoly import PiecewisePoly, frac
 from .errors import DomainError
 
-__all__ = ["TestFunction", "fejer", "phi_power_hat", "psi_terms", "gp_terms", "phi_value_numeric"]
+__all__ = ["TestFunction", "fejer", "phi_power_hat", "psi_terms", "gp_terms"]
 
 
 @dataclass
@@ -138,20 +137,3 @@ def phi_power_hat(tf: TestFunction, m: int) -> PiecewisePoly:
     if m < 1:
         raise DomainError("power must be >= 1")
     return ep.from_terms(psi_terms(tf, m))
-
-
-def phi_value_numeric(tf: TestFunction, x: float) -> float:
-    """phi(x) via the closed form when available, else numeric inversion of fhat."""
-    if tf.phi_at is not None:
-        return tf.phi_at(x)
-    from scipy.integrate import quad
-
-    s = float(tf.sigma)
-    breaks = [float(b) for b in tf.fhat.breakpoints if 0 < b < tf.sigma]
-
-    def integrand(y: float) -> float:
-        return ep.evaluate_float(tf.fhat, y) * math.cos(2 * math.pi * x * y)
-
-    # fhat is even, so phi(x) = 2 * int_0^sigma fhat(y) cos(2 pi x y) dy
-    val, _ = quad(integrand, 0.0, s, points=breaks, limit=200, epsabs=1e-12)
-    return 2.0 * val

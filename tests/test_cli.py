@@ -2,6 +2,9 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -301,14 +304,18 @@ class TestBadInput:
             ["crosscheck", "--sigma", "1/2", "--n", "0"],
             ["verify", "combinat", "--n", "9"],
             ["verify", "combinat", "--t-max", "0"],
-            ["verify", "combinat", "--n", "3", "--shards", "0"],
-            ["verify", "combinat", "--n", "3", "--shards", "-1"],
+            ["verify", "combinat", "--n", "0"],
+            ["verify", "combinat", "--n", "1"],
+            ["verify", "combinat", "--n", "2"],
+            ["verify", "combinat", "--n", "5", "--a", "1"],
+            ["verify", "arith", "--qmax", "0"],
             ["rmt", "--M", "10", "--sigma", "1/2", "--samples", "5", "--seed", "-1"],
             ["verify"],
             [],
         ],
-        ids=["crosscheck-n0", "combinat-n9", "t-max0", "shards0", "shards-1",
-             "seed-1", "verify-no-suite", "no-command"],
+        ids=["crosscheck-n0", "combinat-n9", "t-max0", "combinat-n0", "combinat-n1",
+             "combinat-n2", "combinat-a1", "arith-qmax0", "seed-1", "verify-no-suite",
+             "no-command"],
     )
     def test_usage_error(self, args, capsys):
         assert_usage_error(args, capsys)
@@ -316,11 +323,63 @@ class TestBadInput:
     def test_missing_config_file(self, capsys, tmp_path):
         assert_usage_error(["--config", str(tmp_path / "absent.cfg")], capsys)
 
+    def test_json_path_in_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "absent" / "r.json"
+        err = assert_usage_error(
+            ["moment", "--sigma", "1/2", "--n", "4", "--json", str(target)], capsys
+        )
+        assert "r.json" in err
+
+    def test_csv_path_in_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "absent" / "z.csv"
+        err = assert_usage_error(
+            ["rmt", "--M", "10", "--sigma", "1/2", "--samples", "5", "--csv", str(target)],
+            capsys,
+        )
+        assert "z.csv" in err
+
+
+NO_SCIPY = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from splitmoments import cli, quadrature
+
+def scipy_loaded():
+    return sorted(m for m, mod in sys.modules.items()
+                  if m.split(".")[0] == "scipy" and mod is not None)
+
+after_import = scipy_loaded()
+runs = []
+for argv in (["crosscheck", "--sigma", "1/2", "--n", "4"],
+             ["crosscheck", "--sigma", "1/4", "--n", "3"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    runs.append([code, json.loads(out.getvalue())])
+print(json.dumps({"after_import": after_import, "after_runs": scipy_loaded(), "runs": runs}))
+"""
+
+
+class TestDependencyBoundary:
+    def test_crosscheck_runs_without_scipy(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", NO_SCIPY], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        assert got["after_import"] == [] and got["after_runs"] == []
+        for code, report in got["runs"]:
+            assert code == 0 and report["passed"]
+            assert report["results"]
+            assert all(entry["oracle_within_1e-7"] for entry in report["results"])
+
 
 EXAMPLE = {
     "sigma": "1/3", "n": "4", "a": "2", "r": "5", "sign": "plus", "M": "11",
     "parity": "odd", "samples": "30", "nmax": "2", "qmax": "10", "t_max": "2",
-    "shards": "2", "quick": "1", "kloosterman_sweep": "1", "seed": "7",
+    "quick": "1", "kloosterman_sweep": "1", "seed": "7",
     "json": "out.json", "csv": "z.csv",
 }
 SWITCHES = ("quick", "kloosterman_sweep")

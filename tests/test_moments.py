@@ -5,10 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from splitmoments import exactpoly as ep
 from splitmoments import moments as mo
 from splitmoments import quadrature as qd
 from splitmoments import testfn
-from splitmoments.errors import DomainError
+from splitmoments.errors import DomainError, ToleranceError
 from splitmoments.testfn import fejer
 
 HALF = fejer(F(1, 2))
@@ -278,11 +279,18 @@ class TestOracleConcordance:
         exact = float(mo.X_xi(THREE_FIFTHS, 2, 0))
         assert abs(qd.oracle_X_xi(THREE_FIFTHS, 2, 0) - exact) < 1e-7
 
-    def test_dispatcher(self):
-        assert abs(qd.oracle_numeric(HALF, ("sigma_phi_sq",)) - 1 / 3) < 1e-8
-        assert (
-            abs(qd.oracle_numeric(HALF, ("R_moment", 4, 2)) - 0.038095238) < 1e-7
-        )
+    @pytest.mark.parametrize("alpha,delta", [(2, 0), (1, 1), (0, 2), (2, 1)])
+    def test_i_integral_folded_depths(self, alpha, delta):
+        exact = float(mo.I_integral(HALF, 5, alpha, delta))
+        assert abs(qd.oracle_I_integral(HALF, 5, alpha, delta) - exact) < 1e-9
+
+    def test_sigma_phi_sq_refuses_degree_beyond_the_rule(self):
+        # fhat = 1 - (2y)^16 on [-1/2, 1/2]: y fhat^2 has degree 33 > 31
+        coeffs = [1] + [0] * 15 + [-(2**16)]
+        fhat = ep.from_global_pieces([(-F(1, 2), F(1, 2), coeffs)])
+        tf = testfn.TestFunction(sigma=F(1, 2), fhat=fhat, phi_at=None, label="deg16")
+        with pytest.raises(ToleranceError, match="degree 16"):
+            qd.oracle_sigma_phi_sq(tf)
 
     def test_t_transform_direct(self):
         assert abs(qd.t_transform_numeric(HALF, 1, 0.25) - 0.375) < 1e-9
@@ -309,7 +317,6 @@ class TestSineProductIdentity:
     @pytest.mark.parametrize("z,x", [(0.7, 0.3), (1.9, 1.2), (0.1, 2.5)])
     def test_identity_numeric(self, z, x):
         from scipy.integrate import quad
-        from splitmoments import exactpoly as ep
 
         tf = THREE_FIFTHS
         s = float(tf.sigma)

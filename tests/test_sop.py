@@ -127,16 +127,6 @@ class TestEnumeration:
         for n in [2, 3, 4]:
             assert sum(1 for _ in sop.enumerate_sops(n)) == 2 ** (2 * n - 1)
 
-    def test_shards_partition(self):
-        n = 3
-        whole = [(s.lambdas, s.epsilons) for s in sop.enumerate_sops(n)]
-        sharded = []
-        for k in range(3):
-            sharded.extend(
-                (s.lambdas, s.epsilons) for s in sop.enumerate_sops(n, shard=(k, 3))
-            )
-        assert sorted(whole) == sorted(sharded)
-
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             sop.sum_TA_all(9, 2)
