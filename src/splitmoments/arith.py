@@ -313,25 +313,28 @@ def is_primitive(chi: DirichletCharacter) -> bool:
 # Gauss and Kloosterman sums
 # ---------------------------------------------------------------------------
 
-def gauss_sum(chi: DirichletCharacter, n: int, check_bound: bool = True) -> complex:
-    """G_chi(n) = sum over a mod q of chi(a) e(an/q)."""
+def gauss_sum(chi: DirichletCharacter, n: int) -> complex:
+    """G_chi(n) = sum over a mod q of chi(a) e(an/q).
+
+    A principal chi must give the Ramanujan sum and a primitive one at most
+    sqrt(q) in modulus; either violation raises InvariantViolation.
+    """
     q = chi.modulus
     total = 0j
     for a in range(q):
         if chi.exps[a] is None:
             continue
         total += chi.value(a) * cmath.exp(2j * cmath.pi * ((a * n) % q) / q)
-    if check_bound:
-        if chi.is_principal:
-            ram = ramanujan_divisor_sum(n, q)
-            if abs(total - ram) > 1e-9 * max(1, q):
-                raise InvariantViolation(
-                    f"principal Gauss sum != Ramanujan: {total} vs {ram}"
-                )
-        elif is_primitive(chi) and abs(total) > math.sqrt(q) + 1e-9:
+    if chi.is_principal:
+        ram = ramanujan_divisor_sum(n, q)
+        if abs(total - ram) > 1e-9 * max(1, q):
             raise InvariantViolation(
-                f"|G_chi({n})| = {abs(total)} exceeds sqrt({q}) for primitive chi"
+                f"principal Gauss sum != Ramanujan: {total} vs {ram}"
             )
+    elif is_primitive(chi) and abs(total) > math.sqrt(q) + 1e-9:
+        raise InvariantViolation(
+            f"|G_chi({n})| = {abs(total)} exceeds sqrt({q}) for primitive chi"
+        )
     return total
 
 
@@ -340,8 +343,11 @@ def _gcd0(a: int, q: int) -> int:
     return math.gcd(a % q, q) if (a % q) != 0 else q
 
 
-def kloosterman(m: int, n: int, q: int, check_bound: bool = True) -> float:
-    """S(m, n; q) = sum over units d of e((m d + n dbar)/q); real-valued."""
+def kloosterman(m: int, n: int, q: int) -> float:
+    """S(m, n; q) = sum over units d of e((m d + n dbar)/q); real-valued.
+
+    A value above the Weil-type bound raises InvariantViolation.
+    """
     if q < 1:
         raise DomainError("modulus must be >= 1")
     total = 0j
@@ -353,26 +359,25 @@ def kloosterman(m: int, n: int, q: int, check_bound: bool = True) -> float:
     if abs(total.imag) > 1e-9 * max(1, q):
         raise InvariantViolation(f"Kloosterman sum has imaginary part {total.imag}")
     value = total.real
-    if check_bound:
-        bound = (
-            _gcd0(math.gcd(m, n) if (m or n) else 0, q)
-            * math.sqrt(min(q / _gcd0(m, q), q / _gcd0(n, q)))
-            * tau(q)
+    bound = (
+        _gcd0(math.gcd(m, n) if (m or n) else 0, q)
+        * math.sqrt(min(q / _gcd0(m, q), q / _gcd0(n, q)))
+        * tau(q)
+    )
+    if abs(value) > bound + 1e-6:
+        raise InvariantViolation(
+            f"|S({m},{n};{q})| = {abs(value)} exceeds Weil-type bound {bound}"
         )
-        if abs(value) > bound + 1e-6:
-            raise InvariantViolation(
-                f"|S({m},{n};{q})| = {abs(value)} exceeds Weil-type bound {bound}"
-            )
     return value
 
 
-def verify_kloosterman_factorization(
-    N: int, b: int, Q: int, m: int, tol: float = 1e-6
-) -> bool:
+def verify_kloosterman_factorization(N: int, b: int, Q: int, m: int) -> bool:
     """Check S(m^2, N Q; N b) against the character-sum factorization
 
     -(1/phi(b)) sum_{chi mod b} G_chi(m^2) G_chi((Q, b^inf))
-                 conj(chi)(Q / (Q, b^inf)) chi(N).
+                 conj(chi)(Q / (Q, b^inf)) chi(N)
+
+    to within 1e-6.
 
     Preconditions: N prime, N not dividing b, Q, or m.
     """
@@ -391,7 +396,7 @@ def verify_kloosterman_factorization(
             * chi.value(N)
         )
     rhs = -rhs / euler_phi(b)
-    return abs(lhs - rhs) <= tol
+    return abs(lhs - rhs) <= 1e-6
 
 
 def character_orthogonality_defect(q: int) -> float:

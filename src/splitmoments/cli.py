@@ -111,7 +111,8 @@ PARAMS: dict[str, dict[str, tuple]] = {
     "vanish": {"r": (int, REQUIRED), "n": (int, REQUIRED), "sigma": _SIGMA, "sign": _SIGN,
                **_COMMON},
     "rmt": {"M": (int, REQUIRED), "parity": (_one_of("even", "odd"), None),
-            "samples": (_at_least(2), 1000), "sigma": _SIGMA, "nmax": (int, 4), **_COMMON},
+            "samples": (_at_least(2), 1000), "sigma": _SIGMA, "nmax": (_at_least(1), 4),
+            **_COMMON},
     "verify-combinat": {"n": (_at_least(3), 5), "a": (_at_least(2), None),
                         "t_max": (_at_least(1), 3), **_COMMON},
     "verify-arith": {"qmax": (_at_least(1), 200), "kloosterman_sweep": (_switch, False),
@@ -333,7 +334,7 @@ def _cmd_rmt(cfg: RunConfig):
         for i, z in enumerate(z_vals):
             writer.writerow([i, repr(float(z))])
         _write(cfg.params["csv"], rows.getvalue())
-    mean_rep = rmt.empirical_mean_check(tf, spec, z_vals=z_vals)
+    mean_rep = rmt.empirical_mean_check(tf, z_vals)
     finite_mean = rmt.finite_mean(tf, spec.M)
     reports = [mean_rep] + rmt.estimate_centered_moments(tf, spec, n_max, z_vals=z_vals)
     ok = True

@@ -448,18 +448,14 @@ def multiply_by_monomial(p: PiecewisePoly, k: int) -> PiecewisePoly:
 # calculus
 # ---------------------------------------------------------------------------
 
-def antiderivative(p: PiecewisePoly, extend_hi: RationalLike | None = None) -> PiecewisePoly:
+def antiderivative(p: PiecewisePoly) -> PiecewisePoly:
     """Antiderivative vanishing at the left support edge.
 
     The result is represented on the support of ``p`` (its value at and past
-    the right edge is the total integral).  Passing ``extend_hi`` appends an
-    explicit constant piece up to that point, materializing the
-    constant-past-right-edge behavior on [b_0, extend_hi).
+    the right edge is the total integral).
     """
     if p.is_zero():
-        if extend_hi is None:
-            return p
-        raise ValueError("cannot extend the zero function (no support)")
+        return p
     breaks = list(p.breakpoints)
     pieces = []
     acc = ZERO
@@ -467,12 +463,6 @@ def antiderivative(p: PiecewisePoly, extend_hi: RationalLike | None = None) -> P
         integ = _pintegrate(piece)
         pieces.append(_padd(integ, (acc,)))
         acc += _peval(integ, breaks[i + 1] - breaks[i])
-    if extend_hi is not None:
-        hi = frac(extend_hi)
-        if hi <= breaks[-1]:
-            raise ValueError("extend_hi must lie past the right support edge")
-        pieces.append((acc,))
-        breaks.append(hi)
     return _mk(breaks, pieces)
 
 

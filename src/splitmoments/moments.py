@@ -24,7 +24,10 @@ R route (``sine_transform``, ``R_moment``, ``S_correction``,
 ``predicted_centered_moment``, ``I_integral``) works on the term lists cached
 per test function (:func:`testfn.psi_terms`, :func:`testfn.gp_terms`) and
 never builds a piecewise intermediate.  The Q route (``X_xi``,
-``Q_n_via_classes``) convolves piecewise densities afresh on every call.
+``Q_n_via_classes``) also chains term-list convolutions, but of term lists it
+rebuilds from ``fhat`` on every call, so it reads nothing from that cache; the
+two routes then differ in the formula they evaluate (sign-pattern classes
+against V brackets), not in the algebra beneath it.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from math import comb, factorial
 from typing import Literal
 
 from . import exactpoly as ep
-from .exactpoly import PiecewisePoly, frac
+from .exactpoly import frac
 from .errors import DomainError, InvariantViolation
 from .testfn import TestFunction, gp_terms, psi_terms
 
@@ -90,26 +93,21 @@ def valid_a_range(tf: TestFunction, n: int) -> range:
     return range(lo, hi + 1) if lo <= hi else range(0)
 
 
-def _check_support(tf: TestFunction, n: int, a: int, allow_boundary: bool = True) -> None:
-    """Validate the support window; closed boundaries (sigma = 2/n or
-    sigma = 1/(n-a)) are accepted by default, every downstream functional
-    being continuous in sigma, and rejected when ``allow_boundary=False``."""
+def _check_support(tf: TestFunction, n: int, a: int) -> None:
+    """Validate the support window; the closed boundaries (sigma = 2/n or
+    sigma = 1/(n-a)) are accepted, every downstream functional being
+    continuous in sigma."""
     if a < 0 or a > (n + 1) // 2:
         raise DomainError(f"a={a} outside 0..ceil(n/2)={(n + 1) // 2}")
-    two_n = Fraction(2, n)
-    if tf.sigma > two_n or (not allow_boundary and tf.sigma == two_n):
+    if tf.sigma > Fraction(2, n):
         raise DomainError(
-            f"unsupported support: sigma={tf.sigma} vs 2/n={two_n}"
-            + ("" if allow_boundary else " (boundary excluded)")
+            f"unsupported support: sigma={tf.sigma} vs 2/n={Fraction(2, n)}"
         )
-    if a < n:
-        window = Fraction(1, n - a)
-        if tf.sigma > window or (not allow_boundary and tf.sigma == window):
-            raise DomainError(
-                f"sigma={tf.sigma} vs 1/(n-a)={window}; "
-                f"need a >= {minimal_a(tf, n)}"
-                + ("" if allow_boundary else " (boundary excluded)")
-            )
+    if a < n and tf.sigma > Fraction(1, n - a):
+        raise DomainError(
+            f"sigma={tf.sigma} vs 1/(n-a)={Fraction(1, n - a)}; "
+            f"need a >= {minimal_a(tf, n)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -117,23 +115,21 @@ class MomentSpec:
     """Parameters of one predicted centered moment.
 
     ``a`` may be 0 only in the mock-Gaussian regime (sigma < 1/n), where the
-    correction sum is empty.  ``allow_boundary=False`` rejects sigma sitting
-    exactly on the closed support boundaries instead of taking the
-    continuity-in-sigma reading.
+    correction sum is empty.  Sigma may sit on the closed support
+    boundaries (the continuity-in-sigma reading).
     """
 
     tf: TestFunction
     n: int
     a: int
     sign: Sign
-    allow_boundary: bool = True
 
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("moment order n must be >= 1")
         if self.sign not in ("plus", "minus"):
             raise DomainError("sign must be 'plus' or 'minus'")
-        _check_support(self.tf, self.n, self.a, allow_boundary=self.allow_boundary)
+        _check_support(self.tf, self.n, self.a)
 
     @classmethod
     def with_minimal_a(cls, tf: TestFunction, n: int, sign: Sign) -> "MomentSpec":
@@ -257,26 +253,21 @@ def predicted_centered_moment(spec: MomentSpec) -> Fraction:
 # the indicator-integral route (X(xi_l) and Q_n)
 # ---------------------------------------------------------------------------
 
-def _signed_sum_density(tf: TestFunction, pos: int, neg: int) -> PiecewisePoly:
-    """Density of the sum of `pos` coordinates minus `neg`, each weighted by gp.
-
-    Piecewise convolutions rebuilt on each call, so that the Q route shares
-    nothing with the term lists cached for the R route.
-    """
-    gp = ep.restrict(tf.fhat, 0, tf.sigma + 1)
-    return reduce(ep.convolve, [gp] * pos + [ep.reflect(gp)] * neg)
-
-
 def X_xi(tf: TestFunction, n: int, ell: int) -> Fraction:
-    """int_{[0,inf)^n} prod fhat(y_i) 1{y_1+..+y_{n-l} - y_{n-l+1}-..-y_n > 1} dy."""
+    """int_{[0,inf)^n} prod fhat(y_i) 1{y_1+..+y_{n-l} - y_{n-l+1}-..-y_n > 1} dy.
+
+    The signed sum has density gp^{*(n-l)} * reflect(gp)^{*l}, gp being fhat
+    on [0, sigma], supported below (n-l) sigma; X is its mass between 1 and
+    that edge.  The term lists are rebuilt from ``fhat`` on every call.
+    """
     if not 0 <= ell <= n:
         raise DomainError("X_xi requires 0 <= ell <= n")
-    if ell == n:
-        return Fraction(0)  # negatives only: the sum cannot exceed 1
-    h = _signed_sum_density(tf, n - ell, ell)
-    if h.is_zero() or h.support[1] <= 1:
-        return Fraction(0)
-    return ep.definite_integral(h, 1, h.support[1])
+    hi = (n - ell) * tf.sigma
+    if hi <= 1:
+        return Fraction(0)  # the sum never exceeds 1
+    gp = ep.to_terms(ep.restrict(tf.fhat, 0, tf.sigma + 1))
+    h = reduce(ep.term_convolve, [gp] * (n - ell) + [ep.term_reflect(gp)] * ell)
+    return ep.term_mass_below(h, hi) - ep.term_mass_below(h, 1)
 
 
 def Q_n_via_classes(tf: TestFunction, n: int, a: int) -> Fraction:

@@ -220,7 +220,7 @@ def _grid_X_xi(tf: TestFunction, n: int, ell: int, points_per_sigma: int) -> flo
     return float(val)
 
 
-def oracle_X_xi(tf: TestFunction, n: int, ell: int, target: float = _TARGET) -> float:
+def oracle_X_xi(tf: TestFunction, n: int, ell: int) -> float:
     """X(xi_ell) by grid convolution with Richardson extrapolation."""
     if not 0 <= ell <= n:
         raise DomainError("oracle_X_xi requires 0 <= ell <= n")
@@ -230,7 +230,7 @@ def oracle_X_xi(tf: TestFunction, n: int, ell: int, target: float = _TARGET) -> 
     v1 = _grid_X_xi(tf, n, ell, base)
     v2 = _grid_X_xi(tf, n, ell, 2 * base)
     rich = (4.0 * v2 - v1) / 3.0
-    if not math.isfinite(rich) or abs(v2 - v1) / 3.0 > max(10 * target, 1e-7):
+    if not math.isfinite(rich) or abs(v2 - v1) / 3.0 > max(10 * _TARGET, 1e-7):
         raise ToleranceError(
             f"X_xi oracle did not converge: v1={v1!r}, v2={v2!r}"
         )

@@ -298,16 +298,15 @@ def estimate_centered_moments(
     tf: TestFunction,
     spec: EnsembleSpec,
     n_max: int,
-    z_vals: np.ndarray | None = None,
+    z_vals: np.ndarray,
 ) -> list[MomentReport]:
     """Empirical E[(Z - mu)^n] for 2 <= n <= n_max against exact predictions.
 
-    Centering uses the exact limiting mean; the standard error is the plain
-    iid error of the sample mean of (Z - mu)^n (the estimator is linear, so
-    this coincides with its jackknife estimate).
+    ``z_vals`` holds one Z per sample (see :func:`z_values_for`).  Centering
+    uses the exact limiting mean; the standard error is the plain iid error
+    of the sample mean of (Z - mu)^n (the estimator is linear, so this
+    coincides with its jackknife estimate).
     """
-    if z_vals is None:
-        z_vals = z_values_for(tf, spec, sample_cosines(spec))
     mu = float(mo.mean_value(tf))
     centered = z_vals - mu
     sign = "plus" if spec.parity == "even" else "minus"
@@ -326,14 +325,8 @@ def estimate_centered_moments(
     return reports
 
 
-def empirical_mean_check(
-    tf: TestFunction,
-    spec: EnsembleSpec,
-    z_vals: np.ndarray | None = None,
-) -> MomentReport:
-    """Empirical E[Z] against the exact limiting mean."""
+def empirical_mean_check(tf: TestFunction, z_vals: np.ndarray) -> MomentReport:
+    """Empirical E[Z] of the samples ``z_vals`` against the exact limiting mean."""
     if tf.sigma > 1:
         raise DomainError("mean comparison requires sigma <= 1")
-    if z_vals is None:
-        z_vals = z_values_for(tf, spec, sample_cosines(spec))
     return _report(1, z_vals, mo.mean_value(tf), True)

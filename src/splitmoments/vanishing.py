@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from . import moments as mo
 from .errors import DomainError
@@ -27,7 +26,6 @@ __all__ = [
     "vanishing_result",
     "vanishing_bound",
     "vanishing_threshold",
-    "bound_sweep",
     "PRIOR_BOUNDS",
     "assumptions_for",
 ]
@@ -109,37 +107,3 @@ def assumptions_for(q: VanishingQuery) -> list[str]:
             "sigma sits on the closed 2/n boundary (continuity-in-sigma limit)"
         )
     return notes
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    r: int
-    n: int
-    sigma: Fraction
-    bound: Fraction | None
-    skipped: str | None = None
-
-
-def bound_sweep(
-    r: int,
-    n_grid: Iterable[int],
-    sigma_grid: Iterable[Fraction],
-    sign: mo.Sign = "minus",
-) -> tuple[list[SweepRow], SweepRow | None]:
-    """Exact bounds over a grid; returns (rows, minimizing row)."""
-    rows: list[SweepRow] = []
-    best: SweepRow | None = None
-    for n in n_grid:
-        for sigma in sigma_grid:
-            sigma = Fraction(sigma)
-            try:
-                q = VanishingQuery(r=r, n=n, sigma=sigma, sign=sign)
-                b = vanishing_bound(q)
-            except DomainError as e:
-                rows.append(SweepRow(r=r, n=n, sigma=sigma, bound=None, skipped=str(e)))
-                continue
-            row = SweepRow(r=r, n=n, sigma=sigma, bound=b)
-            rows.append(row)
-            if best is None or b < best.bound:
-                best = row
-    return rows, best

@@ -166,7 +166,7 @@ def test_criterion_7_rmt_statistical_gate():
         predictions = {"even": F(325, 972), "odd": F(323, 972)}
         for parity, (spec, cosines) in rmt_collections.items():
             z = rmt.z_values_for(t35, spec, cosines)
-            mean_rep = rmt.empirical_mean_check(t35, spec, z_vals=z)
+            mean_rep = rmt.empirical_mean_check(t35, z)
             assert mean_rep.predicted == F(13, 6)
             mean_err = abs(mean_rep.empirical - float(mean_rep.predicted))
             assert mean_err <= max(4 * mean_rep.stderr, 0.05), (parity, mean_err)

@@ -79,6 +79,17 @@ class TestCrosscheck:
         assert entry["exact_paths_equal"]
         assert entry["oracle_within_1e-7"]
 
+    def test_r19_moment_order(self, capsys):
+        # n = 20 at sigma = 1/10, the order behind the r = 19 bound: the one
+        # valid a is 10, both exact routes agree, and no float oracle runs
+        code, report = run_cli(["crosscheck", "--sigma", "1/10", "--n", "20"], capsys)
+        assert code == 0
+        assert report["passed"]
+        (entry,) = report["results"]
+        assert entry["a"] == 10
+        assert entry["exact_paths_equal"]
+        assert not any(key.startswith("oracle") for key in entry)
+
 
 class TestVanish:
     def test_flagship(self, capsys):
@@ -310,12 +321,14 @@ class TestBadInput:
             ["verify", "combinat", "--n", "5", "--a", "1"],
             ["verify", "arith", "--qmax", "0"],
             ["rmt", "--M", "10", "--sigma", "1/2", "--samples", "5", "--seed", "-1"],
+            ["rmt", "--M", "10", "--sigma", "1/2", "--samples", "5", "--nmax", "0"],
+            ["rmt", "--M", "10", "--sigma", "1/2", "--samples", "5", "--nmax", "-1"],
             ["verify"],
             [],
         ],
         ids=["crosscheck-n0", "combinat-n9", "t-max0", "combinat-n0", "combinat-n1",
-             "combinat-n2", "combinat-a1", "arith-qmax0", "seed-1", "verify-no-suite",
-             "no-command"],
+             "combinat-n2", "combinat-a1", "arith-qmax0", "seed-1", "rmt-nmax0",
+             "rmt-nmax-1", "verify-no-suite", "no-command"],
     )
     def test_usage_error(self, args, capsys):
         assert_usage_error(args, capsys)

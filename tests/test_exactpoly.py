@@ -123,11 +123,6 @@ class TestCalculus:
         assert ep.evaluate(a, F(-1, 2)) == 0
         assert ep.evaluate(a, F(1, 2)) == 1  # reaches the total mass
 
-    def test_antiderivative_extension(self):
-        t = triangle_fhat(F(1, 2))
-        a = ep.antiderivative(t, extend_hi=3)
-        assert ep.evaluate(a, 2) == 1
-
     def test_cumulative_window(self):
         t = triangle_fhat(F(1, 2))
         w = ep.cumulative(t, 0, 4)

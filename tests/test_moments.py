@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 
@@ -130,12 +131,9 @@ class TestPredictedMoment:
             mo.MomentSpec(tf=THREE_FIFTHS, n=4, a=2, sign="minus")
 
     def test_boundary_flag(self):
-        # sigma = 2/n sits on the closed boundary: accepted by default,
-        # rejected when the per-call flag forbids it
+        # sigma = 2/n sits on the closed boundary and is accepted
         tf = fejer(F(1, 2))
         mo.MomentSpec(tf=tf, n=4, a=2, sign="minus")
-        with pytest.raises(DomainError, match="boundary excluded"):
-            mo.MomentSpec(tf=tf, n=4, a=2, sign="minus", allow_boundary=False)
 
 
 class TestMeanValue:
@@ -206,6 +204,19 @@ class TestXXi:
         vals = [mo.X_xi(THREE_FIFTHS, 3, ell) for ell in range(4)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
+    def test_matches_piecewise_reference(self):
+        # the density of the signed sum built by piecewise convolution, and
+        # its integral over [1, right edge]
+        for s in [F(1, 4), F(1, 3), F(1, 2), F(3, 5), F(1)]:
+            tf = fejer(s)
+            gp = ep.restrict(tf.fhat, 0, tf.sigma + 1)
+            for n in range(1, 8):
+                for ell in range(n + 1):
+                    h = reduce(ep.convolve, [gp] * (n - ell) + [ep.reflect(gp)] * ell)
+                    top = h.support[1] if not h.is_zero() else 0
+                    ref = ep.definite_integral(h, 1, top) if top > 1 else 0
+                    assert mo.X_xi(tf, n, ell) == ref, (s, n, ell)
+
 
 class TestQnCrossPath:
     def test_q42_half(self):
@@ -239,6 +250,13 @@ class TestQnCrossPath:
                 assert q == mo.R_moment(tf, n, a), (s, n, a)
                 values.add(q)
             assert len(values) == 1
+
+    def test_equality_on_r19_kernels(self):
+        # every R(m, i) in S(20, 10) at sigma = 1/10, the moment behind the
+        # r = 19 bound
+        tf = fejer(F(1, 10))
+        for m, i in [(20, 10), (18, 8), (16, 6), (14, 4), (12, 2)]:
+            assert mo.Q_n_via_classes(tf, m, i) == mo.R_moment(tf, m, i), (m, i)
 
 
 class TestBarXXi:

@@ -226,7 +226,7 @@ class TestMomentEstimation:
         tf = fejer(F(3, 5))
         spec = rmt.EnsembleSpec(M=40, parity="even", samples=4000, seed=11)
         zv = rmt.z_values_for(tf, spec, rmt.sample_cosines(spec))
-        mean_rep = rmt.empirical_mean_check(tf, spec, z_vals=zv)
+        mean_rep = rmt.empirical_mean_check(tf, zv)
         assert abs(mean_rep.empirical - float(mean_rep.predicted)) <= max(
             4 * mean_rep.stderr, 2.0 / spec.M
         )
@@ -250,7 +250,8 @@ class TestMomentEstimation:
     def test_unsupported_order_labeled(self):
         tf = fejer(F(3, 5))  # 2/n < sigma for n >= 4
         spec = rmt.EnsembleSpec(M=12, parity="even", samples=200, seed=3)
-        reports = rmt.estimate_centered_moments(tf, spec, 4)
+        zv = rmt.z_values_for(tf, spec, rmt.sample_cosines(spec))
+        reports = rmt.estimate_centered_moments(tf, spec, 4, z_vals=zv)
         by_n = {r.n: r for r in reports}
         assert by_n[2].supported and by_n[3].supported
         assert not by_n[4].supported
@@ -274,7 +275,8 @@ class TestMomentEstimation:
             bs, es = [], []
             for seed in (1, 2):
                 spec = rmt.EnsembleSpec(M=M, parity="even", samples=1500, seed=seed)
-                rep = rmt.empirical_mean_check(tf, spec)
+                zv = rmt.z_values_for(tf, spec, rmt.sample_cosines(spec))
+                rep = rmt.empirical_mean_check(tf, zv)
                 bs.append(rep.empirical - float(rep.predicted))
                 es.append(rep.stderr)
             biases[M] = float(np.mean(bs))

@@ -1,4 +1,4 @@
-"""Order-of-vanishing bounds: flagship values, monotonicity, sweeps."""
+"""Order-of-vanishing bounds: flagship values, monotonicity, assumption notes."""
 
 from fractions import Fraction as F
 
@@ -70,23 +70,6 @@ class TestMonotonicity:
 
 
 class TestSweep:
-    def test_r5_grid(self):
-        rows, best = vb.bound_sweep(5, [2, 4], [F(1, 4), F(1, 3), F(1, 2)])
-        assert best is not None
-        assert (best.n, best.sigma) == (4, F(1, 2))
-        assert best.bound == F(496, 65625)
-
-    def test_all_entries_positive(self):
-        rows, _ = vb.bound_sweep(6, [2, 4], [F(1, 4), F(1, 2)])
-        for row in rows:
-            if row.bound is not None:
-                assert row.bound > 0
-
-    def test_invalid_points_skipped_with_reason(self):
-        rows, _ = vb.bound_sweep(5, [4], [F(3, 5)])
-        assert rows[0].bound is None
-        assert rows[0].skipped
-
     def test_positive_sign_flagged(self):
         q = vb.VanishingQuery(r=5, n=4, sigma=F(1, 2), sign="plus")
         notes = vb.assumptions_for(q)
