@@ -43,7 +43,7 @@ from math import comb, factorial
 from pathlib import Path
 from typing import Any, Sequence
 
-from . import arith, moments as mo, rmt, sop, vanishing as vb
+from . import arith, moments as mo, sop, vanishing as vb
 from .errors import DomainError, InvariantViolation, ResourceLimitError, UsageError
 from .testfn import fejer
 
@@ -317,6 +317,8 @@ def _cmd_vanish(cfg: RunConfig):
 
 def _cmd_rmt(cfg: RunConfig):
     """Haar Monte Carlo moment report"""
+    from . import rmt
+
     M = cfg.params["M"]
     spec = rmt.EnsembleSpec(
         M=M,
@@ -556,13 +558,20 @@ def run(cfg: RunConfig) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors are one-line usage errors; its subparsers are too."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     """One flag per PARAMS key, absent from the namespace when not given.
 
     A subcommand's help line is its runner's docstring.
     """
     quiet = argparse.SUPPRESS
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="splitmoments",
         description="exact moments of low-lying-zero statistics, with verification suites",
         argument_default=quiet,

@@ -7,28 +7,35 @@ coefficient tuples.  Piece ``i`` lives on the half-open interval
 deep convolutions.  The function is identically zero outside ``[b_0, b_k]``;
 evaluation at the final right endpoint returns the limit from the left.
 
-All coefficients are :class:`fractions.Fraction`, so every operation here is
-exact.  Construction always canonicalizes: zero tails of coefficient tuples
-are trimmed, adjacent pieces describing the same polynomial are merged, and
-leading/trailing zero pieces are dropped.  Two constructions of the same
-function therefore compare equal structurally.
+All piecewise coefficients are :class:`fractions.Fraction`, so every
+operation here is exact.  Construction always canonicalizes: zero tails of
+coefficient tuples are trimmed, adjacent pieces describing the same
+polynomial are merged, and leading/trailing zero pieces are dropped.  Two
+constructions of the same function therefore compare equal structurally.
 
 The second representation is the *term list*, the truncated-power
-(one-sided) decomposition
+(one-sided) decomposition on a knot lattice.  A term list has a unit h > 0
+(the rational gcd of its knots) and one rational scale s, and holds for each
+integer knot k a tuple of ints c_j in the divided-power basis:
 
-    p(x) = sum_xi sum_j c_j * (x - xi)_+^j
+    p(x) = s * sum_k sum_j c_j * e_j(x/h - k),    e_j(t) = t_+^j / j!.
 
-kept as (knot xi, coefficients c_j) pairs.  :func:`to_terms` and
-:func:`from_terms` convert between the two; the format itself stays private
-to this module.  Convolution is term-by-term,
+:func:`to_terms` and :func:`from_terms` convert between the two forms; the
+format itself stays private to this module.  In this basis convolution is
+term by term and needs no factorial weights,
 
-    (x-a)_+^m * (x-b)_+^n = m! n! / (m+n+1)! * (x-a-b)_+^{m+n+1},
+    e_m(x/h - a) * e_n(x/h - b) = h * e_{m+n+1}(x/h - a - b),
 
-and because the terms of a compactly supported function telescope to zero
-past its last knot, reflection (:func:`term_reflect`) and the mass below a
-point (:func:`term_mass_below`) also act on the terms directly.  Chains of
-these operations need no piecewise form in between; :func:`convolve` is the
-single-step round trip.
+so :func:`term_convolve` is an integer multiply-add whose scale is the
+product of the two scales times h.  Two lists on different units are first
+moved to the gcd unit; the self-convolution powers of one transform share
+its unit and never need this.  Because the terms of a compactly supported
+function telescope to zero past its last knot, reflection
+(:func:`term_reflect`) and the mass below a point (:func:`term_mass_below`)
+also act on the terms directly, the latter summing ints over one common
+denominator.  Chains of these operations need no piecewise form and no
+``Fraction`` arithmetic in between; :func:`convolve` is the single-step round
+trip.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
@@ -524,17 +531,39 @@ def integral(p: PiecewisePoly) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# term lists (truncated-power decomposition) and convolution
+# term lists (truncated powers on a knot lattice) and convolution
 # ---------------------------------------------------------------------------
 
-Terms = list[tuple[Fraction, tuple[Fraction, ...]]]
+@dataclass(frozen=True)
+class Terms:
+    """scale * sum_k sum_j coeffs_k[j] * e_j(x/unit - k), e_j(t) = t_+^j / j!.
+
+    ``knots`` holds (k, coeffs_k) pairs in increasing k; every k and every
+    coefficient is an int.
+    """
+
+    unit: Fraction
+    scale: Fraction
+    knots: tuple[tuple[int, tuple[int, ...]], ...]
+
+
+_NO_TERMS = Terms(ONE, ONE, ())
+
+
+def _rational_gcd(values: Iterable[Fraction]) -> Fraction:
+    """The largest g > 0 with every value an integer multiple of g (1 if all are 0)."""
+    nonzero = [v for v in values if v]
+    if not nonzero:
+        return ONE
+    return Fraction(gcd(*(v.numerator for v in nonzero)),
+                    lcm(*(v.denominator for v in nonzero)))
 
 
 def to_terms(p: PiecewisePoly) -> Terms:
-    """Decompose as sum of c * (x - xi)_+^k terms, grouped per knot xi."""
+    """Decompose as a sum of c * (x - xi)_+^j terms on the lattice of p's knots."""
     if p.is_zero():
-        return []
-    terms: Terms = []
+        return _NO_TERMS
+    jumps: list[tuple[Fraction, tuple[Fraction, ...]]] = []
     prev: tuple[Fraction, ...] = ()
     prev_origin = ZERO
     for i, piece in enumerate(p.pieces):
@@ -542,71 +571,113 @@ def to_terms(p: PiecewisePoly) -> Terms:
         prev_here = _pshift(prev, xi - prev_origin) if prev else ()
         delta = _padd(piece, _pscale(prev_here, Fraction(-1))) if prev_here else piece
         if delta:
-            terms.append((xi, delta))
+            jumps.append((xi, delta))
         prev, prev_origin = piece, xi
     xi = p.breakpoints[-1]
     prev_here = _pshift(prev, xi - prev_origin) if prev else ()
     if prev_here:
-        terms.append((xi, _pscale(prev_here, Fraction(-1))))
-    return terms
+        jumps.append((xi, _pscale(prev_here, Fraction(-1))))
+    # c (x - k h)_+^j = c h^j j! e_j(x/h - k)
+    unit = _rational_gcd(xi for xi, _ in jumps)
+    lattice = [(xi / unit, [c * unit**j * factorial(j) for j, c in enumerate(cs)])
+               for xi, cs in jumps]
+    scale = _rational_gcd(c for _, cs in lattice for c in cs)
+    return Terms(unit, scale, tuple(
+        (k.numerator, tuple((c / scale).numerator for c in cs)) for k, cs in lattice))
 
 
 def from_terms(terms: Terms) -> PiecewisePoly:
     """The piecewise form of a term list; the terms must telescope to zero."""
-    grouped: dict[Fraction, tuple[Fraction, ...]] = {}
-    for xi, coeffs in terms:
-        grouped[xi] = _padd(grouped.get(xi, ()), coeffs)
-    knots = sorted(xi for xi, c in grouped.items() if c)
-    if not knots:
+    if not terms.knots:
         return PiecewisePoly.zero()
+    h, s = terms.unit, terms.scale
+    knots = [k * h for k, _ in terms.knots]
+    jumps = [tuple(s * c / (h**j * factorial(j)) for j, c in enumerate(cs))
+             for _, cs in terms.knots]
     pieces = []
     acc: tuple[Fraction, ...] = ()
     for i, xi in enumerate(knots[:-1]):
         acc = _pshift(acc, xi - knots[i - 1]) if i > 0 else ()
-        acc = _padd(acc, grouped[xi])
+        acc = _padd(acc, jumps[i])
         pieces.append(acc)
     # past the final knot the accumulation must vanish (compact support)
-    acc = _padd(_pshift(acc, knots[-1] - knots[-2]) if len(knots) > 1 else (), grouped[knots[-1]])
+    acc = _padd(_pshift(acc, knots[-1] - knots[-2]) if len(knots) > 1 else (), jumps[-1])
     if acc:
         raise AssertionError("truncated-power sum does not telescope to zero")
     return _mk(knots, pieces)
 
 
+def _on_unit(terms: Terms, unit: Fraction) -> Terms:
+    """The same function on the finer lattice unit*Z (terms.unit / unit an integer).
+
+    With h = r * unit, e_j(x/h - k) = e_j(x/unit - r k) / r^j, so the degree-j
+    coefficient gains r^(d-j) and the scale loses r^d, d the top degree.
+    """
+    r = (terms.unit / unit).numerator
+    if r == 1:
+        return terms
+    d = max(len(cs) for _, cs in terms.knots) - 1
+    return Terms(unit, terms.scale / r**d, tuple(
+        (k * r, tuple(c * r ** (d - j) for j, c in enumerate(cs))) for k, cs in terms.knots))
+
+
 def term_convolve(tp: Terms, tq: Terms) -> Terms:
-    """Exact convolution of two term lists, term by term."""
-    out: dict[Fraction, list[Fraction]] = {}
-    for xa, ca in tp:
-        for xb, cb in tq:
-            bucket = out.setdefault(xa + xb, [])
-            for m, am in enumerate(ca):
-                if am == 0:
-                    continue
-                for n, bn in enumerate(cb):
-                    if bn == 0:
-                        continue
-                    deg = m + n + 1
-                    while len(bucket) <= deg:
-                        bucket.append(ZERO)
-                    bucket[deg] += am * bn * Fraction(
-                        factorial(m) * factorial(n), factorial(deg)
-                    )
-    return [(knot, c) for knot, v in out.items() if (c := _ptrim(v))]
+    """Exact convolution of two term lists: e_m * e_n = unit * e_{m+n+1}."""
+    if not tp.knots or not tq.knots:
+        return _NO_TERMS
+    if tp.unit != tq.unit:
+        unit = _rational_gcd((tp.unit, tq.unit))
+        tp, tq = _on_unit(tp, unit), _on_unit(tq, unit)
+    width = max(len(c) for _, c in tp.knots) + max(len(c) for _, c in tq.knots)
+    q_nonzero = [(kb, [(n + 1, b) for n, b in enumerate(cb) if b]) for kb, cb in tq.knots]
+    out: dict[int, list[int]] = {}
+    for ka, ca in tp.knots:
+        p_nonzero = [(m, a) for m, a in enumerate(ca) if a]
+        for kb, qb in q_nonzero:
+            bucket = out.get(ka + kb)
+            if bucket is None:
+                bucket = out[ka + kb] = [0] * width
+            for m, a in p_nonzero:
+                for n1, b in qb:
+                    bucket[m + n1] += a * b
+    knots = tuple((k, c) for k, v in sorted(out.items()) if (c := _ptrim(v)))
+    return Terms(tp.unit, tp.scale * tq.scale * tp.unit, knots)
 
 
 def term_reflect(terms: Terms) -> Terms:
     """x -> p(-x) on a term list.
 
-    (-x - xi)_+^j = (-1)^j (x + xi)^j - (-1)^j (x + xi)_+^j, and the full
-    powers (x + xi)^j cancel across the terms because p has compact support,
-    so each term moves to knot -xi with coefficient -(-1)^j c_j.
+    e_j(-t - k) = (-1)^j (t + k)^j / j! - (-1)^j e_j(t + k), and the full
+    powers cancel across the terms because p has compact support, so each
+    term moves to knot -k with coefficient (-1)^(j+1) c_j.
     """
-    return [(-xi, tuple(c if j % 2 else -c for j, c in enumerate(cs))) for xi, cs in terms]
+    return Terms(terms.unit, terms.scale, tuple(
+        (-k, tuple(c if j % 2 else -c for j, c in enumerate(cs)))
+        for k, cs in reversed(terms.knots)))
 
 
 def term_mass_below(terms: Terms, x: RationalLike) -> Fraction:
-    """Integral over (-inf, x]: the sum of c_j (x - xi)^{j+1} / (j+1) over xi < x."""
-    x = frac(x)
-    return sum((_peval(_pintegrate(cs), x - xi) for xi, cs in terms if xi < x), ZERO)
+    """Integral over (-inf, x]: scale * unit * sum of c_j e_{j+1}(x/unit - k)
+    over the knots k < x/unit.
+
+    With x/unit = P/Q every term is an integer over Q^d d!, d the largest
+    j + 1, so the sum stays in ints until the one division at the end.
+    """
+    t = frac(x) / terms.unit
+    P, Q = t.numerator, t.denominator
+    below = [(P - k * Q, cs) for k, cs in terms.knots if k * Q < P]
+    if not below:
+        return ZERO
+    d = max(len(cs) for _, cs in below)
+    # c_j w^(j+1) / (Q^(j+1) (j+1)!) = c_j w^(j+1) * weight[j] / (Q^d d!), w = P - kQ
+    weight = [Q ** (d - 1 - j) * (factorial(d) // factorial(j + 1)) for j in range(d)]
+    total = 0
+    for w, cs in below:
+        acc = 0
+        for j in range(len(cs) - 1, -1, -1):
+            acc = acc * w + cs[j] * weight[j]
+        total += acc * w
+    return terms.scale * terms.unit * Fraction(total, Q**d * factorial(d))
 
 
 def convolve(p: PiecewisePoly, q: PiecewisePoly) -> PiecewisePoly:

@@ -29,8 +29,6 @@ from itertools import combinations, permutations
 from math import comb, factorial
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .errors import DomainError, ResourceLimitError
 from .linfeas import Constraint, feasible
 from .testfn import TestFunction
@@ -460,6 +458,8 @@ def oracle_Qn_mc(
     if a < 1:
         raise DomainError("need a >= 1")
     del a  # the expansion integral itself does not depend on a
+    import numpy as np
+
     from .quadrature import _fhat_np
 
     sigma = float(tf.sigma)

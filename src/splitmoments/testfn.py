@@ -19,11 +19,10 @@ moment kernels consume: psi_k = fhat^{*k} and gp^{*l}, gp being fhat on
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
-
-import numpy as np
 
 from . import exactpoly as ep
 from .exactpoly import PiecewisePoly, frac
@@ -98,7 +97,13 @@ def fejer(sigma) -> TestFunction:
     sf = float(s)
 
     def phi(x):
-        """phi at a float or elementwise on an array."""
+        """phi at a float (with math) or elementwise on an array (with numpy)."""
+        if isinstance(x, (int, float)):
+            t = math.pi * sf * x
+            v = 1.0 - t * t / 3.0 if abs(t) < 1e-8 else math.sin(t) / t
+            return v * v
+        import numpy as np
+
         t = np.pi * sf * np.asarray(x, dtype=float)
         with np.errstate(invalid="ignore", divide="ignore"):
             # series around the removable singularity at 0

@@ -1,0 +1,79 @@
+"""Exact convolution of piecewise polynomials straight from its definition.
+
+(p * q)(x) is the sum, over each piece p_i on [a0, a1) and each piece q_j on
+[b0, b1), of the integral of p_i(y) q_j(x - y) over the y in
+[a0, a1) ∩ (x - b1, x - b0].  Both factors are expanded as polynomials in y
+and their product is integrated exactly.  No term list is involved, so this
+is an independent reference for the term-list kernel in ``exactpoly``.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from splitmoments.exactpoly import PiecewisePoly, from_global_pieces
+
+
+def _mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
+def _affine(c, alpha: Fraction, beta: Fraction) -> list[Fraction]:
+    """Coefficients in y of c(alpha + beta*y), c ascending in its variable."""
+    out = [Fraction(0)]
+    for coef in reversed(c):  # Horner with polynomial arithmetic
+        out = _mul(out, [alpha, beta])
+        out[0] += coef
+    return out
+
+
+def _integral(c: list[Fraction], lo: Fraction, hi: Fraction) -> Fraction:
+    return sum((cj * (hi ** (j + 1) - lo ** (j + 1)) / (j + 1) for j, cj in enumerate(c)),
+               Fraction(0))
+
+
+def convolve_at(p: PiecewisePoly, q: PiecewisePoly, x) -> Fraction:
+    """(p * q)(x) for rational x, knot sums included."""
+    x = Fraction(x)
+    total = Fraction(0)
+    for i, pc in enumerate(p.pieces):
+        a0, a1 = p.breakpoints[i], p.breakpoints[i + 1]
+        p_in_y = _affine(pc, -a0, Fraction(1))  # p_i(y), local variable y - a0
+        for j, qc in enumerate(q.pieces):
+            b0, b1 = q.breakpoints[j], q.breakpoints[j + 1]
+            lo, hi = max(a0, x - b1), min(a1, x - b0)
+            if lo < hi:
+                q_in_y = _affine(qc, x - b0, Fraction(-1))  # q_j(x - y), local x - y - b0
+                total += _integral(_mul(p_in_y, q_in_y), lo, hi)
+    return total
+
+
+def reference_convolve(p: PiecewisePoly, q: PiecewisePoly) -> PiecewisePoly:
+    """p * q in canonical piecewise form, interpolated from :func:`convolve_at`.
+
+    Between consecutive knot sums p * q is one polynomial of degree at most
+    deg p + deg q + 1, so that many interior values plus one determine it.
+    """
+    if p.is_zero() or q.is_zero():
+        return PiecewisePoly.zero()
+    cuts = sorted({a + b for a in p.breakpoints for b in q.breakpoints})
+    nodes = p.degree() + q.degree() + 2
+    spans = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        xs = [lo + (hi - lo) * (k + 1) / (nodes + 1) for k in range(nodes)]
+        coeffs = [Fraction(0)] * nodes
+        for k, xk in enumerate(xs):  # Lagrange basis polynomial of node k
+            basis, denom = [Fraction(1)], Fraction(1)
+            for m, xm in enumerate(xs):
+                if m != k:
+                    basis = _mul(basis, [-xm, Fraction(1)])
+                    denom *= xk - xm
+            weight = convolve_at(p, q, xk) / denom
+            for j, bj in enumerate(basis):
+                coeffs[j] += weight * bj
+        spans.append((lo, hi, coeffs))
+    return from_global_pieces(spans)

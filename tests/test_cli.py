@@ -325,13 +325,27 @@ class TestBadInput:
             ["rmt", "--M", "10", "--sigma", "1/2", "--samples", "5", "--nmax", "-1"],
             ["verify"],
             [],
+            ["moment", "--foo", "1"],
+            ["moment", "--sigma"],
+            ["moment", "--sigma", "-1/2", "--n", "4"],
+            ["bogus"],
+            ["verify", "bogus"],
         ],
         ids=["crosscheck-n0", "combinat-n9", "t-max0", "combinat-n0", "combinat-n1",
              "combinat-n2", "combinat-a1", "arith-qmax0", "seed-1", "rmt-nmax0",
-             "rmt-nmax-1", "verify-no-suite", "no-command"],
+             "rmt-nmax-1", "verify-no-suite", "no-command", "unknown-flag",
+             "flag-without-value", "negative-sigma-as-flag", "unknown-command",
+             "unknown-suite"],
     )
     def test_usage_error(self, args, capsys):
         assert_usage_error(args, capsys)
+
+    @pytest.mark.parametrize("args", [["-h"], ["moment", "-h"], ["verify", "arith", "--help"]])
+    def test_help_exits_zero(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage:")
 
     def test_missing_config_file(self, capsys, tmp_path):
         assert_usage_error(["--config", str(tmp_path / "absent.cfg")], capsys)
@@ -372,21 +386,53 @@ for argv in (["crosscheck", "--sigma", "1/2", "--n", "4"],
 print(json.dumps({"after_import": after_import, "after_runs": scipy_loaded(), "runs": runs}))
 """
 
+NO_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from splitmoments import cli
+
+runs = []
+for argv in (["moment", "--sigma", "1/2", "--n", "4", "--sign", "minus"],
+             ["vanish", "--r", "5", "--n", "4", "--sigma", "1/2", "--sign", "minus"],
+             ["verify", "combinat"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    runs.append([code, json.loads(out.getvalue())])
+loaded = sorted(m for m, mod in sys.modules.items()
+                if m.split(".")[0] == "numpy" and mod is not None)
+print(json.dumps({"loaded": loaded, "runs": runs}))
+"""
+
+
+def run_script(script):
+    """stdout of ``python -c script`` with src on the path, as JSON."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
 
 class TestDependencyBoundary:
     def test_crosscheck_runs_without_scipy(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", NO_SCIPY], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        got = json.loads(proc.stdout)
+        got = run_script(NO_SCIPY)
         assert got["after_import"] == [] and got["after_runs"] == []
         for code, report in got["runs"]:
             assert code == 0 and report["passed"]
             assert report["results"]
             assert all(entry["oracle_within_1e-7"] for entry in report["results"])
+
+    def test_exact_commands_run_without_numpy(self):
+        got = run_script(NO_NUMPY)
+        assert got["loaded"] == []
+        (moment_rc, moment), (vanish_rc, vanish), (combinat_rc, combinat) = got["runs"]
+        assert moment_rc == vanish_rc == combinat_rc == 0
+        assert moment["passed"] and moment["results"][0]["exact"] == "31/105"
+        assert vanish["passed"] and vanish["results"][0]["bound"]["exact"] == "496/65625"
+        assert combinat["passed"] and combinat["results"]
 
 
 EXAMPLE = {

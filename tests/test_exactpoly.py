@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convolution_reference import convolve_at, reference_convolve
 from splitmoments import exactpoly as ep
 from splitmoments.testfn import fejer
 
@@ -258,20 +259,63 @@ def test_antiderivative_fundamental_theorem(p):
         assert ep.evaluate(a, x) == ep.definite_integral(p, lo, x)
 
 
-# term lists: chains of term operations against the piecewise route
+# term lists: the kernel against a convolution built from its definition
+# (convolution_reference), with no term list on the reference side
+
+
+@st.composite
+def lattice_polys(draw, denominator):
+    """Piecewise polynomials whose knots lie on (1/denominator)Z."""
+    n_pieces = draw(st.integers(1, 2))
+    cuts = sorted(draw(st.lists(st.integers(-6, 6), min_size=n_pieces + 1,
+                                max_size=n_pieces + 1, unique=True)))
+    return ep.from_global_pieces([
+        (F(lo, denominator), F(hi, denominator),
+         [draw(small_rational) for _ in range(draw(st.integers(1, 2)))])
+        for lo, hi in zip(cuts, cuts[1:])
+    ])
+
+
+def test_reference_box_to_triangle():
+    b = ep.box(F(-1, 2), F(1, 2))
+    assert reference_convolve(b, b) == triangle_fhat(1)
+    assert convolve_at(b, b, F(1, 4)) == F(3, 4)
+
+
+def _knot_sums(p, q):
+    return sorted({a + b for a in p.breakpoints for b in q.breakpoints}) or [F(0)]
+
+
+def _check_against_reference(p, q, r, xs):
+    tp, tq, tr = (ep.to_terms(f) for f in (p, q, r))
+    pq = ep.from_terms(ep.term_convolve(tp, tq))
+    assert pq == reference_convolve(p, q)
+    for x in xs:
+        assert ep.evaluate(pq, x) == convolve_at(p, q, x)
+    # a chain of three, with no piecewise form between the two convolutions
+    chained = ep.term_convolve(ep.term_convolve(tp, tq), tr)
+    assert ep.from_terms(chained) == reference_convolve(reference_convolve(p, q), r)
+
 
 @settings(max_examples=60, deadline=None)
 @given(
     piecewise_polys(max_pieces=2, max_degree=1),
     piecewise_polys(max_pieces=2, max_degree=1),
     piecewise_polys(max_pieces=2, max_degree=1),
+    st.data(),
 )
-def test_term_convolve_matches_convolve(p, q, r):
-    tp, tq, tr = (ep.to_terms(f) for f in (p, q, r))
-    assert ep.from_terms(ep.term_convolve(tp, tq)) == ep.convolve(p, q)
-    # no piecewise form between the two term convolutions
-    chained = ep.term_convolve(ep.term_convolve(tp, tq), tr)
-    assert ep.from_terms(chained) == ep.convolve(ep.convolve(p, q), r)
+def test_term_convolve_matches_reference(p, q, r, data):
+    xs = data.draw(st.lists(st.one_of(small_rational, st.sampled_from(_knot_sums(p, q))),
+                            min_size=1, max_size=3))
+    _check_against_reference(p, q, r, xs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_polys(3), lattice_polys(2), lattice_polys(3), st.data())
+def test_term_convolve_across_lattices(p, q, r, data):
+    """Thirds against halves: the kernel must first move both to the unit 1/6."""
+    xs = data.draw(st.lists(st.sampled_from(_knot_sums(p, q)), min_size=1, max_size=3))
+    _check_against_reference(p, q, r, xs + [F(1, 5)])
 
 
 @settings(max_examples=200, deadline=None)
@@ -283,9 +327,8 @@ def test_term_reflect_matches_reflect(p):
 @settings(max_examples=200, deadline=None)
 @given(piecewise_polys(), piecewise_polys(), st.data())
 def test_term_mass_below_matches_definite_integral(p, q, data):
-    knot_sums = sorted({a + b for a in p.breakpoints for b in q.breakpoints})
-    x = data.draw(st.one_of(small_rational, st.sampled_from(knot_sums or [F(0)])))
-    conv = ep.convolve(p, q)
+    x = data.draw(st.one_of(small_rational, st.sampled_from(_knot_sums(p, q))))
+    conv = reference_convolve(p, q)
     for f, terms in (
         (p, ep.to_terms(p)),
         (conv, ep.term_convolve(ep.to_terms(p), ep.to_terms(q))),
