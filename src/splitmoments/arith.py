@@ -4,9 +4,12 @@ prime-level Kloosterman-to-Gauss factorization.
 Dirichlet characters are built by CRT from the unit-group structure of each
 prime power (primitive roots for odd prime powers, {+-1} x <5> for 2^k with
 k >= 3).  Character values are stored as exact root-of-unity exponents
-(k, N) meaning e^{2 pi i k / N} and realized as complex doubles on demand;
-all verified identities at these modulus sizes are separated by far more
-than the 1e-9/1e-6 comparison tolerances.
+(k, N) meaning e(k/N) = e^{2 pi i k / N}.  ``_roots(N)``, the cached table of
+e(j/N) for j = 0..N-1, is the one place where character values and
+exponential sums become complex numbers: each term's exponent is reduced to
+an integer residue and the sums add table entries.  All verified identities
+at these modulus sizes are separated by far more than the 1e-9/1e-6
+comparison tolerances.
 
 The magnitude bound sqrt(q) for Gauss sums is a theorem only for primitive
 characters (for the principal character G reduces to a Ramanujan sum, e.g.
@@ -46,6 +49,12 @@ __all__ = [
 ]
 
 _FACTOR_CAP = 10**6
+
+
+@lru_cache(maxsize=256)
+def _roots(N: int) -> tuple[complex, ...]:
+    """e(j/N) = e^{2 pi i j / N} for j = 0..N-1."""
+    return tuple(cmath.exp(2j * cmath.pi * j / N) for j in range(N))
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -109,10 +118,8 @@ def gcd_saturate(x: int, y: int) -> int:
 
 def ramanujan_exponential(n: int, q: int) -> int:
     """Direct unit sum of e(an/q), rounded from floats (oracle route)."""
-    total = 0.0
-    for a in range(1, q + 1):
-        if math.gcd(a, q) == 1:
-            total += math.cos(2 * math.pi * ((a * n) % q) / q)
+    e = _roots(q)
+    total = sum(e[a * n % q].real for a in range(1, q + 1) if math.gcd(a, q) == 1)
     r = round(total)
     if abs(total - r) > 1e-6:
         raise InvariantViolation(f"ramanujan exponential sum not integral: {total}")
@@ -162,9 +169,7 @@ class DirichletCharacter:
 
     def value(self, a: int) -> complex:
         k = self.exps[a % self.modulus]
-        if k is None:
-            return 0j
-        return cmath.exp(2j * cmath.pi * k / self.order)
+        return 0j if k is None else _roots(self.order)[k]
 
     def __call__(self, a: int) -> complex:
         return self.value(a)
@@ -320,11 +325,8 @@ def gauss_sum(chi: DirichletCharacter, n: int) -> complex:
     sqrt(q) in modulus; either violation raises InvariantViolation.
     """
     q = chi.modulus
-    total = 0j
-    for a in range(q):
-        if chi.exps[a] is None:
-            continue
-        total += chi.value(a) * cmath.exp(2j * cmath.pi * ((a * n) % q) / q)
+    w, e = _roots(chi.order), _roots(q)
+    total = sum((w[k] * e[a * n % q] for a, k in enumerate(chi.exps) if k is not None), 0j)
     if chi.is_principal:
         ram = ramanujan_divisor_sum(n, q)
         if abs(total - ram) > 1e-9 * max(1, q):
@@ -350,12 +352,11 @@ def kloosterman(m: int, n: int, q: int) -> float:
     """
     if q < 1:
         raise DomainError("modulus must be >= 1")
-    total = 0j
-    for d in range(1, q + 1):
-        if math.gcd(d, q) != 1:
-            continue
-        dbar = pow(d, -1, q)
-        total += cmath.exp(2j * cmath.pi * (((m * d + n * dbar) % q) / q))
+    e = _roots(q)
+    total = sum(
+        (e[(m * d + n * pow(d, -1, q)) % q] for d in range(1, q + 1) if math.gcd(d, q) == 1),
+        0j,
+    )
     if abs(total.imag) > 1e-9 * max(1, q):
         raise InvariantViolation(f"Kloosterman sum has imaginary part {total.imag}")
     value = total.real

@@ -260,8 +260,6 @@ def _cmd_moment(cfg: RunConfig):
 
 def _cmd_crosscheck(cfg: RunConfig):
     """R vs Q-via-classes vs float oracle"""
-    from . import quadrature as qd
-
     sigma = cfg.params["sigma"]
     n = cfg.params["n"]
     tf = fejer(sigma)
@@ -280,6 +278,8 @@ def _cmd_crosscheck(cfg: RunConfig):
             "exact_paths_equal": r_val == q_val,
         }
         if n <= 4:
+            from . import quadrature as qd
+
             oracle = qd.oracle_R_moment(tf, n, a)
             entry["oracle"] = f"{oracle:.12g}"
             entry["oracle_within_1e-7"] = abs(oracle - float(r_val)) <= 1e-7
@@ -327,6 +327,11 @@ def _cmd_rmt(cfg: RunConfig):
         seed=cfg.params["seed"],
     )
     tf = fejer(cfg.params["sigma"])
+    K = (tf.sigma.numerator * M) // tf.sigma.denominator
+    if all(tf.fhat_at(Fraction(k, M)) == 0 for k in range(1, K + 1)):
+        raise DomainError(
+            f"Z is constant on SO({M}) at sigma={tf.sigma}: fhat(k/{M}) = 0 for all k >= 1"
+        )
     n_max = cfg.params["nmax"]
     z_vals = rmt.z_values_for(tf, spec, rmt.sample_cosines(spec))
     if cfg.params["csv"]:
@@ -436,68 +441,34 @@ def _cmd_verify_combinat(cfg: RunConfig):
 def _cmd_verify_arith(cfg: RunConfig):
     """Ramanujan, Gauss and Kloosterman sum identities"""
     qmax = cfg.params["qmax"]
-    results = []
-    ok = True
-    fails = 0
-    for q in range(1, qmax + 1):
-        for n in range(1, qmax + 1):
-            try:
-                arith.ramanujan(n, q)
-            except InvariantViolation:
-                fails += 1
-    results.append({"identity": "ramanujan three-way", "range": qmax, "failures": fails})
-    ok &= fails == 0
-
-    gauss_checked = gauss_fails = 0
-    for q in range(1, min(qmax, 50) + 1):
-        for chi in arith.enumerate_characters(q):
-            for n in range(0, 51):
-                gauss_checked += 1
-                try:
-                    arith.gauss_sum(chi, n)
-                except InvariantViolation:
-                    gauss_fails += 1
-    results.append(
-        {"identity": "gauss bounds (primitive) + principal=Ramanujan",
-         "checked": gauss_checked, "failures": gauss_fails}
-    )
-    ok &= gauss_fails == 0
-
-    kl_checked = kl_fails = 0
-    for q in range(1, min(qmax, 100) + 1):
-        for m in range(0, 21):
-            for n in range(0, 21):
-                kl_checked += 1
-                try:
-                    arith.kloosterman(m, n, q)
-                except InvariantViolation:
-                    kl_fails += 1
-    results.append(
-        {"identity": "kloosterman Weil-type bound", "checked": kl_checked, "failures": kl_fails}
-    )
-    ok &= kl_fails == 0
-
+    identities = [
+        ("ramanujan three-way", arith.ramanujan,
+         ((n, q) for q in range(1, qmax + 1) for n in range(1, qmax + 1))),
+        ("gauss bounds (primitive) + principal=Ramanujan", arith.gauss_sum,
+         ((chi, n) for q in range(1, min(qmax, 50) + 1)
+          for chi in arith.enumerate_characters(q) for n in range(51))),
+        ("kloosterman Weil-type bound", arith.kloosterman,
+         ((m, n, q) for q in range(1, min(qmax, 100) + 1)
+          for m in range(21) for n in range(21))),
+    ]
     if cfg.params["kloosterman_sweep"]:
-        sweep_checked = sweep_fails = 0
-        for N in (3, 5, 7):
-            for b in range(1, 21):
-                if b % N == 0:
-                    continue
-                for Q in range(1, 31):
-                    if Q % N == 0:
-                        continue
-                    for m in range(1, 6):
-                        if m % N == 0:
-                            continue
-                        sweep_checked += 1
-                        if not arith.verify_kloosterman_factorization(N, b, Q, m):
-                            sweep_fails += 1
-        results.append(
-            {"identity": "prime-level Kloosterman factorization",
-             "checked": sweep_checked, "failures": sweep_fails}
+        identities.append(
+            ("prime-level Kloosterman factorization", arith.verify_kloosterman_factorization,
+             ((N, b, Q, m) for N in (3, 5, 7) for b in range(1, 21) if b % N
+              for Q in range(1, 31) if Q % N for m in range(1, 6) if m % N))
         )
-        ok &= sweep_fails == 0
-    return results, [], ok
+    # a case fails when its check raises InvariantViolation or returns False
+    results = []
+    for name, check, cases in identities:
+        checked = failures = 0
+        for args in cases:
+            checked += 1
+            try:
+                failures += check(*args) is False
+            except InvariantViolation:
+                failures += 1
+        results.append({"identity": name, "checked": checked, "failures": failures})
+    return results, [], all(row["failures"] == 0 for row in results)
 
 
 def _cmd_verify_all(cfg: RunConfig):

@@ -22,7 +22,6 @@ the expansion's n-dimensional integral as an end-to-end oracle.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -32,8 +31,6 @@ from typing import Iterable, Iterator, Sequence
 from .errors import DomainError, ResourceLimitError
 from .linfeas import Constraint, feasible
 from .testfn import TestFunction
-
-log = logging.getLogger(__name__)
 
 __all__ = [
     "SystemOfParameters",

@@ -1,5 +1,6 @@
 """Arithmetic sums: Ramanujan/Gauss/Kloosterman identities and bounds."""
 
+import cmath
 import math
 
 import pytest
@@ -8,6 +9,11 @@ from hypothesis import strategies as st
 
 from splitmoments import arith
 from splitmoments.errors import DomainError
+
+
+def e(x):
+    """e(x) = exp(2 pi i x), written out for the textbook formulas below."""
+    return cmath.exp(2j * math.pi * x)
 
 
 class TestHelpers:
@@ -124,6 +130,18 @@ class TestGaussSums:
         g = arith.gauss_sum(chi0, 12)
         assert abs(g) > math.sqrt(12)
 
+    def test_matches_textbook_formula(self):
+        # G_chi(n) = sum_{a mod q} chi(a) e(an/q), chi(a) = e(k/order) on units
+        for q in range(1, 21):
+            for chi in arith.enumerate_characters(q):
+                for n in range(q + 1):
+                    want = sum(
+                        e(k / chi.order) * e(a * n / q)
+                        for a, k in enumerate(chi.exps)
+                        if k is not None
+                    )
+                    assert abs(arith.gauss_sum(chi, n) - want) <= 1e-12, (q, chi.exps, n)
+
 
 class TestKloosterman:
     def test_s00_is_phi(self):
@@ -150,6 +168,15 @@ class TestKloosterman:
     def test_real_valued(self):
         v = arith.kloosterman(3, 7, 23)
         assert isinstance(v, float)
+
+    def test_matches_textbook_formula(self):
+        # S(m, n; q) = sum_{d mod q, (d, q) = 1} e((m d + n dbar)/q)
+        for q in range(1, 21):
+            units = [d for d in range(1, q + 1) if math.gcd(d, q) == 1]
+            for m in range(q):
+                for n in range(q):
+                    want = sum(e((m * d + n * pow(d, -1, q)) / q) for d in units)
+                    assert abs(arith.kloosterman(m, n, q) - want) <= 1e-12, (m, n, q)
 
 
 class TestFactorizationLemma:

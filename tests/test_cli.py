@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from splitmoments import cli
+from splitmoments import arith, cli
 from splitmoments import moments as mo
-from splitmoments.errors import UsageError
+from splitmoments.errors import InvariantViolation, UsageError
 
 
 def run_cli(args, capsys):
@@ -142,6 +142,48 @@ class TestVerify:
         assert report["passed"]
         idents = {r["identity"]: r for r in report["results"] if "identity" in r}
         assert idents["ramanujan three-way"]["failures"] == 0
+
+    def test_arith_rows(self, capsys):
+        code, report = run_cli(["verify", "arith", "--qmax", "12", "--kloosterman-sweep"], capsys)
+        assert code == 0 and report["passed"]
+        sweep = sum(
+            sum(x % N != 0 for x in range(1, 21))
+            * sum(x % N != 0 for x in range(1, 31))
+            * sum(x % N != 0 for x in range(1, 6))
+            for N in (3, 5, 7)
+        )
+        gauss = 51 * sum(arith.euler_phi(q) for q in range(1, 13))
+        assert [(r["identity"], r["checked"], r["failures"]) for r in report["results"]] == [
+            ("ramanujan three-way", 12 * 12, 0),
+            ("gauss bounds (primitive) + principal=Ramanujan", gauss, 0),
+            ("kloosterman Weil-type bound", 12 * 21 * 21, 0),
+            ("prime-level Kloosterman factorization", sweep, 0),
+        ]
+
+    def test_arith_counts_failures(self, capsys, monkeypatch):
+        # one Kloosterman case raises, one factorization case returns False
+        kloosterman = arith.kloosterman
+        factorization = arith.verify_kloosterman_factorization
+
+        def broken_kloosterman(m, n, q):
+            if (m, n, q) == (1, 1, 7):
+                raise InvariantViolation("injected")
+            return kloosterman(m, n, q)
+
+        def broken_factorization(N, b, Q, m):
+            return (N, b, Q, m) != (3, 1, 1, 1) and factorization(N, b, Q, m)
+
+        monkeypatch.setattr(arith, "kloosterman", broken_kloosterman)
+        monkeypatch.setattr(arith, "verify_kloosterman_factorization", broken_factorization)
+        code, report = run_cli(["verify", "arith", "--qmax", "8", "--kloosterman-sweep"], capsys)
+        assert code == 1 and not report["passed"]
+        failures = {r["identity"]: r["failures"] for r in report["results"]}
+        assert failures == {
+            "ramanujan three-way": 0,
+            "gauss bounds (primitive) + principal=Ramanujan": 0,
+            "kloosterman Weil-type bound": 1,
+            "prime-level Kloosterman factorization": 1,
+        }
 
 
 class TestRmtCommand:
@@ -323,6 +365,9 @@ class TestBadInput:
             ["rmt", "--M", "10", "--sigma", "1/2", "--samples", "5", "--seed", "-1"],
             ["rmt", "--M", "10", "--sigma", "1/2", "--samples", "5", "--nmax", "0"],
             ["rmt", "--M", "10", "--sigma", "1/2", "--samples", "5", "--nmax", "-1"],
+            ["rmt", "--M", "2", "--sigma", "1/2", "--samples", "5"],
+            ["rmt", "--M", "3", "--sigma", "1/3", "--samples", "5"],
+            ["rmt", "--M", "5", "--sigma", "1/10", "--samples", "5"],
             ["verify"],
             [],
             ["moment", "--foo", "1"],
@@ -333,7 +378,8 @@ class TestBadInput:
         ],
         ids=["crosscheck-n0", "combinat-n9", "t-max0", "combinat-n0", "combinat-n1",
              "combinat-n2", "combinat-a1", "arith-qmax0", "seed-1", "rmt-nmax0",
-             "rmt-nmax-1", "verify-no-suite", "no-command", "unknown-flag",
+             "rmt-nmax-1", "rmt-constant-z-M2", "rmt-constant-z-M3", "rmt-constant-z-M5",
+             "verify-no-suite", "no-command", "unknown-flag",
              "flag-without-value", "negative-sigma-as-flag", "unknown-command",
              "unknown-suite"],
     )
@@ -394,7 +440,8 @@ from splitmoments import cli
 runs = []
 for argv in (["moment", "--sigma", "1/2", "--n", "4", "--sign", "minus"],
              ["vanish", "--r", "5", "--n", "4", "--sigma", "1/2", "--sign", "minus"],
-             ["verify", "combinat"]):
+             ["verify", "combinat"],
+             ["crosscheck", "--sigma", "1/10", "--n", "20"]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
@@ -428,11 +475,13 @@ class TestDependencyBoundary:
     def test_exact_commands_run_without_numpy(self):
         got = run_script(NO_NUMPY)
         assert got["loaded"] == []
-        (moment_rc, moment), (vanish_rc, vanish), (combinat_rc, combinat) = got["runs"]
-        assert moment_rc == vanish_rc == combinat_rc == 0
+        runs = got["runs"]
+        (moment_rc, moment), (vanish_rc, vanish), (combinat_rc, combinat), (cross_rc, cross) = runs
+        assert moment_rc == vanish_rc == combinat_rc == cross_rc == 0
         assert moment["passed"] and moment["results"][0]["exact"] == "31/105"
         assert vanish["passed"] and vanish["results"][0]["bound"]["exact"] == "496/65625"
         assert combinat["passed"] and combinat["results"]
+        assert cross["passed"] and all(entry["exact_paths_equal"] for entry in cross["results"])
 
 
 EXAMPLE = {
