@@ -7,9 +7,10 @@ k >= 3).  Character values are stored as exact root-of-unity exponents
 (k, N) meaning e(k/N) = e^{2 pi i k / N}.  ``_roots(N)``, the cached table of
 e(j/N) for j = 0..N-1, is the one place where character values and
 exponential sums become complex numbers: each term's exponent is reduced to
-an integer residue and the sums add table entries.  All verified identities
-at these modulus sizes are separated by far more than the 1e-9/1e-6
-comparison tolerances.
+an integer residue and the sums add table entries.  Kloosterman sums take
+their units d and inverses d^-1 from a second cached table, ``_units(q)``.
+All verified identities at these modulus sizes are separated by far more
+than the 1e-9/1e-6 comparison tolerances.
 
 The magnitude bound sqrt(q) for Gauss sums is a theorem only for primitive
 characters (for the principal character G reduces to a Ramanujan sum, e.g.
@@ -55,6 +56,12 @@ _FACTOR_CAP = 10**6
 def _roots(N: int) -> tuple[complex, ...]:
     """e(j/N) = e^{2 pi i j / N} for j = 0..N-1."""
     return tuple(cmath.exp(2j * cmath.pi * j / N) for j in range(N))
+
+
+@lru_cache(maxsize=256)
+def _units(q: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (d, d^-1 mod q) over units d in 1..q, in increasing d."""
+    return tuple((d, pow(d, -1, q)) for d in range(1, q + 1) if math.gcd(d, q) == 1)
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -353,10 +360,7 @@ def kloosterman(m: int, n: int, q: int) -> float:
     if q < 1:
         raise DomainError("modulus must be >= 1")
     e = _roots(q)
-    total = sum(
-        (e[(m * d + n * pow(d, -1, q)) % q] for d in range(1, q + 1) if math.gcd(d, q) == 1),
-        0j,
-    )
+    total = sum((e[(m * d + n * dbar) % q] for d, dbar in _units(q)), 0j)
     if abs(total.imag) > 1e-9 * max(1, q):
         raise InvariantViolation(f"Kloosterman sum has imaginary part {total.imag}")
     value = total.real

@@ -19,7 +19,8 @@ unset are usage errors, and ``verify all`` runs the full suite unless
 Every run emits a JSON report {command, params, results, assumptions, timing,
 passed} embedding the fully resolved configuration; exact rationals are
 serialized as "p/q" strings next to a 15-significant-digit decimal.  Exit
-status: 0 all checks passed, 1 a verification failed, 2 usage error.
+status: 0 all checks passed, 1 a verification failed, 2 usage error, 141
+(128 + SIGPIPE) stdout closed before the report was written.
 
 Config files are line-oriented ``key = value`` with ``#`` comments and a
 ``command`` line (``verify-combinat`` for ``verify combinat``), which a
@@ -34,6 +35,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
 import sys
 import time
@@ -224,7 +226,7 @@ def _emit(report: dict, json_path: Path | None) -> None:
     text = json.dumps(_jsonable(report), indent=2)
     if json_path:
         _write(json_path, text + "\n")
-    print(text)
+    print(text, flush=True)
 
 
 # ---------------------------------------------------------------------------
@@ -583,13 +585,22 @@ def parse_argv(argv: Sequence[str] | None = None) -> RunConfig:
     return resolve(command, args)
 
 
+_EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the status a shell gives a reader-less writer
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = parse_argv(argv)
     except (UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    return run(cfg)
+    try:
+        return run(cfg)
+    except BrokenPipeError:
+        # stdout is flushed again at exit; send what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the report was written", file=sys.stderr)
+        return _EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":  # pragma: no cover

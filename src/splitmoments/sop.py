@@ -15,9 +15,10 @@ theory says collapses to 2(-1)^{n+f+1} C(n,f) for 1-classes of size f >= 1
 and to 0 for every feasible class of 2 or more subsets.
 
 Also here: the generating-function coefficient identities used in those
-collapses (log/exp composition sums, the G and H binomial telescopes), the
-symmetric-function transform check, and a literal Monte Carlo evaluation of
-the expansion's n-dimensional integral as an end-to-end oracle.
+collapses (log/exp composition sums, the G and H binomial telescopes) and
+the symmetric-function transform check.  A literal Monte Carlo evaluation of
+the expansion's n-dimensional integral, the end-to-end oracle for these
+identities, lives with the tests (``tests/oracle_reference.py``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, ResourceLimitError
 from .linfeas import Constraint, feasible
-from .testfn import TestFunction
 
 __all__ = [
     "SystemOfParameters",
@@ -53,7 +53,6 @@ __all__ = [
     "h_partial_sums",
     "verify_h_vanishes",
     "symmetric_transform_check",
-    "oracle_Qn_mc",
     "ENUMERATION_CAP",
 ]
 
@@ -435,73 +434,3 @@ def symmetric_transform_check(n: int, q: Fraction) -> bool:
         (-1) ** i * comb(n, i) * tail2**i * tail1 ** (n - i) for i in range(n + 1)
     )
     return total == q**n
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo oracle for the full expansion integral
-# ---------------------------------------------------------------------------
-
-def oracle_Qn_mc(
-    tf: TestFunction, n: int, a: int, samples: int, seed: int
-) -> tuple[float, float]:
-    """Literal Monte Carlo of the 2^{n-2}-weighted expansion integral.
-
-    Samples y uniformly on [0, sigma]^n, evaluates the full alternating sum
-    over systems of parameters of the indicator products, importance-weights
-    by prod fhat(y_i) * sigma^n, and returns (estimate, standard error).
-    """
-    if n > 4:
-        raise DomainError("oracle_Qn_mc supports n <= 4 (cost ~ 2^{2n-1}/sample)")
-    if a < 1:
-        raise DomainError("need a >= 1")
-    del a  # the expansion integral itself does not depend on a
-    import numpy as np
-
-    from .quadrature import _fhat_np
-
-    sigma = float(tf.sigma)
-    rng = np.random.default_rng(seed)
-    # rows of eta signs per (lambdas, ell); group rows per composition
-    groups = []
-    for lam in compositions(n):
-        m = len(lam)
-        denomA = 1
-        for l in lam:
-            denomA *= factorial(l)
-        wA = ((-1) ** (m + 1) / m) * (factorial(n) / denomA)
-        psum = np.cumsum(lam)
-        etas = np.array(
-            [[1 if (j + 1) <= psum[ell] else -1 for j in range(n)] for ell in range(m)],
-            dtype=float,
-        )
-        groups.append((wA, etas))
-
-    eps_list = np.array(
-        [[1 if bits & (1 << j) else -1 for j in range(n)] for bits in range(1 << n)],
-        dtype=float,
-    )
-
-    total = 0.0
-    total_sq = 0.0
-    chunk = 65536
-    done = 0
-    while done < samples:
-        b = min(chunk, samples - done)
-        y = rng.uniform(0.0, sigma, size=(b, n))
-        w = np.prod(_fhat_np(tf, y), axis=1) * sigma**n
-        k_vals = np.zeros(b)
-        for wA, etas in groups:
-            m = etas.shape[0]
-            for eps in eps_list:
-                signs = etas * eps[None, :]  # (m, n)
-                sums = y @ signs.T  # (b, m)
-                ind = np.all(np.abs(sums) <= 1.0, axis=1)
-                k_vals += wA * ind
-        vals = 2.0 ** (n - 2) * w * k_vals
-        total += float(vals.sum())
-        total_sq += float((vals**2).sum())
-        done += b
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    stderr = (var / samples) ** 0.5
-    return mean, stderr

@@ -2,8 +2,8 @@
 
 A test function phi is described by the exact transform ``fhat`` (an even,
 compactly supported :class:`PiecewisePoly` on [-sigma, sigma]) together with a
-real evaluator ``phi_at`` for phi itself, which the quadrature oracle applies
-elementwise to numpy arrays.  The catalog ships the Fejer family
+real evaluator ``phi_at`` for phi itself, which the quadrature oracle calls
+on Python floats.  The catalog ships the Fejer family
 
     phi(x) = (sin(pi sigma x) / (pi sigma x))^2,
     fhat(y) = 1/sigma - |y|/sigma^2   on |y| < sigma,
@@ -96,18 +96,10 @@ def fejer(sigma) -> TestFunction:
     )
     sf = float(s)
 
-    def phi(x):
-        """phi at a float (with math) or elementwise on an array (with numpy)."""
-        if isinstance(x, (int, float)):
-            t = math.pi * sf * x
-            v = 1.0 - t * t / 3.0 if abs(t) < 1e-8 else math.sin(t) / t
-            return v * v
-        import numpy as np
-
-        t = np.pi * sf * np.asarray(x, dtype=float)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            # series around the removable singularity at 0
-            v = np.where(np.abs(t) < 1e-8, 1.0 - t * t / 3.0, np.sin(t) / t)
+    def phi(x: float) -> float:
+        t = math.pi * sf * x
+        # series around the removable singularity at 0
+        v = 1.0 - t * t / 3.0 if abs(t) < 1e-8 else math.sin(t) / t
         return v * v
 
     return TestFunction(sigma=s, fhat=fhat, phi_at=phi, label=f"fejer:{s}")

@@ -13,6 +13,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
+from oracle_reference import oracle_Qn_mc, oracle_X_xi
 from splitmoments import arith, linfeas, moments as mo, quadrature as qd, rmt, sop
 from splitmoments import vanishing as vb
 from splitmoments.testfn import fejer
@@ -88,7 +89,7 @@ def test_criterion_4_oracle_concordance():
                     assert abs(qd.oracle_R_moment(tf, n, a) - exact) <= 1e-7, (sigma, n, a)
                 for ell in range(0, min(n, 3)):
                     exact = float(mo.X_xi(tf, n, ell))
-                    assert abs(qd.oracle_X_xi(tf, n, ell) - exact) <= 1e-7, (sigma, n, ell)
+                    assert abs(oracle_X_xi(tf, n, ell) - exact) <= 1e-7, (sigma, n, ell)
 
 
 def test_criterion_5_combinatorial_suite():
@@ -193,7 +194,7 @@ def test_criterion_7_rmt_statistical_gate():
 
 def test_criterion_8_qn_monte_carlo():
     with _Budget("criterion 8 (Q_n Monte Carlo oracle)", 120.0):
-        est, se = sop.oracle_Qn_mc(fejer(F(3, 5)), 2, 1, 10**6, seed=12345)
+        est, se = oracle_Qn_mc(fejer(F(3, 5)), 2, 1, 10**6, seed=12345)
         assert abs(est - float(F(1, 972))) <= 3 * se
         print(f"  estimate {est:.3e} vs 1/972, z = {(est - float(F(1,972)))/se:+.2f}")
 

@@ -179,6 +179,17 @@ class TestKloosterman:
                     assert abs(arith.kloosterman(m, n, q) - want) <= 1e-12, (m, n, q)
 
 
+    def test_cached_units_leave_every_sum_bit_identical(self):
+        # the same terms in the same order as the sum over units from the definition
+        for q in range(1, 61):
+            e = arith._roots(q)
+            units = [d for d in range(1, q + 1) if math.gcd(d, q) == 1]
+            for m in range(21):
+                for n in range(21):
+                    want = sum((e[(m * d + n * pow(d, -1, q)) % q] for d in units), 0j).real
+                    assert arith.kloosterman(m, n, q) == want, (m, n, q)
+
+
 class TestFactorizationLemma:
     def test_examples(self):
         assert arith.verify_kloosterman_factorization(3, 4, 5, 1)

@@ -441,7 +441,10 @@ runs = []
 for argv in (["moment", "--sigma", "1/2", "--n", "4", "--sign", "minus"],
              ["vanish", "--r", "5", "--n", "4", "--sigma", "1/2", "--sign", "minus"],
              ["verify", "combinat"],
-             ["crosscheck", "--sigma", "1/10", "--n", "20"]):
+             ["crosscheck", "--sigma", "1/10", "--n", "20"],
+             ["crosscheck", "--sigma", "1/4", "--n", "3"],
+             ["crosscheck", "--sigma", "1/2", "--n", "4"],
+             ["verify", "all", "--quick"]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
@@ -452,12 +455,17 @@ print(json.dumps({"loaded": loaded, "runs": runs}))
 """
 
 
-def run_script(script):
-    """stdout of ``python -c script`` with src on the path, as JSON."""
+def src_env():
+    """The environment with src on the path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    return env
+
+
+def run_script(script):
+    """stdout of ``python -c script`` with src on the path, as JSON."""
+    proc = subprocess.run([sys.executable, "-c", script], env=src_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -473,15 +481,35 @@ class TestDependencyBoundary:
             assert all(entry["oracle_within_1e-7"] for entry in report["results"])
 
     def test_exact_commands_run_without_numpy(self):
+        """The exact commands, the float oracle and the verify suites load no numpy."""
         got = run_script(NO_NUMPY)
         assert got["loaded"] == []
         runs = got["runs"]
-        (moment_rc, moment), (vanish_rc, vanish), (combinat_rc, combinat), (cross_rc, cross) = runs
-        assert moment_rc == vanish_rc == combinat_rc == cross_rc == 0
+        assert [code for code, _ in runs] == [0] * len(runs)
+        moment, vanish, combinat, cross, *oracle_runs, verify_all = [rep for _, rep in runs]
         assert moment["passed"] and moment["results"][0]["exact"] == "31/105"
         assert vanish["passed"] and vanish["results"][0]["bound"]["exact"] == "496/65625"
         assert combinat["passed"] and combinat["results"]
         assert cross["passed"] and all(entry["exact_paths_equal"] for entry in cross["results"])
+        for report in oracle_runs:
+            assert report["passed"] and report["results"]
+            assert all(entry["oracle_within_1e-7"] for entry in report["results"])
+        assert verify_all["passed"]
+
+
+class TestClosedStdout:
+    def test_report_into_closed_pipe_exits_141_without_traceback(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "splitmoments.cli", "moment", "--sigma", "1/2", "--n", "4"],
+                stdout=write_end, stderr=subprocess.PIPE, env=src_env(), text=True, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
 
 
 EXAMPLE = {

@@ -4,8 +4,10 @@ import math
 from fractions import Fraction as F
 from functools import reduce
 
+import numpy as np
 import pytest
 
+from oracle_reference import oracle_X_xi
 from splitmoments import exactpoly as ep
 from splitmoments import moments as mo
 from splitmoments import quadrature as qd
@@ -15,6 +17,21 @@ from splitmoments.testfn import fejer
 
 HALF = fejer(F(1, 2))
 THREE_FIFTHS = fejer(F(3, 5))
+# fhat(y) = (1/2 - |y|)^3 on [-1/2, 1/2], with no closed-form phi
+CUBIC = testfn.TestFunction(
+    sigma=F(1, 2),
+    fhat=ep.from_global_pieces([(-F(1, 2), 0, [F(1, 8), F(3, 4), F(3, 2), 1]),
+                                (0, F(1, 2), [F(1, 8), -F(3, 4), F(3, 2), -1])]),
+    phi_at=None,
+    label="cubic",
+)
+# fhat(y) = 1 - (2y)^16 on [-1/2, 1/2], one piece across 0
+DEG16 = testfn.TestFunction(
+    sigma=F(1, 2),
+    fhat=ep.from_global_pieces([(-F(1, 2), F(1, 2), [1] + [0] * 15 + [-(2**16)])]),
+    phi_at=None,
+    label="deg16",
+)
 
 
 class TestSigmaPhiSq:
@@ -295,20 +312,50 @@ class TestOracleConcordance:
 
     def test_x_xi(self):
         exact = float(mo.X_xi(THREE_FIFTHS, 2, 0))
-        assert abs(qd.oracle_X_xi(THREE_FIFTHS, 2, 0) - exact) < 1e-7
+        assert abs(oracle_X_xi(THREE_FIFTHS, 2, 0) - exact) < 1e-7
 
     @pytest.mark.parametrize("alpha,delta", [(2, 0), (1, 1), (0, 2), (2, 1)])
     def test_i_integral_folded_depths(self, alpha, delta):
         exact = float(mo.I_integral(HALF, 5, alpha, delta))
         assert abs(qd.oracle_I_integral(HALF, 5, alpha, delta) - exact) < 1e-9
 
+    def test_folded_depth_with_k_one(self):
+        # one folded coordinate under T_1: the costliest folded rule
+        assert abs(qd.oracle_R_moment(HALF, 2, 2) - float(mo.R_moment(HALF, 2, 2))) < 1e-9
+        exact = float(mo.I_integral(HALF, 2, 1, 0))
+        assert abs(qd.oracle_I_integral(HALF, 2, 1, 0) - exact) < 1e-9
+
+    def test_gauss_legendre_table_matches_numpy(self):
+        x, w = np.polynomial.legendre.leggauss(16)
+        assert max(abs(a - b) for a, b in zip(qd._GL_X, x)) <= 1e-15
+        assert max(abs(a - b) for a, b in zip(qd._GL_W, w)) <= 1e-15
+
+    @pytest.mark.parametrize("name,omega_L", [
+        ("fejer", 0.5), ("fejer", 0.999), ("fejer", 1.001), ("fejer", 2.0), ("fejer", 30.0),
+        ("cubic", 2.997), ("cubic", 3.003), ("cubic", 90.0),
+        # by parts would lose 8 digits at omega L = 2 on a degree-16 piece
+        ("deg16", 2.0), ("deg16", 15.98), ("deg16", 16.02),
+    ])
+    def test_closed_form_F_matches_fine_panels(self, name, omega_L):
+        # the piece's one panel below omega L = max(1, degree), by parts above
+        tf = {"fejer": HALF, "cubic": CUBIC, "deg16": DEG16}[name]
+        sigma = float(tf.sigma)
+        xi = omega_L / (2 * math.pi * sigma)
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        want = 0j
+        for j in range(64):
+            lo, hi = sigma * j / 64, sigma * (j + 1) / 64
+            for x, w in zip(nodes, weights):
+                y = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+                f = float(tf.fhat_at(F(y)))
+                want += 2 * f * 0.5 * (hi - lo) * w * complex(math.cos(2 * math.pi * xi * y),
+                                                              math.sin(2 * math.pi * xi * y))
+        assert abs(qd._F(qd._pieces(tf), xi) - want) < 1e-10
+
     def test_sigma_phi_sq_refuses_degree_beyond_the_rule(self):
-        # fhat = 1 - (2y)^16 on [-1/2, 1/2]: y fhat^2 has degree 33 > 31
-        coeffs = [1] + [0] * 15 + [-(2**16)]
-        fhat = ep.from_global_pieces([(-F(1, 2), F(1, 2), coeffs)])
-        tf = testfn.TestFunction(sigma=F(1, 2), fhat=fhat, phi_at=None, label="deg16")
+        # y fhat^2 has degree 33 > 31
         with pytest.raises(ToleranceError, match="degree 16"):
-            qd.oracle_sigma_phi_sq(tf)
+            qd.oracle_sigma_phi_sq(DEG16)
 
     def test_t_transform_direct(self):
         assert abs(qd.t_transform_numeric(HALF, 1, 0.25) - 0.375) < 1e-9

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_reference import oracle_Qn_mc
 from splitmoments import sop
 from splitmoments.errors import DomainError, ResourceLimitError
 from splitmoments.linfeas import Constraint, box_vertex_witness, feasible
@@ -308,23 +309,23 @@ class TestFeasibilityEngine:
 class TestQnMonteCarloOracle:
     def test_n2_matches_exact(self):
         tf = fejer(F(3, 5))
-        est, se = sop.oracle_Qn_mc(tf, 2, 1, 10**6, seed=12345)
+        est, se = oracle_Qn_mc(tf, 2, 1, 10**6, seed=12345)
         assert abs(est - float(F(1, 972))) <= 3 * se
 
     def test_n3_matches_exact(self):
         tf = fejer(F(1, 2))
-        est, se = sop.oracle_Qn_mc(tf, 3, 1, 2 * 10**5, seed=777)
+        est, se = oracle_Qn_mc(tf, 3, 1, 2 * 10**5, seed=777)
         exact = float(R_moment(tf, 3, 1))
         assert abs(est - exact) <= 3 * se
 
     def test_mock_gaussian_regime(self):
         tf = fejer(F(1, 4))  # sigma < 1/n for n=3
-        est, se = sop.oracle_Qn_mc(tf, 3, 1, 2 * 10**5, seed=99)
+        est, se = oracle_Qn_mc(tf, 3, 1, 2 * 10**5, seed=99)
         assert abs(est) <= max(3 * se, 1e-12)
 
     def test_rejects_large_n(self):
         with pytest.raises(DomainError):
-            sop.oracle_Qn_mc(fejer(F(1, 4)), 5, 2, 100, seed=1)
+            oracle_Qn_mc(fejer(F(1, 4)), 5, 2, 100, seed=1)
 
 
 # ---------------------------------------------------------------------------

@@ -19,16 +19,6 @@ class TestFejer:
     def test_phi_at_zero_is_one(self):
         assert fejer(F(1, 2)).phi_at(0.0) == 1.0
 
-    def test_scalar_phi_matches_array_phi(self):
-        import numpy as np
-
-        phi = fejer(F(3, 5)).phi_at
-        xs = [0.0, 1e-12, -0.3, 0.5, 1.7, 5 / 3, 40.0]
-        scalar = [phi(x) for x in xs]
-        assert all(type(v) is float for v in scalar)
-        assert np.allclose(scalar, phi(np.array(xs)), rtol=1e-14, atol=1e-16)
-        assert phi(2) == phi(2.0)
-
     def test_fhat_vanishes_at_edge(self):
         s = F(2, 7)
         assert fejer(s).fhat_at(s) == 0
