@@ -330,6 +330,7 @@ def _cmd_rmt(cfg: RunConfig):
     )
     tf = fejer(cfg.params["sigma"])
     K = (tf.sigma.numerator * M) // tf.sigma.denominator
+    rmt.check_memory(spec, K)
     if all(tf.fhat_at(Fraction(k, M)) == 0 for k in range(1, K + 1)):
         raise DomainError(
             f"Z is constant on SO({M}) at sigma={tf.sigma}: fhat(k/{M}) = 0 for all k >= 1"

@@ -24,7 +24,7 @@ class ToleranceError(RuntimeError):
 
 
 class ResourceLimitError(RuntimeError):
-    """An enumeration exceeded its configured cap."""
+    """A workload would exceed a fixed size cap; raised before the work starts."""
 
 
 class UsageError(ValueError):

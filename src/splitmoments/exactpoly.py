@@ -2,10 +2,17 @@
 
 A function is represented by breakpoints ``b_0 < b_1 < ... < b_k`` and ``k``
 coefficient tuples.  Piece ``i`` lives on the half-open interval
-``[b_i, b_{i+1})`` and its coefficients are in the *local* variable
-``t = x - b_i`` (ascending degree), which keeps coefficient growth modest for
-deep convolutions.  The function is identically zero outside ``[b_0, b_k]``;
+``[b_i, b_{i+1})`` and its coefficients are in the global variable ``x``
+(ascending degree).  The function is identically zero outside ``[b_0, b_k]``;
 evaluation at the final right endpoint returns the limit from the left.
+
+Every deep convolution runs on term lists (below), so the piecewise form only
+carries transforms, their halves and squares, and small polynomials: low
+degrees, for which coefficients in a local variable ``x - b_i`` would save no
+coefficient growth.  In x, equal adjacent pieces have equal tuples, and
+restriction, reflection, products and integrals need no change of variable;
+the Taylor shift (``_pshift``) is used only where a jump is moved to its knot
+(:func:`to_terms`) and back to x (:func:`from_terms`).
 
 All piecewise coefficients are :class:`fractions.Fraction`, so every
 operation here is exact.  Construction always canonicalizes: zero tails of
@@ -54,12 +61,8 @@ __all__ = [
     "box",
     "from_global_pieces",
     "evaluate",
-    "evaluate_float",
-    "add",
-    "scale",
     "multiply",
     "convolve",
-    "antiderivative",
     "cumulative",
     "definite_integral",
     "integral",
@@ -106,12 +109,6 @@ def _padd(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
     for i, cb in enumerate(b):
         out[i] += cb
     return _ptrim(out)
-
-
-def _pscale(a: Sequence[Fraction], s: Fraction) -> tuple[Fraction, ...]:
-    if s == 0:
-        return ()
-    return tuple(c * s for c in a)
 
 
 def _pmul(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -171,8 +168,7 @@ class PiecewisePoly:
     """Compactly supported piecewise polynomial; see module docstring.
 
     ``breakpoints`` has length k+1 (or 0 for the zero function); ``pieces``
-    has length k, each a tuple of Fraction coefficients in the local variable
-    ``x - breakpoints[i]``.
+    has length k, each a tuple of Fraction coefficients in x.
     """
 
     breakpoints: tuple[Fraction, ...]
@@ -210,25 +206,6 @@ class PiecewisePoly:
         """Max piece degree; -1 for the zero function."""
         return max((len(p) - 1 for p in self.pieces), default=-1)
 
-    def __call__(self, x: RationalLike) -> Fraction:
-        return evaluate(self, x)
-
-    def __add__(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        return add(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, PiecewisePoly):
-            return multiply(self, other)
-        return scale(self, frac(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "PiecewisePoly":
-        return scale(self, Fraction(-1))
-
-    def __sub__(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        return add(self, scale(other, Fraction(-1)))
-
 
 def _canonical(
     breaks: tuple[Fraction, ...], pieces: tuple[tuple[Fraction, ...], ...]
@@ -236,17 +213,14 @@ def _canonical(
     """Merge equal adjacent pieces, drop zero edges, normalize the zero fn."""
     if not pieces:
         return (), ()
-    bl = list(breaks)
-    pl = [(_ptrim(p)) for p in pieces]
-    # merge adjacent pieces that continue the same polynomial
-    i = 0
-    while i + 1 < len(pl):
-        shifted = _pshift(pl[i], bl[i + 1] - bl[i])
-        if shifted == pl[i + 1]:
-            del pl[i + 1]
-            del bl[i + 1]
+    bl = [breaks[0]]
+    pl: list[tuple[Fraction, ...]] = []
+    for hi, p in zip(breaks[1:], pieces):
+        if pl and pl[-1] == p:
+            bl[-1] = hi
         else:
-            i += 1
+            pl.append(p)
+            bl.append(hi)
     # drop zero pieces at the edges
     while pl and not pl[0]:
         del pl[0]
@@ -278,10 +252,9 @@ def box(lo: RationalLike, hi: RationalLike, height: RationalLike = 1) -> Piecewi
 def from_global_pieces(
     spans: Sequence[tuple[RationalLike, RationalLike, Sequence[RationalLike]]]
 ) -> PiecewisePoly:
-    """Build from (lo, hi, global-coefficients) spans.
+    """Build from (lo, hi, coefficients in x) spans.
 
     Spans must be non-overlapping; gaps are filled with zero pieces.
-    Coefficients are in the global variable x (ascending degree).
     """
     cleaned = sorted(
         ((frac(lo), frac(hi), tuple(frac(c) for c in cs)) for lo, hi, cs in spans),
@@ -297,7 +270,7 @@ def from_global_pieces(
             breaks.append(lo)
         elif not breaks:
             breaks.append(lo)
-        pieces.append(_pshift(cs, lo))  # re-express at local origin lo
+        pieces.append(cs)
         breaks.append(hi)
     return _mk(breaks, pieces)
 
@@ -314,108 +287,34 @@ def evaluate(p: PiecewisePoly, x: RationalLike) -> Fraction:
     b = p.breakpoints
     if x < b[0] or x > b[-1]:
         return ZERO
-    if x == b[-1]:
-        return _peval(p.pieces[-1], x - b[-2])
-    i = bisect_right(b, x) - 1
-    return _peval(p.pieces[i], x - b[i])
-
-
-def evaluate_float(p: PiecewisePoly, x: float) -> float:
-    """Double-precision Horner evaluation (for oracles and plotting)."""
-    if not p.pieces:
-        return 0.0
-    b = p.breakpoints
-    if x < b[0] or x > b[-1]:
-        return 0.0
     i = len(b) - 2 if x == b[-1] else bisect_right(b, x) - 1
-    t = x - float(b[i])
-    acc = 0.0
-    for c in reversed(p.pieces[i]):
-        acc = acc * t + float(c)
-    return acc
+    return _peval(p.pieces[i], x)
 
 
 # ---------------------------------------------------------------------------
-# linear / pointwise algebra
+# pointwise algebra
 # ---------------------------------------------------------------------------
 
-def _aligned(p: PiecewisePoly, q: PiecewisePoly):
-    """Common refinement of breakpoints; yields (lo, hi, pc, qc) local at lo."""
-    cuts = sorted(set(p.breakpoints) | set(q.breakpoints))
-
-    def local_piece(f: PiecewisePoly, lo: Fraction) -> tuple[Fraction, ...]:
-        if not f.pieces or lo < f.breakpoints[0] or lo >= f.breakpoints[-1]:
-            return ()
-        i = bisect_right(f.breakpoints, lo) - 1
-        return _pshift(f.pieces[i], lo - f.breakpoints[i])
-
-    for lo, hi in zip(cuts, cuts[1:]):
-        yield lo, hi, local_piece(p, lo), local_piece(q, lo)
-
-
-def add(p: PiecewisePoly, q: PiecewisePoly) -> PiecewisePoly:
-    if p.is_zero():
-        return q
-    if q.is_zero():
-        return p
-    breaks: list[Fraction] = []
-    pieces: list[tuple[Fraction, ...]] = []
-    for lo, hi, pc, qc in _aligned(p, q):
-        if not breaks:
-            breaks.append(lo)
-        pieces.append(_padd(pc, qc))
-        breaks.append(hi)
-    return _mk(breaks, pieces)
-
-
-def scale(p: PiecewisePoly, c: RationalLike) -> PiecewisePoly:
-    c = frac(c)
-    if c == 0 or p.is_zero():
-        return PiecewisePoly.zero()
-    return _mk(p.breakpoints, (_pscale(piece, c) for piece in p.pieces))
+def _piece_at(p: PiecewisePoly, x: Fraction) -> tuple[Fraction, ...]:
+    """The piece of p holding [x, next breakpoint); () outside the support."""
+    if not p.pieces or x < p.breakpoints[0] or x >= p.breakpoints[-1]:
+        return ()
+    return p.pieces[bisect_right(p.breakpoints, x) - 1]
 
 
 def multiply(p: PiecewisePoly, q: PiecewisePoly) -> PiecewisePoly:
     """Exact pointwise product; support is contained in the intersection."""
     if p.is_zero() or q.is_zero():
         return PiecewisePoly.zero()
-    breaks: list[Fraction] = []
-    pieces: list[tuple[Fraction, ...]] = []
-    for lo, hi, pc, qc in _aligned(p, q):
-        if not breaks:
-            breaks.append(lo)
-        pieces.append(_pmul(pc, qc))
-        breaks.append(hi)
-    return _mk(breaks, pieces)
+    cuts = sorted(set(p.breakpoints) | set(q.breakpoints))
+    return _mk(cuts, (_pmul(_piece_at(p, lo), _piece_at(q, lo)) for lo in cuts[:-1]))
 
 
 def reflect(p: PiecewisePoly) -> PiecewisePoly:
-    """x -> p(-x)."""
-    if p.is_zero():
-        return p
-    breaks = tuple(-b for b in reversed(p.breakpoints))
-    pieces = []
-    for i, piece in enumerate(reversed(p.pieces)):
-        # original piece j = k-1-i on [b_j, b_{j+1}); new local var u = x + b_{j+1};
-        # old local value t = -x - b_j = L - u with L the piece length.
-        j = len(p.pieces) - 1 - i
-        length = p.breakpoints[j + 1] - p.breakpoints[j]
-        # compose piece(L - u): expand
-        comp = ()
-        for k, c in enumerate(piece):
-            comp = _padd(comp, _pscale(_binom_power(length, -1, k), c))
-        pieces.append(comp)
-    return _mk(breaks, pieces)
-
-
-def _binom_power(a: Fraction, b: int, k: int) -> tuple[Fraction, ...]:
-    """Coefficients of (a + b*u)^k in u."""
-    out = [ZERO] * (k + 1)
-    coeff = 1
-    for j in range(k + 1):
-        out[j] = Fraction(coeff) * (a ** (k - j)) * (b ** j)
-        coeff = coeff * (k - j) // (j + 1)
-    return _ptrim(out)
+    """x -> p(-x): the pieces in reverse order, odd coefficients negated."""
+    return _mk((-b for b in reversed(p.breakpoints)),
+               (tuple(-c if j % 2 else c for j, c in enumerate(piece))
+                for piece in reversed(p.pieces)))
 
 
 def restrict(p: PiecewisePoly, lo: RationalLike, hi: RationalLike) -> PiecewisePoly:
@@ -430,73 +329,44 @@ def restrict(p: PiecewisePoly, lo: RationalLike, hi: RationalLike) -> PiecewiseP
     if not lo < hi:
         return PiecewisePoly.zero()
     cuts = [lo] + [b for b in p.breakpoints if lo < b < hi] + [hi]
-    pieces = []
-    for a in cuts[:-1]:
-        i = bisect_right(p.breakpoints, a) - 1
-        pieces.append(_pshift(p.pieces[i], a - p.breakpoints[i]))
-    return _mk(cuts, pieces)
+    return _mk(cuts, (_piece_at(p, a) for a in cuts[:-1]))
 
 
 def multiply_by_monomial(p: PiecewisePoly, k: int) -> PiecewisePoly:
     """x -> x^k * p(x) for k >= 0."""
     if k < 0:
         raise ValueError("monomial power must be >= 0")
-    if k == 0 or p.is_zero():
-        return p
-    pieces = []
-    for i, piece in enumerate(p.pieces):
-        a = p.breakpoints[i]
-        mono = _binom_power(a, 1, k)  # (a + t)^k in local t
-        pieces.append(_pmul(piece, mono))
-    return _mk(p.breakpoints, pieces)
+    return _mk(p.breakpoints, ((ZERO,) * k + piece for piece in p.pieces))
 
 
 # ---------------------------------------------------------------------------
 # calculus
 # ---------------------------------------------------------------------------
 
-def antiderivative(p: PiecewisePoly) -> PiecewisePoly:
-    """Antiderivative vanishing at the left support edge.
-
-    The result is represented on the support of ``p`` (its value at and past
-    the right edge is the total integral).
-    """
-    if p.is_zero():
-        return p
-    breaks = list(p.breakpoints)
-    pieces = []
-    acc = ZERO
-    for i, piece in enumerate(p.pieces):
-        integ = _pintegrate(piece)
-        pieces.append(_padd(integ, (acc,)))
-        acc += _peval(integ, breaks[i + 1] - breaks[i])
-    return _mk(breaks, pieces)
-
-
 def cumulative(p: PiecewisePoly, lo: RationalLike, hi: RationalLike) -> PiecewisePoly:
     """The function x -> integral of p over (-inf, x], represented on [lo, hi).
 
-    Unlike :func:`antiderivative` this is usable as a window onto the full
-    cumulative function, including the constant region past the support.
+    The running integral is built over the support of p and continued by its
+    total, a constant, out to hi.
     """
     lo, hi = frac(lo), frac(hi)
     if not lo < hi:
         raise ValueError("cumulative requires lo < hi")
     if p.is_zero():
         return PiecewisePoly.zero()
-    full = antiderivative(p)
-    cuts = [lo] + [b for b in full.breakpoints if lo < b < hi] + [hi]
+    b = p.breakpoints
     pieces = []
-    b = full.breakpoints
-    for a in cuts[:-1]:
-        if a < b[0]:
-            pieces.append(())
-        elif a >= b[-1]:
-            pieces.append((integral(p),))
-        else:
-            i = bisect_right(b, a) - 1
-            pieces.append(_pshift(full.pieces[i], a - b[i]))
-    return _mk(cuts, pieces)
+    acc = ZERO
+    for i, piece in enumerate(p.pieces):
+        integ = _pintegrate(piece)
+        start = _peval(integ, b[i])
+        pieces.append(_padd(integ, (acc - start,)))
+        acc += _peval(integ, b[i + 1]) - start
+    breaks = list(b)
+    if hi > b[-1]:
+        pieces.append((acc,))
+        breaks.append(hi)
+    return restrict(_mk(breaks, pieces), lo, hi)
 
 
 def definite_integral(p: PiecewisePoly, lo: RationalLike, hi: RationalLike) -> Fraction:
@@ -518,7 +388,7 @@ def definite_integral(p: PiecewisePoly, lo: RationalLike, hi: RationalLike) -> F
         a1 = min(hi, b[i + 1])
         if a0 < a1:
             integ = _pintegrate(p.pieces[i])
-            total += _peval(integ, a1 - b[i]) - _peval(integ, a0 - b[i])
+            total += _peval(integ, a1) - _peval(integ, a0)
         i += 1
     return total
 
@@ -563,20 +433,12 @@ def to_terms(p: PiecewisePoly) -> Terms:
     """Decompose as a sum of c * (x - xi)_+^j terms on the lattice of p's knots."""
     if p.is_zero():
         return _NO_TERMS
+    # the jump of the pieces at each knot xi, re-expanded in x - xi
     jumps: list[tuple[Fraction, tuple[Fraction, ...]]] = []
-    prev: tuple[Fraction, ...] = ()
-    prev_origin = ZERO
-    for i, piece in enumerate(p.pieces):
-        xi = p.breakpoints[i]
-        prev_here = _pshift(prev, xi - prev_origin) if prev else ()
-        delta = _padd(piece, _pscale(prev_here, Fraction(-1))) if prev_here else piece
+    for xi, left, right in zip(p.breakpoints, ((),) + p.pieces, p.pieces + ((),)):
+        delta = _pshift(_padd(right, tuple(-c for c in left)), xi)
         if delta:
             jumps.append((xi, delta))
-        prev, prev_origin = piece, xi
-    xi = p.breakpoints[-1]
-    prev_here = _pshift(prev, xi - prev_origin) if prev else ()
-    if prev_here:
-        jumps.append((xi, _pscale(prev_here, Fraction(-1))))
     # c (x - k h)_+^j = c h^j j! e_j(x/h - k)
     unit = _rational_gcd(xi for xi, _ in jumps)
     lattice = [(xi / unit, [c * unit**j * factorial(j) for j, c in enumerate(cs)])
@@ -592,17 +454,15 @@ def from_terms(terms: Terms) -> PiecewisePoly:
         return PiecewisePoly.zero()
     h, s = terms.unit, terms.scale
     knots = [k * h for k, _ in terms.knots]
-    jumps = [tuple(s * c / (h**j * factorial(j)) for j, c in enumerate(cs))
-             for _, cs in terms.knots]
     pieces = []
     acc: tuple[Fraction, ...] = ()
-    for i, xi in enumerate(knots[:-1]):
-        acc = _pshift(acc, xi - knots[i - 1]) if i > 0 else ()
-        acc = _padd(acc, jumps[i])
+    for xi, (_, cs) in zip(knots, terms.knots):
+        # the jump at xi, in x - xi, brought back to x
+        jump = tuple(s * c / (h**j * factorial(j)) for j, c in enumerate(cs))
+        acc = _padd(acc, _pshift(jump, -xi))
         pieces.append(acc)
     # past the final knot the accumulation must vanish (compact support)
-    acc = _padd(_pshift(acc, knots[-1] - knots[-2]) if len(knots) > 1 else (), jumps[-1])
-    if acc:
+    if pieces.pop():
         raise AssertionError("truncated-power sum does not telescope to zero")
     return _mk(knots, pieces)
 

@@ -5,8 +5,8 @@ machinery: quantities are recomputed from their definitions in double
 precision, on Python floats with ``math``, ``cmath`` and ``math.fsum`` (no
 numpy), so that agreement with the exact route is meaningful
 cross-validation.  The one rule is 16-point Gauss-Legendre (GL) on equal
-panels, its table computed once at import; fhat is evaluated by Horner on
-the pieces of ``tf.fhat``.
+panels, its table computed once at import; fhat is evaluated by Horner at y
+on the pieces of ``tf.fhat``, whose coefficients are in y.
 
 - sigma_phi_sq = 4 int_0^sigma y fhat(y)^2 dy: one panel per piece of fhat,
   exact while the pieces have degree <= 15.
@@ -26,7 +26,9 @@ the pieces of ``tf.fhat``.
   depth 0 is F^0 = 1, that is T_k(1).
 
 Target absolute error is 1e-8; ToleranceError is raised where a rule cannot
-meet it (sigma_phi_sq on high-degree pieces).
+meet it (sigma_phi_sq on high-degree pieces).  The T_k rule's panel count
+grows like 1/sigma; above ``_MAX_PANELS`` it raises ResourceLimitError
+before building a node.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from bisect import bisect_right
 from math import comb, fsum
 from typing import NamedTuple
 
-from .errors import DomainError, ToleranceError
+from .errors import DomainError, ResourceLimitError, ToleranceError
 from .testfn import TestFunction
 
 __all__ = [
@@ -49,6 +51,10 @@ __all__ = [
 ]
 
 _TARGET = 1e-8
+# Panel cap of the T_k rule: 2**17 panels take about 1.7 s to build (2-core
+# x86-64, Python 3.11).  The tests need at most 28117 (sigma = 1/2, k = 1) and
+# crosscheck --n 3 at sigma = 1/1000 needs 61142; sigma = 1/10000 is refused.
+_MAX_PANELS = 1 << 17
 
 
 def _legendre(n: int, x: float) -> tuple[float, float]:
@@ -123,15 +129,14 @@ def _pieces(tf: TestFunction) -> list[_Piece]:
     for lo, hi in zip(cuts, cuts[1:]):
         i = bisect_right(breaks, lo) - 1  # the piece of fhat holding [lo, hi]
         coeffs = [float(c) for c in polys[i]] if 0 <= i < len(polys) else []
-        origin = breaks[i] if coeffs else lo
         ends = ([], [])
         deriv = [2.0 * c for c in coeffs]
         while deriv:
-            ends[0].append(_horner(deriv, float(lo - origin)))
-            ends[1].append(_horner(deriv, float(hi - origin)))
+            ends[0].append(_horner(deriv, float(lo)))
+            ends[1].append(_horner(deriv, float(hi)))
             deriv = [d * c for d, c in enumerate(deriv)][1:]
         y, w = _panel(float(lo), float(hi))
-        f = [_horner(coeffs, t - float(origin)) for t in y]
+        f = [_horner(coeffs, t) for t in y]
         out.append(_Piece(float(lo), float(hi), max(1.0, len(coeffs) - 1.0), ends,
                           y, f, [2.0 * a * b for a, b in zip(f, w)]))
     return out
@@ -174,6 +179,10 @@ def _t_kernel(tf: TestFunction, k: int, freq: float, fold: int = 0,
     c = (math.pi * s) ** (-2 * k) * (v / math.pi) ** fold / (math.pi * p)
     cutoff = max(4.0 / s, (c / (_TARGET * 0.1)) ** (1.0 / p))
     panels = int(cutoff * (freq + k * s + 1.0) * 2) + 8
+    if panels > _MAX_PANELS:
+        raise ResourceLimitError(
+            f"quadrature oracle: T_{k} at sigma={tf.sigma} needs {panels} panels,"
+            f" over the cap of {_MAX_PANELS}")
     xi, g = [], []
     for j in range(panels):
         nodes, weights = _panel(cutoff * j / panels, cutoff * (j + 1) / panels)

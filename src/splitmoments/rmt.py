@@ -40,7 +40,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import DomainError, InvariantViolation
+from .errors import DomainError, InvariantViolation, ResourceLimitError
 from . import moments as mo
 from .testfn import TestFunction
 
@@ -52,6 +52,7 @@ __all__ = [
     "eigenangles",
     "eigenangles_dense",
     "collect_angle_samples",
+    "check_memory",
     "sample_cosines",
     "power_traces",
     "z_values_for",
@@ -208,6 +209,23 @@ def _jacobi_cosines(alpha: np.ndarray) -> np.ndarray:
 
 
 _EIG_BATCH = 256  # Jacobi matrices per eigensolve call, bounding the (rows, n, n) stack
+# Memory cap for one run.  At sigma = 3/5 the estimate is about 37 MB for
+# M = 100 with 20000 samples (the acceptance gate's size) and 8 MB with 2000.
+_MEMORY_BUDGET = 1 << 31
+
+
+def check_memory(spec: EnsembleSpec, K: int) -> None:
+    """Refuse, before any allocation, a run whose arrays would exceed the budget.
+
+    The float64 estimate counts the Verblunsky coefficients, the cosines, the
+    power traces up to T_K and one eigensolve stack of Jacobi matrices.
+    """
+    n = spec.M // 2
+    floats = spec.samples * (2 * n - 1 + n + K + 1) + min(spec.samples, _EIG_BATCH) * n * n
+    if 8 * floats > _MEMORY_BUDGET:
+        raise ResourceLimitError(
+            f"rmt at M={spec.M} with {spec.samples} samples needs about"
+            f" {8 * floats / 2**30:.1f} GiB, over the budget of {_MEMORY_BUDGET >> 30} GiB")
 
 
 def sample_cosines(spec: EnsembleSpec) -> np.ndarray:

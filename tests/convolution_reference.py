@@ -42,13 +42,12 @@ def convolve_at(p: PiecewisePoly, q: PiecewisePoly, x) -> Fraction:
     total = Fraction(0)
     for i, pc in enumerate(p.pieces):
         a0, a1 = p.breakpoints[i], p.breakpoints[i + 1]
-        p_in_y = _affine(pc, -a0, Fraction(1))  # p_i(y), local variable y - a0
         for j, qc in enumerate(q.pieces):
             b0, b1 = q.breakpoints[j], q.breakpoints[j + 1]
             lo, hi = max(a0, x - b1), min(a1, x - b0)
             if lo < hi:
-                q_in_y = _affine(qc, x - b0, Fraction(-1))  # q_j(x - y), local x - y - b0
-                total += _integral(_mul(p_in_y, q_in_y), lo, hi)
+                q_in_y = _affine(qc, x, Fraction(-1))  # q_j(x - y)
+                total += _integral(_mul(list(pc), q_in_y), lo, hi)
     return total
 
 

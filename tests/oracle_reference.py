@@ -38,7 +38,7 @@ def _fhat_np(tf: TestFunction, y: np.ndarray) -> np.ndarray:
         sel = inside & (idx == i)
         if not sel.any():
             continue
-        t = y[sel] - breaks[i]
+        t = y[sel]
         acc = np.zeros_like(t)
         for c in reversed(piece):
             acc = acc * t + float(c)

@@ -222,6 +222,19 @@ class TestRmtCommand:
         assert mean["z_score"] == (mean["empirical"] - 43 / 20) / mean["stderr"]
         assert report["results"][1]["finite_M_mean"] is None
 
+    def test_oversized_run_refused_before_sampling(self, capsys, monkeypatch):
+        # 74.5 GiB of Verblunsky coefficients alone: the stub fails the test
+        # instead of allocating them if the run reaches the sampler
+        from splitmoments import rmt
+
+        def no_sampling(spec):
+            raise AssertionError("an oversized run reached the sampler")
+
+        monkeypatch.setattr(rmt, "sample_cosines", no_sampling)
+        err = assert_usage_error(
+            ["rmt", "--M", "100000", "--samples", "100000", "--sigma", "1/2"], capsys)
+        assert "GiB" in err
+
     def test_reproducible_z_stream(self, capsys, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["rmt", "--M", "8", "--parity", "even", "--samples", "50",
@@ -497,6 +510,19 @@ class TestDependencyBoundary:
         assert verify_all["passed"]
 
 
+class TestOracleCap:
+    def test_unbounded_rule_refused_up_front(self):
+        # at sigma = 1/10000 the T_k rule needs over 2**17 panels, about 52 s
+        # of work; a refusal takes well under a second
+        proc = subprocess.run(
+            [sys.executable, "-m", "splitmoments.cli", "crosscheck", "--n", "3",
+             "--sigma", "1/10000"],
+            capture_output=True, env=src_env(), text=True, timeout=20,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and "panels" in proc.stderr
+
+
 class TestClosedStdout:
     def test_report_into_closed_pipe_exits_141_without_traceback(self):
         read_end, write_end = os.pipe()
@@ -529,12 +555,17 @@ def as_flags(command, keys):
     return argv
 
 
-def load_bench_workloads():
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+def load_bench(name):
+    """The module ``bench/<name>.py``, loaded without running its main."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.WORKLOADS
+    return module
+
+
+def load_bench_workloads():
+    return load_bench("workloads").WORKLOADS
 
 
 class TestParamsTable:
@@ -579,6 +610,15 @@ class TestParamsTable:
                     assert cfg.params[key] is True
                 else:
                     assert cfg.params[key] == table[key][0](given)
+
+
+class TestBenchTracer:
+    def test_every_layer_resolves(self):
+        """Each function the tracer patches still exists under its name."""
+        layers = load_bench("trace_child").LAYERS
+        missing = [f"{module.__name__}.{name}" for module, names in layers.items()
+                   for name in names if not callable(getattr(module, name, None))]
+        assert missing == []
 
 
 class TestParseRational:

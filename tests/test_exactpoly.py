@@ -31,19 +31,8 @@ class TestEvaluate:
         b = ep.box(0, 1)
         assert ep.evaluate(b, 1) == 1  # left limit, not the outside value
 
-    def test_float_horner_matches_exact(self):
-        p = triangle_fhat(F(1, 2))
-        for x in [F(-1, 3), F(0), F(1, 7), F(2, 5)]:
-            exact = float(ep.evaluate(p, x))
-            approx = ep.evaluate_float(p, float(x))
-            assert abs(approx - exact) <= 1e-12 * max(1.0, abs(exact))
-
 
 class TestPointwiseAlgebra:
-    def test_additive_inverse(self):
-        p = triangle_fhat(F(1, 2))
-        assert ep.add(p, ep.scale(p, -1)).is_zero()
-
     def test_box_product_idempotent(self):
         b = ep.box(0, 1)
         assert ep.multiply(b, b) == b
@@ -70,7 +59,7 @@ class TestConvolve:
     def test_box_to_triangle(self):
         b = ep.box(F(-1, 2), F(1, 2))
         tri = ep.convolve(b, b)
-        assert tri == triangle_fhat(1) or ep.add(tri, ep.scale(triangle_fhat(1), -1)).is_zero()
+        assert tri == triangle_fhat(1)
         assert tri.support == (F(-1), F(1))
         assert ep.evaluate(tri, 0) == 1
 
@@ -119,8 +108,9 @@ class TestCalculus:
         assert total == F(1, 3)
 
     def test_antiderivative_normalization(self):
+        # cumulative is the antiderivative that vanishes left of the support
         t = triangle_fhat(F(1, 2))
-        a = ep.antiderivative(t)
+        a = ep.cumulative(t, F(-1, 2), F(1, 2))
         assert ep.evaluate(a, F(-1, 2)) == 0
         assert ep.evaluate(a, F(1, 2)) == 1  # reaches the total mass
 
@@ -203,32 +193,17 @@ def test_convolution_associative(p, q, r):
     assert ep.convolve(ep.convolve(p, q), r) == ep.convolve(p, ep.convolve(q, r))
 
 
-@settings(max_examples=200, deadline=None)
-@given(piecewise_polys(), small_rational)
-def test_exact_vs_float_eval(p, x):
-    # float rounding can land on the wrong side of a jump; stay clear of breaks
-    if any(abs(float(x) - float(b)) < 1e-9 for b in p.breakpoints):
-        return
-    exact = float(ep.evaluate(p, x))
-    approx = ep.evaluate_float(p, float(x))
-    assert abs(approx - exact) <= 1e-12 * max(1.0, abs(exact))
-
-
 def _edge_points(*polys):
     """Right support edges, where the left-limit convention overrides the
     half-open value and pointwise identities legitimately fail."""
     return {p.breakpoints[-1] for p in polys if not p.is_zero()}
 
 
-@settings(max_examples=200, deadline=None)
-@given(piecewise_polys(), piecewise_polys())
-def test_add_pointwise(p, q):
-    s = ep.add(p, q)
-    skip = _edge_points(p, q, s)
-    for x in [F(-2), F(-1, 3), F(0), F(1, 2), F(5, 4)]:
-        if x in skip:
-            continue
-        assert ep.evaluate(s, x) == ep.evaluate(p, x) + ep.evaluate(q, x)
+def _probe_points(p):
+    """Fixed points, p's breakpoints, and a point inside each of p's pieces."""
+    b = p.breakpoints
+    mids = ((lo + hi) / 2 for lo, hi in zip(b, b[1:]))
+    return {F(-2), F(-1, 3), F(0), F(1, 2), F(5, 4), *b, *mids}
 
 
 @settings(max_examples=200, deadline=None)
@@ -248,15 +223,46 @@ def test_reflect_involution(p):
     assert ep.reflect(ep.reflect(p)) == p
 
 
+@settings(max_examples=200, deadline=None)
+@given(piecewise_polys())
+def test_reflect_pointwise(p):
+    r = ep.reflect(p)
+    # at a breakpoint the two sides take the pieces on opposite sides of it
+    for y in _probe_points(p) - set(p.breakpoints):
+        assert ep.evaluate(r, -y) == ep.evaluate(p, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(piecewise_polys(), st.integers(0, 3))
+def test_multiply_by_monomial_pointwise(p, k):
+    m = ep.multiply_by_monomial(p, k)
+    for x in _probe_points(p):
+        assert ep.evaluate(m, x) == x**k * ep.evaluate(p, x)
+
+
 @settings(max_examples=100, deadline=None)
 @given(piecewise_polys())
 def test_antiderivative_fundamental_theorem(p):
     if p.is_zero():
         return
     lo, hi = p.support
-    a = ep.antiderivative(p)
+    a = ep.cumulative(p, lo, hi)
     for x in [lo, (lo + hi) / 2, hi]:
         assert ep.evaluate(a, x) == ep.definite_integral(p, lo, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(piecewise_polys(), small_rational, small_rational)
+def test_cumulative_window_beyond_support(p, before, past):
+    """A window that starts left of the support and ends right of it."""
+    if p.is_zero():
+        return
+    lo, hi = p.support
+    w_lo, w_hi = lo - abs(before) - 1, hi + abs(past) + 1
+    w = ep.cumulative(p, w_lo, w_hi)
+    for x in _probe_points(p) | {w_lo, hi + 1, w_hi, w_hi + 1}:
+        want = ep.definite_integral(p, lo, max(lo, x)) if x <= w_hi else 0
+        assert ep.evaluate(w, x) == want
 
 
 # term lists: the kernel against a convolution built from its definition

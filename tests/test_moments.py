@@ -337,7 +337,8 @@ class TestOracleConcordance:
         ("deg16", 2.0), ("deg16", 15.98), ("deg16", 16.02),
     ])
     def test_closed_form_F_matches_fine_panels(self, name, omega_L):
-        # the piece's one panel below omega L = max(1, degree), by parts above
+        # the piece's one panel below omega L = max(1, degree), by parts above;
+        # fhat is evaluated at y itself, so deg16's piece across 0 loses no digits
         tf = {"fejer": HALF, "cubic": CUBIC, "deg16": DEG16}[name]
         sigma = float(tf.sigma)
         xi = omega_L / (2 * math.pi * sigma)
@@ -350,7 +351,7 @@ class TestOracleConcordance:
                 f = float(tf.fhat_at(F(y)))
                 want += 2 * f * 0.5 * (hi - lo) * w * complex(math.cos(2 * math.pi * xi * y),
                                                               math.sin(2 * math.pi * xi * y))
-        assert abs(qd._F(qd._pieces(tf), xi) - want) < 1e-10
+        assert abs(qd._F(qd._pieces(tf), xi) - want) < 1e-12
 
     def test_sigma_phi_sq_refuses_degree_beyond_the_rule(self):
         # y fhat^2 has degree 33 > 31
@@ -387,7 +388,7 @@ class TestSineProductIdentity:
         s = float(tf.sigma)
 
         def f(y):
-            return ep.evaluate_float(tf.fhat, y) * (
+            return float(tf.fhat_at(F(y))) * (
                 math.sin(z + 2 * math.pi * x * abs(y)) + math.sin(z - 2 * math.pi * x * abs(y))
             )
 

@@ -118,7 +118,7 @@ class TestParsevalConsistency:
         pos = ep.multiply_by_monomial(ep.restrict(sq, 0, 1), 1)
         exact = 4 * ep.integral(pos)
         num, _ = quad(
-            lambda y: 2 * abs(y) * ep.evaluate_float(tf.fhat, y) ** 2,
+            lambda y: 2 * abs(y) * float(tf.fhat_at(F(y))) ** 2,
             -float(tf.sigma),
             float(tf.sigma),
             points=[0.0],
