@@ -13,11 +13,11 @@ Subpackages / modules:
 - ``arith``      Ramanujan/Gauss/Kloosterman sums and identities
 - ``vanishing``  order-of-vanishing bounds
 - ``cli``        command line driver
+- ``errors``     exception types shared across the package
+
+Importing the package loads none of these; import each module by name
+(``from splitmoments import moments``).  The CLI imports only ``errors`` up
+front, and each command imports the modules it runs when it runs.
 """
-
-from .exactpoly import PiecewisePoly
-from .testfn import TestFunction, fejer
-
-__all__ = ["PiecewisePoly", "TestFunction", "fejer"]
 
 __version__ = "0.1.0"

@@ -4,11 +4,13 @@ prime-level Kloosterman-to-Gauss factorization.
 Dirichlet characters are built by CRT from the unit-group structure of each
 prime power (primitive roots for odd prime powers, {+-1} x <5> for 2^k with
 k >= 3).  Character values are stored as exact root-of-unity exponents
-(k, N) meaning e(k/N) = e^{2 pi i k / N}.  ``_roots(N)``, the cached table of
-e(j/N) for j = 0..N-1, is the one place where character values and
-exponential sums become complex numbers: each term's exponent is reduced to
-an integer residue and the sums add table entries.  Kloosterman sums take
-their units d and inverses d^-1 from a second cached table, ``_units(q)``.
+(k, N) meaning e(k/N) = e^{2 pi i k / N}, and each character's primitivity
+is computed once, when ``enumerate_characters`` builds it.  ``_roots(N)``,
+the cached table of e(j/N) for j = 0..N-1, is the one place where character
+values and exponential sums become complex numbers: each term's exponent is
+reduced to an integer residue and the sums add table entries.  Kloosterman sums take
+their units d and inverses d^-1 from a second cached table, ``_units(q)``,
+and the divisor count in their bound from the cached ``tau(q)``.
 All verified identities at these modulus sizes are separated by far more
 than the 1e-9/1e-6 comparison tolerances.
 
@@ -25,7 +27,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import DomainError, InvariantViolation
 
@@ -99,6 +101,7 @@ def euler_phi(n: int) -> int:
     return out
 
 
+@lru_cache(maxsize=256)
 def tau(n: int) -> int:
     out = 1
     for _, e in factorize(n):
@@ -173,6 +176,7 @@ class DirichletCharacter:
     order: int  # common denominator of all exponents
     exps: tuple[Optional[int], ...]
     is_principal: bool
+    primitive: bool  # conductor == modulus, fixed when the character is built
 
     def value(self, a: int) -> complex:
         k = self.exps[a % self.modulus]
@@ -222,7 +226,8 @@ def enumerate_characters(q: int) -> tuple[DirichletCharacter, ...]:
         raise DomainError("modulus must be >= 1")
     if q == 1:
         return (
-            DirichletCharacter(modulus=1, order=1, exps=(0,), is_principal=True),
+            DirichletCharacter(modulus=1, order=1, exps=(0,), is_principal=True,
+                               primitive=True),
         )
     factors = factorize(q)
     # per prime power: list of (component modulus, [(gen, order)...])
@@ -290,6 +295,7 @@ def enumerate_characters(q: int) -> tuple[DirichletCharacter, ...]:
                     order=order_lcm,
                     exps=tuple(exps),
                     is_principal=all(j == 0 for j in js),
+                    primitive=_conductor(q, exps) == q,
                 )
             )
             return
@@ -301,24 +307,23 @@ def enumerate_characters(q: int) -> tuple[DirichletCharacter, ...]:
     return tuple(chars)
 
 
-@lru_cache(maxsize=4096)
-def conductor(chi: DirichletCharacter) -> int:
-    """Smallest d | q with chi trivial on units congruent to 1 mod d."""
-    q = chi.modulus
-    for d in sorted(
-        dd for dd in range(1, q + 1) if q % dd == 0
-    ):
-        if all(
-            chi.exps[a] == 0
-            for a in range(q)
-            if chi.exps[a] is not None and a % d == 1 % d
+def _conductor(q: int, exps: Sequence[Optional[int]]) -> int:
+    """Smallest d | q such that exps[a] == 0 at every unit a congruent to 1 mod d."""
+    for d in range(1, q + 1):
+        if q % d == 0 and all(
+            exps[a] == 0 for a in range(q) if exps[a] is not None and a % d == 1 % d
         ):
             return d
     return q
 
 
+def conductor(chi: DirichletCharacter) -> int:
+    """Smallest d | q with chi trivial on units congruent to 1 mod d."""
+    return _conductor(chi.modulus, chi.exps)
+
+
 def is_primitive(chi: DirichletCharacter) -> bool:
-    return conductor(chi) == chi.modulus
+    return chi.primitive
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +345,7 @@ def gauss_sum(chi: DirichletCharacter, n: int) -> complex:
             raise InvariantViolation(
                 f"principal Gauss sum != Ramanujan: {total} vs {ram}"
             )
-    elif is_primitive(chi) and abs(total) > math.sqrt(q) + 1e-9:
+    elif chi.primitive and abs(total) > math.sqrt(q) + 1e-9:
         raise InvariantViolation(
             f"|G_chi({n})| = {abs(total)} exceeds sqrt({q}) for primitive chi"
         )

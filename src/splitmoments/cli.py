@@ -22,6 +22,10 @@ serialized as "p/q" strings next to a 15-significant-digit decimal.  Exit
 status: 0 all checks passed, 1 a verification failed, 2 usage error, 141
 (128 + SIGPIPE) stdout closed before the report was written.
 
+Importing this module loads ``errors`` and the standard library only; each
+command imports the package modules it runs when it runs, so a process pays
+for compiling and loading only what its command uses.
+
 Config files are line-oriented ``key = value`` with ``#`` comments and a
 ``command`` line (``verify-combinat`` for ``verify combinat``), which a
 subcommand on the command line replaces.  Unknown and duplicate keys are
@@ -32,22 +36,18 @@ reject float literals ("0.6" must be written "3/5").
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
-from . import arith, moments as mo, sop, vanishing as vb
 from .errors import DomainError, InvariantViolation, ResourceLimitError, UsageError
-from .testfn import fejer
 
 __all__ = [
     "main", "run", "RunConfig", "PARAMS", "REQUIRED", "resolve", "load_config",
@@ -123,10 +123,9 @@ PARAMS: dict[str, dict[str, tuple]] = {
 }
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
-    params: dict[str, Any] = field(default_factory=dict)
+    params: dict[str, Any]
 
 
 def resolve(command: str, given: dict[str, Any],
@@ -235,6 +234,9 @@ def _emit(report: dict, json_path: Path | None) -> None:
 
 def _cmd_moment(cfg: RunConfig):
     """exact predicted centered moment"""
+    from . import moments as mo
+    from .testfn import fejer
+
     sigma = cfg.params["sigma"]
     n = cfg.params["n"]
     sign = cfg.params["sign"]
@@ -262,6 +264,9 @@ def _cmd_moment(cfg: RunConfig):
 
 def _cmd_crosscheck(cfg: RunConfig):
     """R vs Q-via-classes vs float oracle"""
+    from . import moments as mo
+    from .testfn import fejer
+
     sigma = cfg.params["sigma"]
     n = cfg.params["n"]
     tf = fejer(sigma)
@@ -295,6 +300,8 @@ def _cmd_crosscheck(cfg: RunConfig):
 
 def _cmd_vanish(cfg: RunConfig):
     """order-of-vanishing bound"""
+    from . import vanishing as vb
+
     q = vb.VanishingQuery(
         r=cfg.params["r"],
         n=cfg.params["n"],
@@ -320,6 +327,7 @@ def _cmd_vanish(cfg: RunConfig):
 def _cmd_rmt(cfg: RunConfig):
     """Haar Monte Carlo moment report"""
     from . import rmt
+    from .testfn import fejer
 
     M = cfg.params["M"]
     spec = rmt.EnsembleSpec(
@@ -338,6 +346,8 @@ def _cmd_rmt(cfg: RunConfig):
     n_max = cfg.params["nmax"]
     z_vals = rmt.z_values_for(tf, spec, rmt.sample_cosines(spec))
     if cfg.params["csv"]:
+        import csv
+
         rows = io.StringIO()
         writer = csv.writer(rows)
         writer.writerow(["sample_index", "Z"])
@@ -389,6 +399,8 @@ def _cmd_rmt(cfg: RunConfig):
 
 def _cmd_verify_combinat(cfg: RunConfig):
     """combinatorial lemmas on the class expansion"""
+    from . import sop
+
     n = cfg.params["n"]
     a = cfg.params["a"]
     if a is None:
@@ -441,9 +453,19 @@ def _cmd_verify_combinat(cfg: RunConfig):
     return results, [], ok
 
 
+# verify arith's Ramanujan row is qmax^2 cases of O(qmax) work each: qmax = 300
+# takes 5-6 s on one core of a 2-core x86-64 machine, and a larger qmax is
+# refused before any case runs
+_QMAX_CAP = 300
+
+
 def _cmd_verify_arith(cfg: RunConfig):
     """Ramanujan, Gauss and Kloosterman sum identities"""
+    from . import arith
+
     qmax = cfg.params["qmax"]
+    if qmax > _QMAX_CAP:
+        raise ResourceLimitError(f"qmax={qmax} exceeds cap {_QMAX_CAP}")
     identities = [
         ("ramanujan three-way", arith.ramanujan,
          ((n, q) for q in range(1, qmax + 1) for n in range(1, qmax + 1))),

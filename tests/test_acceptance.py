@@ -52,9 +52,19 @@ def test_criterion_1_flagship_values():
 def test_criterion_2_r19_bound():
     with _Budget("criterion 2 (r=19, n=20 bound)", 30.0):
         q = vb.VanishingQuery(r=19, n=20, sigma=F(1, 10), sign="minus")
-        bound = vb.vanishing_bound(q)
+        res = vb.vanishing_result(q)
+        bound = res.bound
         assert F(280, 100) / 10**15 <= bound <= F(292, 100) / 10**15
         assert f"{float(bound):.3g}" == "2.86e-15"
+        assert str(bound) == (
+            "12003733022065897858870674688360437874156544/"
+            "4196099824773005945611228919456403693147495162444353859375"
+        )
+        assert str(res.threshold) == "17/2"
+        assert str(res.moment) == (
+            "11722395529361228377803393250351990111481/"
+            "1057224796191373252798177975152000000"
+        )
 
 
 def test_criterion_3_cross_path_identity():

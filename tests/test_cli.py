@@ -185,6 +185,24 @@ class TestVerify:
             "prime-level Kloosterman factorization": 1,
         }
 
+    def test_arith_qmax_over_cap_refused_up_front(self, capsys, monkeypatch):
+        # qmax = 100000 is 10^10 Ramanujan cases; the refusal must run none
+        def no_case(*args):
+            raise AssertionError(f"case {args} ran")
+
+        monkeypatch.setattr(arith, "ramanujan", no_case)
+        err = assert_usage_error(["verify", "arith", "--qmax", "100000"], capsys)
+        assert "qmax=100000 exceeds cap" in err
+
+    def test_arith_qmax_at_cap_runs(self, capsys, monkeypatch):
+        # the checks are stubbed, so only the case count at the cap is run
+        for name in ("ramanujan", "gauss_sum", "kloosterman"):
+            monkeypatch.setattr(arith, name, lambda *args: True)
+        qmax = cli._QMAX_CAP
+        code, report = run_cli(["verify", "arith", "--qmax", str(qmax)], capsys)
+        assert code == 0 and report["passed"]
+        assert report["results"][0]["checked"] == qmax * qmax
+
 
 class TestRmtCommand:
     def test_small_run_with_csv(self, capsys, tmp_path):
@@ -476,15 +494,47 @@ def src_env():
     return env
 
 
-def run_script(script):
-    """stdout of ``python -c script`` with src on the path, as JSON."""
-    proc = subprocess.run([sys.executable, "-c", script], env=src_env(),
+def run_script(script, *args):
+    """stdout of ``python -c script args`` with src on the path, as JSON."""
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=src_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
 
+MODULES_LOADED = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+import splitmoments.cli as cli
+on_import = sorted(set(sys.modules) - before)
+argv = json.loads(sys.argv[1])
+code = None
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+print(json.dumps({"on_import": on_import, "code": code,
+                  "on_run": sorted(set(sys.modules) - before)}))
+"""
+
+
 class TestDependencyBoundary:
+    def test_cli_import_loads_only_the_driver(self):
+        got = run_script(MODULES_LOADED, "[]")
+        package = {name for name in got["on_import"] if name.split(".")[0] == "splitmoments"}
+        assert package == {"splitmoments", "splitmoments.cli", "splitmoments.errors"}
+        assert "dataclasses" not in got["on_import"]
+
+    @pytest.mark.parametrize("argv, unused", [
+        (["crosscheck", "--sigma", "1/2", "--n", "4"], ("arith", "sop", "linfeas", "vanishing")),
+        (["rmt", "--M", "10", "--sigma", "1/2", "--samples", "20", "--nmax", "2"],
+         ("arith", "sop", "linfeas", "vanishing", "quadrature")),
+        (["verify", "combinat"], ("exactpoly", "testfn", "moments")),
+    ])
+    def test_command_loads_only_its_modules(self, argv, unused):
+        got = run_script(MODULES_LOADED, json.dumps(argv))
+        assert got["code"] == 0
+        assert set(got["on_run"]) & {f"splitmoments.{m}" for m in unused} == set()
+
     def test_crosscheck_runs_without_scipy(self):
         got = run_script(NO_SCIPY)
         assert got["after_import"] == [] and got["after_runs"] == []

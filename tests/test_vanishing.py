@@ -1,6 +1,8 @@
 """Order-of-vanishing bounds: flagship values, monotonicity, assumption notes."""
 
+import importlib.util
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +36,17 @@ class TestFlagshipValues:
         assert b2 > b4
 
 
+# the r = 19 (n = 20, sigma = 1/10, minus) result in full; the bound is also
+# bench/workloads.R19_BOUND
+R19 = {
+    "bound": "12003733022065897858870674688360437874156544/"
+             "4196099824773005945611228919456403693147495162444353859375",
+    "threshold": "17/2",
+    "moment": "11722395529361228377803393250351990111481/"
+              "1057224796191373252798177975152000000",
+}
+
+
 @pytest.mark.slow
 class TestR19:
     def test_r19_three_sig_figs(self):
@@ -41,6 +54,19 @@ class TestR19:
         b = vb.vanishing_bound(q)
         assert F(280, 100) / 10**15 <= b <= F(292, 100) / 10**15
         assert f"{float(b):.3g}" == "2.86e-15"
+
+    def test_r19_exact(self):
+        res = vb.vanishing_result(vb.VanishingQuery(r=19, n=20, sigma=F(1, 10), sign="minus"))
+        got = {"bound": str(res.bound), "threshold": str(res.threshold),
+               "moment": str(res.moment)}
+        assert got == R19
+
+    def test_r19_bound_is_the_benchmark_constant(self):
+        path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        assert workloads.R19_BOUND == R19["bound"]
 
 
 class TestValidation:
