@@ -1,6 +1,7 @@
 """Order-of-vanishing bounds: flagship values, monotonicity, assumption notes."""
 
 import importlib.util
+import json
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from splitmoments import vanishing as vb
 from splitmoments.errors import DomainError
 from splitmoments.testfn import fejer
+from write_ledger import LEDGER
 
 
 class TestFlagshipValues:
@@ -36,15 +38,9 @@ class TestFlagshipValues:
         assert b2 > b4
 
 
-# the r = 19 (n = 20, sigma = 1/10, minus) result in full; the bound is also
-# bench/workloads.R19_BOUND
-R19 = {
-    "bound": "12003733022065897858870674688360437874156544/"
-             "4196099824773005945611228919456403693147495162444353859375",
-    "threshold": "17/2",
-    "moment": "11722395529361228377803393250351990111481/"
-              "1057224796191373252798177975152000000",
-}
+# the r = 19 (n = 20, sigma = 1/10, minus) result in full, from the exact
+# ledger; the bound is also bench/workloads.R19_BOUND
+R19 = json.loads(LEDGER.read_text())["r19"]
 
 
 @pytest.mark.slow
