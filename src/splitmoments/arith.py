@@ -4,15 +4,17 @@ prime-level Kloosterman-to-Gauss factorization.
 Dirichlet characters are built by CRT from the unit-group structure of each
 prime power (primitive roots for odd prime powers, {+-1} x <5> for 2^k with
 k >= 3).  Character values are stored as exact root-of-unity exponents
-(k, N) meaning e(k/N) = e^{2 pi i k / N}, and each character's primitivity
-is computed once, when ``enumerate_characters`` builds it.  ``_roots(N)``,
-the cached table of e(j/N) for j = 0..N-1, is the one place where character
-values and exponential sums become complex numbers: each term's exponent is
-reduced to an integer residue and the sums add table entries.  Kloosterman sums take
-their units d and inverses d^-1 from a second cached table, ``_units(q)``,
-and the divisor count in their bound from the cached ``tau(q)``.
-All verified identities at these modulus sizes are separated by far more
-than the 1e-9/1e-6 comparison tolerances.
+(k, N) meaning e(k/N) = e^{2 pi i k / N}.  Each character's primitivity
+(conductor == modulus, by ``_conductor``) is computed once, when
+``enumerate_characters`` builds it, and kept in ``chi.primitive``.
+``_roots(N)``, the cached table of e(j/N) for j = 0..N-1, is the one place
+where character values and exponential sums become complex numbers: each
+term's exponent is reduced to an integer residue and the sums add table
+entries.  Kloosterman sums take their units d and inverses d^-1 from a
+second cached table, ``_units(q)``, and the divisor count in their bound
+from the cached ``tau(q)``.  All verified identities at these modulus sizes
+are separated by far more than the 1e-9/1e-6 comparison tolerances; the
+tests also check the characters' orthogonality relations.
 
 The magnitude bound sqrt(q) for Gauss sums is a theorem only for primitive
 characters (for the principal character G reduces to a Ramanujan sum, e.g.
@@ -43,12 +45,9 @@ __all__ = [
     "ramanujan_divisor_sum",
     "ramanujan_von_sterneck",
     "enumerate_characters",
-    "conductor",
-    "is_primitive",
     "gauss_sum",
     "kloosterman",
     "verify_kloosterman_factorization",
-    "character_orthogonality_defect",
 ]
 
 _FACTOR_CAP = 10**6
@@ -182,12 +181,6 @@ class DirichletCharacter:
         k = self.exps[a % self.modulus]
         return 0j if k is None else _roots(self.order)[k]
 
-    def __call__(self, a: int) -> complex:
-        return self.value(a)
-
-    def is_real(self) -> bool:
-        return all(k is None or (2 * k) % self.order == 0 for k in self.exps)
-
 
 def _primitive_root(p: int, e: int) -> int:
     """Primitive root mod p^e for odd prime p."""
@@ -317,15 +310,6 @@ def _conductor(q: int, exps: Sequence[Optional[int]]) -> int:
     return q
 
 
-def conductor(chi: DirichletCharacter) -> int:
-    """Smallest d | q with chi trivial on units congruent to 1 mod d."""
-    return _conductor(chi.modulus, chi.exps)
-
-
-def is_primitive(chi: DirichletCharacter) -> bool:
-    return chi.primitive
-
-
 # ---------------------------------------------------------------------------
 # Gauss and Kloosterman sums
 # ---------------------------------------------------------------------------
@@ -408,19 +392,3 @@ def verify_kloosterman_factorization(N: int, b: int, Q: int, m: int) -> bool:
     rhs = -rhs / euler_phi(b)
     return abs(lhs - rhs) <= 1e-6
 
-
-def character_orthogonality_defect(q: int) -> float:
-    """Max deviation from phi(q) delta_{chi, chi'} over all character pairs."""
-    chars = enumerate_characters(q)
-    phi_q = euler_phi(q)
-    worst = 0.0
-    for i, chi in enumerate(chars):
-        for j, psi in enumerate(chars):
-            s = sum(
-                chi.value(a) * psi.value(a).conjugate()
-                for a in range(q)
-                if chi.exps[a] is not None
-            )
-            target = phi_q if i == j else 0.0
-            worst = max(worst, abs(s - target))
-    return worst

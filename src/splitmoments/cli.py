@@ -167,9 +167,13 @@ def load_config(path: str | Path, command: str | None = None,
     ``command`` replaces the file's ``command`` line, and ``flags`` override
     the file's values key by key.
     """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     values: dict[str, str] = {}
     where: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

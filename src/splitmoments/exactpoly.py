@@ -58,7 +58,6 @@ RationalLike = Union[int, str, Fraction]
 __all__ = [
     "PiecewisePoly",
     "frac",
-    "box",
     "from_global_pieces",
     "evaluate",
     "multiply",
@@ -240,14 +239,6 @@ def _mk(breaks: Iterable[Fraction], pieces: Iterable[Sequence[Fraction]]) -> Pie
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
-
-def box(lo: RationalLike, hi: RationalLike, height: RationalLike = 1) -> PiecewisePoly:
-    """Indicator of [lo, hi) scaled by ``height``."""
-    lo, hi, height = frac(lo), frac(hi), frac(height)
-    if not lo < hi:
-        raise ValueError("box requires lo < hi")
-    return _mk((lo, hi), ((height,),))
-
 
 def from_global_pieces(
     spans: Sequence[tuple[RationalLike, RationalLike, Sequence[RationalLike]]]

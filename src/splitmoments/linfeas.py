@@ -6,7 +6,8 @@ either parent is).  After all variables are eliminated the surviving constant
 constraints decide feasibility exactly.  Intended for the small systems that
 arise from indicator tuples (n <= 10 variables, a handful of strict rows), so
 no effort is spent fighting the worst-case blowup beyond normalization and
-deduplication.
+deduplication.  The tests check its verdicts against a one-sided search of
+the box vertices (``tests/combinat_reference.py``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Sequence
 
-__all__ = ["Constraint", "feasible", "box_vertex_witness"]
+__all__ = ["Constraint", "feasible"]
 
 
 class Constraint:
@@ -79,23 +80,3 @@ def feasible(constraints: Iterable[Constraint], n_vars: int) -> bool:
             return False
     return True
 
-
-def box_vertex_witness(
-    strict_rows: Sequence[Constraint], n_vars: int, hi: Fraction
-) -> tuple[Fraction, ...] | None:
-    """Search the 2^n vertices of [0, hi]^n for a point satisfying all rows.
-
-    One-sided: a hit proves feasibility of the open system intersected with
-    the closed box; a miss proves nothing.
-    """
-    for bits in range(1 << n_vars):
-        y = tuple(hi if bits & (1 << i) else Fraction(0) for i in range(n_vars))
-        ok = True
-        for c in strict_rows:
-            lhs = sum(a * v for a, v in zip(c.coeffs, y))
-            if not (lhs < c.rhs if c.strict else lhs <= c.rhs):
-                ok = False
-                break
-        if ok:
-            return y
-    return None

@@ -4,12 +4,11 @@ All quantities are exact rationals.  Notation, with ``fhat`` the transform
 of the test function and ``sigma`` its support radius:
 
 - ``sigma_phi_sq``: the limiting variance  2 * int |y| fhat(y)^2 dy.
-- ``sine_transform(k, A)``: T_k(A) = int phi^k(x) sin(2 pi x A)/(2 pi x) dx,
-  evaluated losslessly as int_0^A psi_k with psi_k = fhat^{*k} the transform
-  of phi^k (never as an oscillatory real integral).
 - ``R_moment(m, i)``: the correction kernel
   2^{m-1} (-1)^{m+1} sum_{l=0}^{i-1} (-1)^l C(m,l) [ -phi(0)^m / 2 + V(m,l) ]
-  where V(m,l) integrates the l-fold folded transform against T_{m-l}(1+s).
+  where V(m,l) integrates the l-fold folded transform against T_{m-l}(1+s),
+  with T_k(A) = int phi^k(x) sin(2 pi x A)/(2 pi x) dx = int_0^A psi_k and
+  psi_k = fhat^{*k} the transform of phi^k (never an oscillatory integral).
 - ``S_correction(n, a)``: sum_l n!/((n-2l)! l!) R(n-2l, a-2l) (sigma^2/2)^l.
 - ``predicted_centered_moment``: 1_{n even} (n-1)!! sigma_phi^n +- S(n, a).
 - ``X_xi(n, l)`` and ``Q_n_via_classes``: the independent route through the
@@ -20,10 +19,10 @@ of the test function and ``sigma`` its support radius:
 The mean of the statistic is ``mean_value`` = fhat(0) + (1/2) int_{-1}^{1} fhat.
 
 The two exact routes share no convolution code above :mod:`exactpoly`.  The
-R route (``sine_transform``, ``R_moment``, ``S_correction``,
-``predicted_centered_moment``, ``I_integral``) works on the term lists cached
-per test function (:func:`testfn.psi_terms`, :func:`testfn.gp_terms`) and
-never builds a piecewise intermediate.  The Q route (``X_xi``,
+R route (``R_moment``, ``S_correction``, ``predicted_centered_moment``,
+``I_integral``) works on the term lists cached per test function
+(:func:`testfn.psi_terms`, :func:`testfn.gp_terms`) and never builds a
+piecewise intermediate.  The Q route (``X_xi``,
 ``Q_n_via_classes``) also chains term-list convolutions, but of term lists it
 rebuilds from ``fhat`` on every call, so it reads nothing from that cache; the
 two routes then differ in the formula they evaluate (sign-pattern classes
@@ -39,15 +38,13 @@ from math import comb, factorial
 from typing import Literal
 
 from . import exactpoly as ep
-from .exactpoly import frac
-from .errors import DomainError, InvariantViolation
+from .errors import DomainError
 from .testfn import TestFunction, gp_terms, psi_terms
 
 __all__ = [
     "MomentSpec",
     "Sign",
     "sigma_phi_sq",
-    "sine_transform",
     "R_moment",
     "S_correction",
     "predicted_centered_moment",
@@ -55,7 +52,6 @@ __all__ = [
     "I_integral",
     "X_xi",
     "Q_n_via_classes",
-    "bar_X_xi",
     "minimal_a",
     "valid_a_range",
     "double_factorial",
@@ -163,17 +159,6 @@ def mean_value(tf: TestFunction) -> Fraction:
     return tf.fhat_at(0) + Fraction(1, 2) * ep.definite_integral(tf.fhat, -1, 1)
 
 
-def sine_transform(tf: TestFunction, k: int, A) -> Fraction:
-    """T_k(A) = int_0^A psi_k(u) du with psi_k the transform of phi^k."""
-    A = frac(A)
-    if A < 0:
-        raise DomainError("sine_transform requires A >= 0")
-    if k < 1:
-        raise DomainError("sine_transform requires k >= 1")
-    psi = psi_terms(tf, k)
-    return ep.term_mass_below(psi, A) - ep.term_mass_below(psi, 0)
-
-
 # ---------------------------------------------------------------------------
 # the folded-coordinate bracket
 #
@@ -277,31 +262,6 @@ def Q_n_via_classes(tf: TestFunction, n: int, a: int) -> Fraction:
     for ell in range(a):
         total += (-1) ** ell * comb(n, ell) * X_xi(tf, n, ell)
     return Fraction(2) ** (n - 1) * (-1) ** n * total
-
-
-def bar_X_xi(tf: TestFunction, n: int, ell: int) -> Fraction:
-    """The two-sided indicator integral, computed along both exact routes.
-
-    Route (a) expands it over sign patterns as
-    2^{l+1} sum_i C(n-l, i) X(xi_{i+l}); route (b) is the closed form
-    phi(0)^n - 2 V(n, l).  Both are computed and compared; disagreement raises
-    InvariantViolation (it would signal an implementation bug).
-    """
-    a_max = (n + 1) // 2
-    if not 0 <= ell <= a_max - 1:
-        raise DomainError(f"bar_X_xi requires 0 <= ell <= ceil(n/2)-1 = {a_max - 1}")
-    if n - a_max > 0 and tf.sigma > Fraction(1, n - a_max):
-        raise DomainError("sigma too large for the sign-pattern expansion route")
-    via_sum = Fraction(2) ** (ell + 1) * sum(
-        (comb(n - ell, i) * X_xi(tf, n, i + ell) for i in range(a_max - ell)),
-        start=Fraction(0),
-    )
-    via_closed = tf.phi_zero() ** n - 2 * _V(tf, n, ell)
-    if via_sum != via_closed:
-        raise InvariantViolation(
-            f"bar_X_xi mismatch at n={n}, ell={ell}: {via_sum} != {via_closed}"
-        )
-    return via_sum
 
 
 # ---------------------------------------------------------------------------

@@ -8,27 +8,23 @@ cross-validation.  The one rule is 16-point Gauss-Legendre (GL) on equal
 panels, its table computed once at import; fhat is evaluated by Horner at y
 on the pieces of ``tf.fhat``, whose coefficients are in y.
 
-- sigma_phi_sq = 4 int_0^sigma y fhat(y)^2 dy: one panel per piece of fhat,
-  exact while the pieces have degree <= 15.
 - F(xi) = int_0^sigma 2 fhat(y) e^{2 pi i y xi} dy in closed form per piece
   of fhat on [0, sigma].  With omega = 2 pi xi, L the piece's length and d
   its degree, integration by parts gives a finite sum over the derivatives
   at the two ends when omega L >= max(1, d); below that (where the sum
   would cancel) the piece's one GL panel is used instead.
-- phi_value_numeric: phi(x) = 2 int_0^sigma fhat(y) cos(2 pi x y) dy =
-  Re F(x), fhat being even.
-- T_k(A) = int phi^k(x) sin(2 pi x A)/(2 pi x) dx = 2 sum g(xi) sin(2 pi A xi)
-  with g(xi) = phi^k(xi) w / (2 pi xi), on panels out to a cutoff chosen
-  from the envelope phi(x)^k <= (pi sigma x)^{-2k}.
 - R(m, i) and I(alpha, delta): the folded integrals
-  int_{[0,sigma]^d} prod 2 fhat(x_j) T_k(1 + sum s_j x_j) dx factorise in
-  Fourier space into 2 sum g(xi) Im[e^{2 pi i xi} F(xi)^pos conj(F(xi))^neg];
-  depth 0 is F^0 = 1, that is T_k(1).
+  int_{[0,sigma]^d} prod 2 fhat(x_j) T_k(1 + sum s_j x_j) dx, with
+  T_k(A) = int phi^k(x) sin(2 pi x A)/(2 pi x) dx, factorise in Fourier
+  space into 2 sum g(xi) Im[e^{2 pi i xi} F(xi)^pos conj(F(xi))^neg] with
+  g(xi) = phi^k(xi) w / (2 pi xi); depth 0 is F^0 = 1, that is T_k(1).  The
+  xi panels run out to a cutoff chosen from the envelope
+  phi(x)^k <= (pi sigma x)^{-2k}.
 
-Target absolute error is 1e-8; ToleranceError is raised where a rule cannot
-meet it (sigma_phi_sq on high-degree pieces).  The T_k rule's panel count
-grows like 1/sigma; above ``_MAX_PANELS`` it raises ResourceLimitError
-before building a node.
+Target absolute error is 1e-8.  The T_k rule's panel count grows like
+1/sigma; above ``_MAX_PANELS`` it raises ResourceLimitError before building
+a node.  The tests reuse this rule for float references of phi(x), T_k(A)
+and sigma_phi^2 (``tests/oracle_reference.py``).
 """
 
 from __future__ import annotations
@@ -39,16 +35,10 @@ from bisect import bisect_right
 from math import comb, fsum
 from typing import NamedTuple
 
-from .errors import DomainError, ResourceLimitError, ToleranceError
+from .errors import DomainError, ResourceLimitError
 from .testfn import TestFunction
 
-__all__ = [
-    "oracle_sigma_phi_sq",
-    "oracle_R_moment",
-    "oracle_I_integral",
-    "phi_value_numeric",
-    "t_transform_numeric",
-]
+__all__ = ["oracle_R_moment", "oracle_I_integral"]
 
 _TARGET = 1e-8
 # Panel cap of the T_k rule: 2**17 panels take about 1.7 s to build (2-core
@@ -161,8 +151,8 @@ def _F(pieces: list[_Piece], xi: float) -> complex:
     return total
 
 
-def _t_kernel(tf: TestFunction, k: int, freq: float, fold: int = 0,
-              v: float = 0.0) -> tuple[list[float], list[float]]:
+def _t_kernel(tf: TestFunction, k: int, freq: float, fold: int,
+              v: float) -> tuple[list[float], list[float]]:
     """Nodes xi and weights g(xi) = phi^k(xi) w / (2 pi xi) of the rule for T_k.
 
     T_k(A) = 2 sum g(xi) sin(2 pi A xi).  The panels resolve oscillation up
@@ -191,12 +181,6 @@ def _t_kernel(tf: TestFunction, k: int, freq: float, fold: int = 0,
     return xi, g
 
 
-def t_transform_numeric(tf: TestFunction, k: int, A: float) -> float:
-    """T_k(A) by direct oscillatory quadrature of the defining integral."""
-    xi, g = _t_kernel(tf, k, abs(A))
-    return 2.0 * fsum(w * math.sin(2.0 * math.pi * A * x) for x, w in zip(xi, g))
-
-
 def _folded(tf: TestFunction, k: int, pos: int, neg: int) -> float:
     """int over [0,sigma]^(pos+neg) of prod 2 fhat(x_j) * T_k(1 + sum s_j x_j).
 
@@ -220,27 +204,6 @@ def _folded(tf: TestFunction, k: int, pos: int, neg: int) -> float:
             z *= F**pos * F.conjugate() ** neg
         terms.append(w * z.imag)
     return 2.0 * fsum(terms)
-
-
-def phi_value_numeric(tf: TestFunction, x: float) -> float:
-    """phi(x) via the closed form when available, else by inverting fhat.
-
-    phi(x) = 2 int_0^sigma fhat(y) cos(2 pi x y) dy = Re F(x), fhat being even.
-    """
-    if tf.phi_at is not None:
-        return float(tf.phi_at(x))
-    return _F(_pieces(tf), x).real
-
-
-def oracle_sigma_phi_sq(tf: TestFunction) -> float:
-    """sigma_phi^2 = 4 int_0^sigma y fhat(y)^2 dy, one GL panel per piece."""
-    degree = max((len(p) - 1 for p in tf.fhat.pieces), default=0)
-    if 2 * degree + 1 > 2 * len(_GL_X) - 1:
-        raise ToleranceError(
-            f"sigma_phi_sq oracle: {len(_GL_X)}-point GL is not exact on fhat pieces "
-            f"of degree {degree}"
-        )
-    return 2.0 * fsum(y * f * fw for p in _pieces(tf) for y, f, fw in zip(p.y, p.f, p.fw))
 
 
 def oracle_R_moment(tf: TestFunction, m: int, i: int) -> float:

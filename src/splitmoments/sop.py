@@ -14,11 +14,14 @@ system of parameters and accumulates sum_S T(S, C) A(S) per class, which the
 theory says collapses to 2(-1)^{n+f+1} C(n,f) for 1-classes of size f >= 1
 and to 0 for every feasible class of 2 or more subsets.
 
-Also here: the generating-function coefficient identities used in those
-collapses (log/exp composition sums, the G and H binomial telescopes) and
-the symmetric-function transform check.  A literal Monte Carlo evaluation of
-the expansion's n-dimensional integral, the end-to-end oracle for these
-identities, lives with the tests (``tests/oracle_reference.py``).
+Also here: the log/exp composition-sum coefficients that the
+``verify combinat`` command checks.  The tests hold the rest in
+``tests/combinat_reference.py``: the definitional sign function and the
+block rule that ``j_sets`` and ``i_min`` are compared with, the G and H
+binomial telescopes and the symmetric-function transform check.  A literal
+Monte Carlo evaluation of the expansion's n-dimensional integral, the
+end-to-end oracle for these identities, lives in
+``tests/oracle_reference.py``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb, factorial
+from math import factorial
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, ResourceLimitError
@@ -37,22 +40,14 @@ __all__ = [
     "TClass",
     "enumerate_sops",
     "compositions",
-    "eta",
     "j_sets",
     "i_min",
-    "i_min_block_rule",
     "a_weight",
     "tuple_feasible",
     "class_canonical",
-    "sum_TA",
     "sum_TA_all",
     "soshnikov_coeff",
     "exp_neg_coeff",
-    "g_combin",
-    "verify_single_simp",
-    "h_partial_sums",
-    "verify_h_vanishes",
-    "symmetric_transform_check",
     "ENUMERATION_CAP",
 ]
 
@@ -117,15 +112,6 @@ def enumerate_sops(n: int) -> Iterator[SystemOfParameters]:
             yield SystemOfParameters(lambdas, eps)
 
 
-def eta(S: SystemOfParameters, ell: int, j: int) -> int:
-    """+1 iff j <= lambda_1 + .. + lambda_ell (1-indexed both ways)."""
-    if not 1 <= ell <= S.m:
-        raise DomainError(f"ell={ell} outside 1..{S.m}")
-    if not 1 <= j <= S.n:
-        raise DomainError(f"j={j} outside 1..{S.n}")
-    return 1 if j <= S.partial_sums()[ell - 1] else -1
-
-
 def j_sets(S: SystemOfParameters, a: int) -> list[tuple[int, frozenset[int], int]]:
     """(ell, J_ell, zeta_ell) for every ell where a side has <= a-1 indices.
 
@@ -157,27 +143,6 @@ def i_min(S: SystemOfParameters, a: int) -> frozenset[frozenset[int]]:
     )
 
 
-def i_min_block_rule(S: SystemOfParameters, a: int) -> frozenset[frozenset[int]]:
-    """Minimal sets via the lambda-block characterization (m >= 2 only).
-
-    J_ell is minimal iff neither the ell-th lambda block nor the following
-    one (cyclically, [1, lambda_1] when ell = m) is contained in it.
-    """
-    if S.m < 2:
-        return i_min(S, a)
-    psums = S.partial_sums()
-    out = []
-    for ell, J, _ in j_sets(S, a):
-        block_prev = frozenset(range(psums[ell - 1] - S.lambdas[ell - 1] + 1, psums[ell - 1] + 1))
-        if ell < S.m:
-            block_next = frozenset(range(psums[ell - 1] + 1, psums[ell] + 1))
-        else:
-            block_next = frozenset(range(1, S.lambdas[0] + 1))  # cyclic convention
-        if not block_prev <= J and not block_next <= J:
-            out.append(J)
-    return frozenset(out)
-
-
 def a_weight(S: SystemOfParameters) -> Fraction:
     """A(S) = (-1)^{m+1}/m * n!/(prod lambda_i!)."""
     denom = 1
@@ -199,14 +164,6 @@ class TClass:
 
     canonical: CanonicalKey
     n: int
-
-    @property
-    def t(self) -> int:
-        return len(self.canonical)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.canonical)
 
 
 def _canonical_key(subsets: Sequence[frozenset[int]], n: int) -> CanonicalKey:
@@ -321,14 +278,6 @@ def sum_TA_all(n: int, a: int, t_max: int = 3) -> dict[CanonicalKey, Fraction]:
     return acc
 
 
-def sum_TA(n: int, a: int, cls: TClass) -> Fraction:
-    """sum over all systems of parameters of T(S, cls) * A(S)."""
-    if cls.n != n:
-        raise DomainError("class was built for a different n")
-    table = sum_TA_all(n, a, t_max=max(cls.t, 3))
-    return table.get(cls.canonical, Fraction(0))
-
-
 # ---------------------------------------------------------------------------
 # coefficient identities
 # ---------------------------------------------------------------------------
@@ -361,76 +310,3 @@ def exp_neg_coeff(n: int) -> Fraction:
             denom *= factorial(l)
         total += Fraction((-1) ** m, denom)
     return total
-
-
-def _c(nn: int, kk: int) -> int:
-    """Binomial with the zero convention outside 0 <= k <= n."""
-    if kk < 0 or nn < 0 or kk > nn:
-        return 0
-    return comb(nn, kk)
-
-
-def g_combin(n: int, f: int, c: int, d: int) -> int:
-    """C(n,f) - C(n-c,f-c) - C(n-d,f-d) + C(n-c-d,f-c-d)."""
-    if c < 0 or d < 0 or c + d > n:
-        raise DomainError("need 0 <= c, d and c + d <= n")
-    return _c(n, f) - _c(n - c, f - c) - _c(n - d, f - d) + _c(n - c - d, f - c - d)
-
-
-def verify_single_simp(n: int, f: int) -> bool:
-    """Check 2 n! (-1)^n sum_{c,d} (-1)^{c+d+1} G(n,f,c,d)/((n-c-d)! c! d!)
-    equals 2 C(n,f) ((-1)^{n+f+1} - 1)."""
-    total = Fraction(0)
-    for c in range(n + 1):
-        for d in range(n + 1 - c):
-            g = g_combin(n, f, c, d)
-            if g == 0:
-                continue
-            total += Fraction(
-                (-1) ** (c + d + 1) * g,
-                factorial(n - c - d) * factorial(c) * factorial(d),
-            )
-    lhs = 2 * factorial(n) * (-1) ** n * total
-    rhs = 2 * _c(n, f) * ((-1) ** (n + f + 1) - 1)
-    return lhs == rhs
-
-
-def h_partial_sums(f: int, g: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """The four composition sums taken term by term over H's binomials.
-
-    Each equals (-1)^f / (g! (f-g)!) for interior 1 <= g <= f-1; at the edges
-    g in {0, f} the middle two break individually but the combination still
-    telescopes to zero.
-    """
-    sums = [Fraction(0)] * 4
-    for mu in compositions(f):
-        d = len(mu)
-        denom = 1
-        for m_ in mu:
-            denom *= factorial(m_)
-        w = Fraction((-1) ** d, denom)
-        mu1, mud = mu[0], mu[-1]
-        sums[0] += w * _c(f, g)
-        sums[1] += w * _c(f - mu1, g - mu1)
-        sums[2] += w * _c(f - mud, g)
-        sums[3] += w * _c(f - mu1 - mud, g - mu1)
-    return tuple(sums)  # type: ignore[return-value]
-
-
-def verify_h_vanishes(f: int, g: int) -> bool:
-    """sum over compositions of (-1)^d H(f,g,mu_1,mu_d)/prod(mu!) == 0."""
-    h1, h2, h3, h4 = h_partial_sums(f, g)
-    return h1 - h2 - h3 + h4 == 0
-
-
-def symmetric_transform_check(n: int, q: Fraction) -> bool:
-    """With f = prod q^{t_i}, the alternating transform sum collapses to q^n."""
-    q = Fraction(q)
-    if not 0 < abs(q) < 1:
-        raise DomainError("require 0 < |q| < 1")
-    tail2 = q * q / (1 - q)  # sum_{t>=2} q^t
-    tail1 = q / (1 - q)  # sum_{t>=1} q^t
-    total = sum(
-        (-1) ** i * comb(n, i) * tail2**i * tail1 ** (n - i) for i in range(n + 1)
-    )
-    return total == q**n

@@ -1,6 +1,6 @@
-"""Test-only numpy references for the exact moment quantities.
+"""Test-only float references for the exact moment quantities.
 
-Neither routine shares code with the exact route or with the package's
+Two numpy routines share no code with the exact route or with the package's
 quadrature oracle:
 
 - ``oracle_X_xi``: X(xi_l) by trapezoid grid convolution of the coordinate
@@ -9,16 +9,25 @@ quadrature oracle:
   expansion's n-dimensional integral.
 
 ``_fhat_np`` evaluates fhat elementwise on a numpy array for both.
+
+Three Python-float references run on the package oracle's own private rule
+(``splitmoments.quadrature``: its Gauss-Legendre panels, F(xi) and T_k
+kernel), so they check that rule rather than stand apart from it:
+``t_transform_numeric`` (T_k(A) on the T_k panels), ``phi_value_numeric``
+(phi(x) = Re F(x), fhat being even) and ``oracle_sigma_phi_sq``
+(4 int_0^sigma y fhat(y)^2 dy, one panel per piece of fhat, which raises
+ToleranceError past degree 15).
 """
 
 from __future__ import annotations
 
 import math
-from math import factorial
+from math import factorial, fsum
 
 import numpy as np
 
 from splitmoments.errors import DomainError, ToleranceError
+from splitmoments.quadrature import _F, _GL_X, _pieces, _t_kernel
 from splitmoments.sop import compositions
 from splitmoments.testfn import TestFunction
 
@@ -153,3 +162,27 @@ def oracle_Qn_mc(
     var = max(total_sq / samples - mean * mean, 0.0)
     stderr = (var / samples) ** 0.5
     return mean, stderr
+
+
+def t_transform_numeric(tf: TestFunction, k: int, A: float) -> float:
+    """T_k(A) by direct oscillatory quadrature of the defining integral."""
+    xi, g = _t_kernel(tf, k, abs(A), 0, 0.0)  # no folded factor
+    return 2.0 * fsum(w * math.sin(2.0 * math.pi * A * x) for x, w in zip(xi, g))
+
+
+def phi_value_numeric(tf: TestFunction, x: float) -> float:
+    """phi(x) via the closed form when available, else as Re F(x)."""
+    if tf.phi_at is not None:
+        return float(tf.phi_at(x))
+    return _F(_pieces(tf), x).real
+
+
+def oracle_sigma_phi_sq(tf: TestFunction) -> float:
+    """sigma_phi^2 = 4 int_0^sigma y fhat(y)^2 dy, one GL panel per piece."""
+    degree = max((len(p) - 1 for p in tf.fhat.pieces), default=0)
+    if 2 * degree + 1 > 2 * len(_GL_X) - 1:
+        raise ToleranceError(
+            f"sigma_phi_sq oracle: {len(_GL_X)}-point GL is not exact on fhat pieces "
+            f"of degree {degree}"
+        )
+    return 2.0 * fsum(y * f * fw for p in _pieces(tf) for y, f, fw in zip(p.y, p.f, p.fw))

@@ -13,7 +13,8 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
-from oracle_reference import oracle_Qn_mc, oracle_X_xi
+import combinat_reference as cr
+from oracle_reference import oracle_Qn_mc, oracle_sigma_phi_sq, oracle_X_xi
 from splitmoments import arith, linfeas, moments as mo, quadrature as qd, rmt, sop
 from splitmoments import vanishing as vb
 from splitmoments.testfn import fejer
@@ -88,7 +89,7 @@ def test_criterion_4_oracle_concordance():
     with _Budget("criterion 4 (quadrature oracle, 1e-7)", 120.0):
         for sigma in SIGMA_GRID:
             tf = fejer(sigma)
-            assert abs(qd.oracle_sigma_phi_sq(tf) - float(mo.sigma_phi_sq(tf))) <= 1e-7
+            assert abs(oracle_sigma_phi_sq(tf) - float(mo.sigma_phi_sq(tf))) <= 1e-7
             for n in range(2, 5):
                 if sigma > F(2, n):
                     continue
@@ -119,9 +120,9 @@ def test_criterion_5_combinatorial_suite():
             assert sop.exp_neg_coeff(k) == F((-1) ** k, factorial(k))
         for f in range(1, 11):
             for n in (2 * f, 2 * f + 1):
-                assert sop.verify_single_simp(n, f), (n, f)
+                assert cr.verify_single_simp(n, f), (n, f)
             for g in range(f + 1):
-                assert sop.verify_h_vanishes(f, g), (f, g)
+                assert cr.verify_h_vanishes(f, g), (f, g)
 
 
 def test_criterion_6_arithmetic_suite():
@@ -295,7 +296,7 @@ def test_criterion_9_invariant_sweeps():
             for ell, J, zeta in sop.j_sets(s, a):
                 members = {
                     j for j in range(1, n + 1)
-                    if sop.eta(s, ell, j) * eps[j - 1] == zeta
+                    if cr.eta(s, ell, j) * eps[j - 1] == zeta
                 }
                 assert members == J
 
@@ -316,7 +317,7 @@ def test_criterion_9_invariant_sweeps():
                 )
                 for I in subsets
             ]
-            if linfeas.box_vertex_witness(rows, n, F(1, n - a)) is not None:
+            if cr.box_vertex_witness(rows, n, F(1, n - a)) is not None:
                 assert sop.tuple_feasible(subsets, n, a)
 
         # arith: three-way Ramanujan agreement on random pairs

@@ -16,6 +16,15 @@ def e(x):
     return cmath.exp(2j * math.pi * x)
 
 
+def character_orthogonality_defect(q):
+    """Max deviation from phi(q) delta_{chi, chi'} over all character pairs."""
+    chars = arith.enumerate_characters(q)
+    units = [a for a in range(q) if chars[0].exps[a] is not None]
+    return max(abs(sum(chi.value(a) * psi.value(a).conjugate() for a in units)
+                   - (arith.euler_phi(q) if i == j else 0))
+               for i, chi in enumerate(chars) for j, psi in enumerate(chars))
+
+
 class TestHelpers:
     def test_factorize(self):
         assert arith.factorize(360) == [(2, 3), (3, 2), (5, 1)]
@@ -62,12 +71,12 @@ class TestCharacters:
 
     def test_q5_count_and_orthogonality(self):
         assert len(arith.enumerate_characters(5)) == 4
-        assert arith.character_orthogonality_defect(5) < 1e-9
+        assert character_orthogonality_defect(5) < 1e-9
 
     def test_q8_all_real(self):
         chars = arith.enumerate_characters(8)
         assert len(chars) == 4
-        assert all(c.is_real() for c in chars)
+        assert all(k is None or 2 * k % c.order == 0 for c in chars for k in c.exps)
 
     def test_counts_match_phi(self):
         for q in [2, 3, 4, 6, 9, 12, 16, 24, 35, 40]:
@@ -92,7 +101,7 @@ class TestCharacters:
 
     def test_orthogonality_sweep(self):
         for q in range(1, 51):
-            assert arith.character_orthogonality_defect(q) < 1e-9, q
+            assert character_orthogonality_defect(q) < 1e-9, q
 
 
 class TestGaussSums:
@@ -118,7 +127,7 @@ class TestGaussSums:
         # sqrt(q) bound asserted for primitive characters, q <= 50, n <= 50
         for q in range(1, 51):
             for chi in arith.enumerate_characters(q):
-                if not arith.is_primitive(chi):
+                if not chi.primitive:
                     continue
                 for n in range(0, 51):
                     arith.gauss_sum(chi, n)  # raises on violation

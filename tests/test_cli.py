@@ -427,6 +427,12 @@ class TestBadInput:
     def test_missing_config_file(self, capsys, tmp_path):
         assert_usage_error(["--config", str(tmp_path / "absent.cfg")], capsys)
 
+    def test_config_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"command = moment\nsigma = 1/2\xff\nn = 4\n")
+        err = assert_usage_error(["--config", str(path)], capsys)
+        assert "UTF-8" in err
+
     def test_json_path_in_missing_directory(self, capsys, tmp_path):
         target = tmp_path / "absent" / "r.json"
         err = assert_usage_error(

@@ -15,6 +15,11 @@ def triangle_fhat(sigma):
     return fejer(sigma).fhat
 
 
+def box(lo, hi):
+    """Indicator of [lo, hi)."""
+    return ep.from_global_pieces([(lo, hi, [1])])
+
+
 class TestEvaluate:
     def test_triangle_at_zero(self):
         assert ep.evaluate(triangle_fhat(F(1, 2)), 0) == 2
@@ -28,13 +33,13 @@ class TestEvaluate:
         assert ep.evaluate(triangle_fhat(F(1, 2)), F(1, 4)) == 1
 
     def test_right_endpoint_left_limit(self):
-        b = ep.box(0, 1)
+        b = box(0, 1)
         assert ep.evaluate(b, 1) == 1  # left limit, not the outside value
 
 
 class TestPointwiseAlgebra:
     def test_box_product_idempotent(self):
-        b = ep.box(0, 1)
+        b = box(0, 1)
         assert ep.multiply(b, b) == b
 
     def test_triangle_product_at_zero(self):
@@ -50,14 +55,14 @@ class TestPointwiseAlgebra:
         assert ep.integral(ep.restrict(t, 0, 1)) == F(1, 2)
 
     def test_restrict_creates_jump(self):
-        b = ep.restrict(ep.box(0, 2), 0, 1)
+        b = ep.restrict(box(0, 2), 0, 1)
         assert ep.evaluate(b, F(1, 2)) == 1
         assert ep.evaluate(b, F(3, 2)) == 0
 
 
 class TestConvolve:
     def test_box_to_triangle(self):
-        b = ep.box(F(-1, 2), F(1, 2))
+        b = box(F(-1, 2), F(1, 2))
         tri = ep.convolve(b, b)
         assert tri == triangle_fhat(1)
         assert tri.support == (F(-1), F(1))
@@ -83,8 +88,8 @@ class TestConvolve:
         assert ep.convolve(p, q) == ep.convolve(q, p)
 
     def test_associative(self):
-        p = ep.box(0, 1)
-        q = ep.box(F(-1, 2), F(3, 2))
+        p = box(0, 1)
+        q = box(F(-1, 2), F(3, 2))
         r = triangle_fhat(F(1, 2))
         left = ep.convolve(ep.convolve(p, q), r)
         right = ep.convolve(p, ep.convolve(q, r))
@@ -121,7 +126,7 @@ class TestCalculus:
         assert ep.evaluate(w, 3) == 1
 
     def test_monomial_multiplication(self):
-        b = ep.box(1, 2)
+        b = box(1, 2)
         m = ep.multiply_by_monomial(b, 2)
         assert ep.evaluate(m, F(3, 2)) == F(9, 4)
         assert ep.integral(m) == F(7, 3)  # int_1^2 x^2
@@ -130,7 +135,7 @@ class TestCalculus:
 class TestCanonicalForms:
     def test_two_paths_same_structure(self):
         # the same triangle built via convolution and via explicit pieces
-        b = ep.box(F(-1, 2), F(1, 2))
+        b = box(F(-1, 2), F(1, 2))
         via_conv = ep.convolve(b, b)
         explicit = ep.from_global_pieces([(-1, 0, [1, 1]), (0, 1, [1, -1])])
         assert via_conv == explicit
@@ -138,12 +143,12 @@ class TestCanonicalForms:
 
     def test_adjacent_merge(self):
         p = ep.from_global_pieces([(0, 1, [1]), (1, 2, [1])])
-        assert p == ep.box(0, 2)
+        assert p == box(0, 2)
         assert len(p.pieces) == 1
 
     def test_zero_pieces_dropped(self):
         p = ep.from_global_pieces([(0, 1, [0]), (1, 2, [1]), (2, 3, [])])
-        assert p == ep.box(1, 2)
+        assert p == box(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +288,7 @@ def lattice_polys(draw, denominator):
 
 
 def test_reference_box_to_triangle():
-    b = ep.box(F(-1, 2), F(1, 2))
+    b = box(F(-1, 2), F(1, 2))
     assert reference_convolve(b, b) == triangle_fhat(1)
     assert convolve_at(b, b, F(1, 4)) == F(3, 4)
 

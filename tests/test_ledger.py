@@ -30,7 +30,3 @@ def test_writer_keeps_an_existing_ledger(tmp_path, monkeypatch):
     monkeypatch.setattr(write_ledger, "LEDGER", path)
     assert write_ledger.main([]) == 1
     assert path.read_text() == "{}\n"
-
-
-def test_writer_output_reads_back(computed):
-    assert json.loads(write_ledger.dumps(computed)) == computed

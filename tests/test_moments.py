@@ -7,13 +7,13 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from oracle_reference import oracle_X_xi
+from oracle_reference import oracle_sigma_phi_sq, oracle_X_xi, t_transform_numeric
 from splitmoments import exactpoly as ep
 from splitmoments import moments as mo
 from splitmoments import quadrature as qd
 from splitmoments import testfn
-from splitmoments.errors import DomainError, ToleranceError
-from splitmoments.testfn import fejer
+from splitmoments.errors import DomainError, InvariantViolation, ToleranceError
+from splitmoments.testfn import fejer, psi_terms
 
 HALF = fejer(F(1, 2))
 THREE_FIFTHS = fejer(F(3, 5))
@@ -34,6 +34,28 @@ DEG16 = testfn.TestFunction(
 )
 
 
+def sine_transform(tf, k, A):
+    """T_k(A) = int_0^A psi_k(u) du with psi_k the transform of phi^k."""
+    if A < 0 or k < 1:
+        raise DomainError("sine_transform requires A >= 0 and k >= 1")
+    psi = psi_terms(tf, k)
+    return ep.term_mass_below(psi, A) - ep.term_mass_below(psi, 0)
+
+
+def bar_X_xi(tf, n, ell):
+    """The two-sided indicator integral along both exact routes, which must agree.
+
+    Route (a) expands it over sign patterns as 2^{l+1} sum_i C(n-l, i) X(xi_{i+l});
+    route (b) is the closed form phi(0)^n - 2 V(n, l).
+    """
+    via_sum = 2 ** (ell + 1) * sum(math.comb(n - ell, i) * mo.X_xi(tf, n, i + ell)
+                                   for i in range((n + 1) // 2 - ell))
+    via_closed = tf.phi_zero() ** n - 2 * mo._V(tf, n, ell)
+    if via_sum != via_closed:
+        raise InvariantViolation(f"bar_X_xi({n}, {ell}): {via_sum} != {via_closed}")
+    return via_sum
+
+
 class TestSigmaPhiSq:
     def test_half(self):
         assert mo.sigma_phi_sq(HALF) == F(1, 3)
@@ -46,17 +68,17 @@ class TestSigmaPhiSq:
 class TestSineTransform:
     def test_saturation(self):
         for A in [F(1, 2), F(3, 4), F(10)]:
-            assert mo.sine_transform(HALF, 1, A) == F(1, 2)
+            assert sine_transform(HALF, 1, A) == F(1, 2)
 
     def test_half_sigma(self):
-        assert mo.sine_transform(HALF, 1, F(1, 4)) == F(3, 8)
+        assert sine_transform(HALF, 1, F(1, 4)) == F(3, 8)
 
     def test_at_zero(self):
-        assert mo.sine_transform(HALF, 3, 0) == 0
+        assert sine_transform(HALF, 3, 0) == 0
 
     def test_negative_A_rejected(self):
         with pytest.raises(DomainError):
-            mo.sine_transform(HALF, 1, F(-1, 2))
+            sine_transform(HALF, 1, F(-1, 2))
 
 
 class TestRMoment:
@@ -166,7 +188,7 @@ class TestMeanValue:
 
 class TestIIntegral:
     def test_no_outer_variables(self):
-        assert mo.I_integral(HALF, 4, 0, 0) == mo.sine_transform(HALF, 4, 1)
+        assert mo.I_integral(HALF, 4, 0, 0) == sine_transform(HALF, 4, 1)
 
     @pytest.mark.parametrize(
         "sigma,n,alpha,delta",
@@ -280,13 +302,13 @@ class TestBarXXi:
     def test_closed_form_ell_zero(self):
         # phi(0)^n - 2 T_n(1)
         tf = THREE_FIFTHS
-        expected = tf.phi_zero() ** 3 - 2 * mo.sine_transform(tf, 3, 1)
-        assert mo.bar_X_xi(tf, 3, 0) == expected
+        expected = tf.phi_zero() ** 3 - 2 * sine_transform(tf, 3, 1)
+        assert bar_X_xi(tf, 3, 0) == expected
 
     def test_small_sigma_vanishes(self):
         for n in [2, 3, 4]:
             tf = fejer(F(1, n + 1))  # sigma < 1/n so T_n(1) = phi(0)^n / 2
-            assert mo.bar_X_xi(tf, n, 0) == 0
+            assert bar_X_xi(tf, n, 0) == 0
 
     def test_paths_agree_on_grid(self):
         # the function itself raises InvariantViolation on any disagreement
@@ -297,12 +319,12 @@ class TestBarXXi:
                 if n - a_max > 0 and tf.sigma > F(1, n - a_max):
                     continue
                 for ell in range(min(3, a_max)):
-                    mo.bar_X_xi(tf, n, ell)
+                    bar_X_xi(tf, n, ell)
 
 
 class TestOracleConcordance:
     def test_sigma_phi_sq(self):
-        assert abs(qd.oracle_sigma_phi_sq(HALF) - 1 / 3) < 1e-8
+        assert abs(oracle_sigma_phi_sq(HALF) - 1 / 3) < 1e-8
 
     def test_r42(self):
         assert abs(qd.oracle_R_moment(HALF, 4, 2) - float(F(4, 105))) < 1e-7
@@ -356,10 +378,10 @@ class TestOracleConcordance:
     def test_sigma_phi_sq_refuses_degree_beyond_the_rule(self):
         # y fhat^2 has degree 33 > 31
         with pytest.raises(ToleranceError, match="degree 16"):
-            qd.oracle_sigma_phi_sq(DEG16)
+            oracle_sigma_phi_sq(DEG16)
 
     def test_t_transform_direct(self):
-        assert abs(qd.t_transform_numeric(HALF, 1, 0.25) - 0.375) < 1e-9
+        assert abs(t_transform_numeric(HALF, 1, 0.25) - 0.375) < 1e-9
 
     def test_phi_comes_from_phi_at_not_the_label(self):
         custom = testfn.TestFunction(
@@ -370,7 +392,7 @@ class TestOracleConcordance:
     def test_oracle_refuses_missing_phi_at(self):
         bare = testfn.TestFunction(sigma=HALF.sigma, fhat=HALF.fhat, phi_at=None, label="custom")
         with pytest.raises(DomainError, match="phi_at"):
-            qd.t_transform_numeric(bare, 2, 1.0)
+            t_transform_numeric(bare, 2, 1.0)
         with pytest.raises(DomainError, match="phi_at"):
             qd.oracle_R_moment(bare, 4, 2)
 

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import combinat_reference as cr
 from oracle_reference import oracle_Qn_mc
 from splitmoments import sop
 from splitmoments.errors import DomainError, ResourceLimitError
-from splitmoments.linfeas import Constraint, box_vertex_witness, feasible
+from splitmoments.linfeas import Constraint, feasible
 from splitmoments.moments import R_moment
 from splitmoments.testfn import fejer
 
@@ -24,24 +25,24 @@ def S(lambdas, epsilons):
 class TestEta:
     def test_single_block_all_plus(self):
         s = S([4], [1, 1, -1, 1])
-        assert all(sop.eta(s, 1, j) == 1 for j in range(1, 5))
+        assert all(cr.eta(s, 1, j) == 1 for j in range(1, 5))
 
     def test_two_blocks(self):
         s = S([1, 2], [1, 1, 1])
-        assert sop.eta(s, 1, 1) == 1
-        assert sop.eta(s, 1, 2) == -1
-        assert sop.eta(s, 2, 3) == 1
+        assert cr.eta(s, 1, 1) == 1
+        assert cr.eta(s, 1, 2) == -1
+        assert cr.eta(s, 2, 3) == 1
 
     def test_last_level_all_plus(self):
         s = S([2, 1, 3], [1, -1, 1, 1, -1, -1])
-        assert all(sop.eta(s, 3, j) == 1 for j in range(1, 7))
+        assert all(cr.eta(s, 3, j) == 1 for j in range(1, 7))
 
     def test_out_of_range(self):
         s = S([2], [1, 1])
         with pytest.raises(DomainError):
-            sop.eta(s, 2, 1)
+            cr.eta(s, 2, 1)
         with pytest.raises(DomainError):
-            sop.eta(s, 1, 3)
+            cr.eta(s, 1, 3)
 
 
 class TestJSets:
@@ -67,7 +68,7 @@ class TestJSets:
             a = random.randint(1, (n + 1) // 2)
             for ell, J, zeta in sop.j_sets(s, a):
                 members = {
-                    j for j in range(1, n + 1) if sop.eta(s, ell, j) * eps[j - 1] == zeta
+                    j for j in range(1, n + 1) if cr.eta(s, ell, j) * eps[j - 1] == zeta
                 }
                 assert members == J
 
@@ -108,7 +109,7 @@ class TestIMin:
             eps = [random.choice([-1, 1]) for _ in range(n)]
             a = random.randint(1, (n + 1) // 2)
             s = S(lam, eps)
-            assert sop.i_min(s, a) == sop.i_min_block_rule(s, a), (lam, eps, a)
+            assert sop.i_min(s, a) == cr.i_min_block_rule(s, a), (lam, eps, a)
 
 
 class TestAWeight:
@@ -169,7 +170,7 @@ class TestTupleFeasible:
             for I in subsets:
                 coeffs = [F(1) if (i + 1) in I else F(-1) for i in range(n)]
                 rows.append(Constraint(coeffs, F(-1), strict=True))
-            witness = box_vertex_witness(rows, n, hi)
+            witness = cr.box_vertex_witness(rows, n, hi)
             if witness is not None:
                 assert sop.tuple_feasible(subsets, n, a)
 
@@ -210,12 +211,17 @@ class TestClassCanonical:
             assert sop.class_canonical(subs, n).canonical == best
 
 
+def one_class_sum(n, a, f):
+    """sum_S T(S, C) A(S) for C the 1-class of f-element subsets."""
+    return sop.sum_TA_all(n, a).get(sop.one_class(n, f).canonical, 0)
+
+
 class TestSumTA:
     def test_one_class_coefficient(self):
         # sum_S T(S, C_f) A(S) = 2 (-1)^{n+f+1} C(n, f) for 1 <= f <= a-1
         for n, a in [(4, 2), (5, 3), (6, 3)]:
             for f in range(1, a):
-                got = sop.sum_TA(n, a, sop.one_class(n, f))
+                got = one_class_sum(n, a, f)
                 assert got == 2 * (-1) ** (n + f + 1) * comb(n, f), (n, a, f)
 
     def test_valid_t_classes_vanish(self):
@@ -229,7 +235,7 @@ class TestSumTA:
         # the m >= 2 partial matches 2 C(n,f) ((-1)^{n+f+1} - 1): subtract the
         # m = 1 contribution 2 C(n,f) from the full sum
         for n, a, f in [(4, 2, 1), (6, 3, 2), (7, 4, 3)]:
-            full = sop.sum_TA(n, a, sop.one_class(n, f))
+            full = one_class_sum(n, a, f)
             m1 = 2 * comb(n, f)
             assert full - m1 == 2 * comb(n, f) * ((-1) ** (n + f + 1) - 1)
 
@@ -237,7 +243,7 @@ class TestSumTA:
         # not asserted by the theory for f = 0; record the observed agreement
         # with the same closed form (see decisions ledger)
         for n, a in [(3, 2), (4, 2), (5, 2), (6, 3)]:
-            got = sop.sum_TA(n, a, sop.one_class(n, 0))
+            got = one_class_sum(n, a, 0)
             assert got == 2 * (-1) ** (n + 1)
 
 
@@ -257,27 +263,27 @@ class TestCoefficientIdentities:
     def test_g_zero_offsets(self):
         for n in [3, 6, 9]:
             for f in range(n + 1):
-                assert sop.g_combin(n, f, 0, 0) == 0
+                assert cr.g_combin(n, f, 0, 0) == 0
 
     def test_single_simp(self):
         for f in range(1, 11):
             for n in (2 * f, 2 * f + 1):
-                assert sop.verify_single_simp(n, f), (n, f)
+                assert cr.verify_single_simp(n, f), (n, f)
 
     def test_h_vanishes(self):
         for f in range(1, 11):
             for g in range(0, f + 1):
-                assert sop.verify_h_vanishes(f, g), (f, g)
+                assert cr.verify_h_vanishes(f, g), (f, g)
 
     def test_h_partials_constant_interior(self):
         for f in range(2, 9):
             for g in range(1, f):
                 expected = F((-1) ** f, __import__("math").factorial(g) * __import__("math").factorial(f - g))
-                assert all(h == expected for h in sop.h_partial_sums(f, g)), (f, g)
+                assert all(h == expected for h in cr.h_partial_sums(f, g)), (f, g)
 
     @pytest.mark.parametrize("n,q", [(1, F(1, 2)), (4, F(1, 3)), (6, F(2, 5)), (5, F(-1, 3))])
     def test_symmetric_transform(self, n, q):
-        assert sop.symmetric_transform_check(n, q)
+        assert cr.symmetric_transform_check(n, q)
 
 
 class TestFeasibilityEngine:
@@ -348,7 +354,7 @@ def test_jsets_invariant(s, a):
     for ell, J, zeta in sop.j_sets(s, a):
         assert len(J) <= a - 1
         for j in range(1, s.n + 1):
-            inside = sop.eta(s, ell, j) * s.epsilons[j - 1] == zeta
+            inside = cr.eta(s, ell, j) * s.epsilons[j - 1] == zeta
             assert inside == (j in J)
 
 

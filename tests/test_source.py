@@ -1,0 +1,100 @@
+"""Static checks over the package source: nothing unreached, routes independent."""
+
+import ast
+import importlib
+from pathlib import Path
+
+from test_cli import load_bench
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "splitmoments"
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+# definitions that nothing in src/ refers to and that stay, each with its reason
+KEEP = {
+    "cli._Parser.error": "argparse calls it on every parse error",
+    "exactpoly.PiecewisePoly.degree": "bench/trace_child.py reads each traced convolve "
+                                      "result's degree with it",
+    "moments.I_integral": "the only exact caller of _integral_against_T's neg branch",
+    "quadrature.oracle_I_integral": "the only caller of _folded's neg branch",
+}
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, node) of module-level functions and non-dunder methods."""
+    for node in tree.body:
+        if isinstance(node, FUNCTIONS):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item) for item in node.body
+                        if isinstance(item, FUNCTIONS) and not item.name.startswith("__"))
+
+
+def _references(node: ast.AST, inside: frozenset = frozenset()):
+    """(name, ids of the enclosing defs) of every Name, Attribute and import alias."""
+    if isinstance(node, FUNCTIONS):
+        inside = inside | {id(node)}
+    if isinstance(node, ast.Name):
+        yield node.id, inside
+    elif isinstance(node, ast.Attribute):
+        yield node.attr, inside
+    elif isinstance(node, ast.alias):
+        yield node.name.rsplit(".", 1)[-1], inside
+    for child in ast.iter_child_nodes(node):
+        yield from _references(child, inside)
+
+
+def unreferenced() -> set[str]:
+    """Definitions in src/ that nothing else in src/ refers to by name.
+
+    A string (an ``__all__`` entry) is no reference, and neither is a
+    reference from inside the definition itself (recursion).
+    """
+    trees = _trees()
+    refs: dict[str, list[frozenset]] = {}
+    for tree in trees.values():
+        for name, inside in _references(tree):
+            refs.setdefault(name, []).append(inside)
+    return {f"{stem}.{qualname}" for stem, tree in trees.items()
+            for qualname, node in _definitions(tree)
+            if all(id(node) in inside for inside in refs.get(node.name, []))}
+
+
+def test_every_definition_is_reached_traced_or_kept():
+    """src/ holds what a command runs, what the benchmark tracer patches
+    (bench/trace_child.LAYERS) and the KEEP list; nothing else."""
+    traced = {f"{module.__name__.rsplit('.', 1)[1]}.{name}"
+              for module, names in load_bench("trace_child").LAYERS.items() for name in names}
+    unused = unreferenced() - traced
+    assert sorted(unused - set(KEEP)) == []
+    assert sorted(set(KEEP) - unused) == []  # a referenced name needs no entry
+
+
+def test_every_export_resolves():
+    modules = [importlib.import_module(f"splitmoments.{stem}") for stem in _trees()]
+    assert [f"{m.__name__}.{name}" for m in modules for name in getattr(m, "__all__", [])
+            if not hasattr(m, name)] == []
+
+
+def test_float_oracle_shares_nothing_with_the_exact_route():
+    """The oracle and its test references import nothing from ``moments`` and
+    name no term-list function, so their agreement with R means something."""
+    shared = []
+    for path in (PACKAGE / "quadrature.py", ROOT / "tests" / "oracle_reference.py"):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+                if (node.module or "").endswith("moments") or "moments" in names:
+                    shared.append(f"{path.name}:{node.lineno}: from {node.module} import {names}")
+            elif isinstance(node, ast.Import):
+                shared += [f"{path.name}:{node.lineno}: import {alias.name}"
+                           for alias in node.names if alias.name.endswith("moments")]
+        shared += [f"{path.name}: {name}" for name, _ in _references(tree)
+                   if name.startswith("term_")
+                   or name in ("to_terms", "from_terms", "psi_terms", "gp_terms")]
+    assert shared == []

@@ -6,9 +6,9 @@ from fractions import Fraction as F
 import pytest
 from scipy.integrate import quad
 
+from oracle_reference import phi_value_numeric
 from splitmoments import exactpoly as ep
 from splitmoments.errors import DomainError
-from splitmoments.quadrature import phi_value_numeric
 from splitmoments.testfn import fejer, phi_power_hat
 
 
