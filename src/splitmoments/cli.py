@@ -342,13 +342,14 @@ def _cmd_rmt(cfg: RunConfig):
     )
     tf = fejer(cfg.params["sigma"])
     K = (tf.sigma.numerator * M) // tf.sigma.denominator
-    rmt.check_memory(spec, K)
+    rmt.check_resources(spec, K)
+    finite_mean = rmt.finite_mean(tf, spec.M)  # refuses sigma > 1
     if all(tf.fhat_at(Fraction(k, M)) == 0 for k in range(1, K + 1)):
         raise DomainError(
             f"Z is constant on SO({M}) at sigma={tf.sigma}: fhat(k/{M}) = 0 for all k >= 1"
         )
     n_max = cfg.params["nmax"]
-    z_vals = rmt.z_values_for(tf, spec, rmt.sample_cosines(spec))
+    z_vals = rmt.z_values_for(tf, spec, rmt.sample_verblunsky(spec))
     if cfg.params["csv"]:
         import csv
 
@@ -359,7 +360,6 @@ def _cmd_rmt(cfg: RunConfig):
             writer.writerow([i, repr(float(z))])
         _write(cfg.params["csv"], rows.getvalue())
     mean_rep = rmt.empirical_mean_check(tf, z_vals)
-    finite_mean = rmt.finite_mean(tf, spec.M)
     reports = [mean_rep] + rmt.estimate_centered_moments(tf, spec, n_max, z_vals=z_vals)
     ok = True
     results = []
@@ -395,7 +395,8 @@ def _cmd_rmt(cfg: RunConfig):
         "n = 1 gated against the exact finite-M mean; n >= 2 against the M -> infinity"
         " limits with finite-M allowance c/M, c = 2 (no finite-M rates are available)",
         "z_score is measured from the same centre as the gate",
-        "cosines of the eigenangles from the Killip-Nenciu tridiagonal model",
+        "power traces Tr U^k from the Szego recursion of the Killip-Nenciu Verblunsky"
+        " coefficients (no eigensolve)",
         f"per-sample RNG: SeedSequence((seed={spec.seed}, index))",
     ]
     return results, assumptions, ok

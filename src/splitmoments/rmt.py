@@ -6,13 +6,12 @@ integration formula the cosines x_j = cos theta_j form a beta = 2 Jacobi
 ensemble on [-1, 1] with weight (1 - x)^a (1 + x)^b, where a = b = -1/2 for
 SO(2n) and a = 1/2, b = -1/2 for SO(2n+1).
 
-Sampling (``sample_cosines``) draws the cosines directly from the
-Killip-Nenciu tridiagonal model (Killip and Nenciu 2004, *Matrix models for
-circular ensembles*, Thm 2; see also Edelman and Sutton 2008, *The
-beta-Jacobi matrix model*): independent real Verblunsky coefficients
-alpha_0..alpha_{2n-2} with Beta laws on [-1, 1] give, through the Geronimus
-relations, an n x n Jacobi matrix whose eigenvalues are 2 x_j.  The matrices
-are eigensolved in batches.  Sample i uses a generator seeded by
+Sampling (``sample_verblunsky``) follows the Killip-Nenciu model (Killip
+and Nenciu 2004, *Matrix models for circular ensembles*, Thm 2; see also
+Edelman and Sutton 2008, *The beta-Jacobi matrix model*): independent real
+Verblunsky coefficients alpha_0..alpha_{2n-2} with Beta laws on [-1, 1],
+and alpha_{2n-1} = -1, define a 2n x 2n CMV matrix whose eigenvalues are
+the exp(+-i theta_j).  Sample i uses a generator seeded by
 SeedSequence((seed, i)), so the stream is bit-identical for a given seed.
 
 The statistic uses the finite Fourier sum
@@ -21,8 +20,9 @@ The statistic uses the finite Fourier sum
 
 with K = floor(sigma M); when sigma M is an integer the boundary term is
 included with weight fhat(sigma).  Z(U) sums F_M over all M angles, so it
-needs only the power traces Tr U^k = 2 sum_j T_k(x_j) + (M mod 2), which the
-Chebyshev recurrence gives from the cosines (``power_traces``).
+needs only the power traces Tr U^k for k <= K.  ``power_traces`` takes them
+from the Szego recursion of the coefficients, truncated after u^K, and
+Newton's identities; no eigenvalue is computed.
 
 Reference route, kept for the tests that check the sampler against it:
 Gaussian matrix -> QR -> fix signs so R has positive diagonal (Haar on O(M))
@@ -52,8 +52,8 @@ __all__ = [
     "eigenangles",
     "eigenangles_dense",
     "collect_angle_samples",
-    "check_memory",
-    "sample_cosines",
+    "check_resources",
+    "sample_verblunsky",
     "power_traces",
     "z_values_for",
     "finite_mean",
@@ -186,88 +186,92 @@ def _verblunsky_shapes(M: int) -> tuple[np.ndarray, np.ndarray]:
     return s, t
 
 
-def _jacobi_cosines(alpha: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues / 2 of the Jacobi matrices of a (rows, 2n-1) stack.
-
-    Geronimus relations with alpha_{-2} = alpha_{-1} = alpha_{2n-1} = -1:
-    diagonal (1 - alpha_{2k-1}) alpha_{2k} - (1 + alpha_{2k-1}) alpha_{2k-2},
-    off-diagonal sqrt((1 - alpha_{2k-1})(1 - alpha_{2k}^2)(1 + alpha_{2k+1})).
-    """
-    rows, n = alpha.shape[0], (alpha.shape[1] + 1) // 2
-    ext = np.full((rows, 2 * n + 2), -1.0)
-    ext[:, 2:-1] = alpha  # ext[:, j + 2] = alpha_j
-    odd = ext[:, 1::2]  # alpha_{2k-1}, k = 0..n
-    even = ext[:, 0::2]  # alpha_{2k-2}, k = 0..n
-    diag = (1 - odd[:, :-1]) * even[:, 1:] - (1 + odd[:, :-1]) * even[:, :-1]
-    off = np.sqrt((1 - odd[:, :-2]) * (1 - even[:, 1:-1] ** 2) * (1 + odd[:, 1:-1]))
-    J = np.zeros((rows, n, n))
-    i = np.arange(n)
-    J[:, i, i] = diag
-    J[:, i[:-1], i[1:]] = off
-    J[:, i[1:], i[:-1]] = off
-    return np.linalg.eigvalsh(J) / 2
+_MEMORY_BUDGET = 1 << 31  # bytes of float64 arrays in one run
+# Multiply-adds of the trace stage, samples * (M K + K^2 / 2).  They took 3.6 to
+# 4.8 ns each at M = 100 to 4000 (2-core x86-64, numpy 2.4.6), so the cap is
+# one to two minutes of tracing.
+_WORK_BUDGET = 2 * 10**10
 
 
-_EIG_BATCH = 256  # Jacobi matrices per eigensolve call, bounding the (rows, n, n) stack
-# Memory cap for one run.  At sigma = 3/5 the estimate is about 37 MB for
-# M = 100 with 20000 samples (the acceptance gate's size) and 8 MB with 2000.
-_MEMORY_BUDGET = 1 << 31
+def check_resources(spec: EnsembleSpec, K: int) -> None:
+    """Refuse, before any draw, a run over the memory or the work budget.
 
-
-def check_memory(spec: EnsembleSpec, K: int) -> None:
-    """Refuse, before any allocation, a run whose arrays would exceed the budget.
-
-    The float64 estimate counts the Verblunsky coefficients, the cosines, the
-    power traces up to T_K and one eigensolve stack of Jacobi matrices.
+    The float64 estimate counts the Verblunsky coefficients twice (as drawn
+    and in the layout of ``power_traces``) and six (K + 1, samples) arrays.
+    At sigma = 3/5 it is about 90 MB for M = 100 with 20000 samples (the
+    acceptance gate's size) and 9 MB with 2000.
     """
     n = spec.M // 2
-    floats = spec.samples * (2 * n - 1 + n + K + 1) + min(spec.samples, _EIG_BATCH) * n * n
+    floats = spec.samples * (2 * (2 * n) + 6 * (K + 1))
     if 8 * floats > _MEMORY_BUDGET:
         raise ResourceLimitError(
             f"rmt at M={spec.M} with {spec.samples} samples needs about"
             f" {8 * floats / 2**30:.1f} GiB, over the budget of {_MEMORY_BUDGET >> 30} GiB")
+    work = spec.samples * (spec.M * K + K * K // 2)
+    if work > _WORK_BUDGET:
+        raise ResourceLimitError(
+            f"rmt at M={spec.M} with {spec.samples} samples and K={K} needs about"
+            f" {work:.1e} multiply-adds, over the budget of {_WORK_BUDGET:.0e}")
 
 
-def sample_cosines(spec: EnsembleSpec) -> np.ndarray:
-    """(samples, floor(M/2)) array of the cosines x_j = cos theta_j, rows ascending.
+def sample_verblunsky(spec: EnsembleSpec) -> np.ndarray:
+    """(samples, 2 floor(M/2) - 1) array of the Verblunsky coefficients alpha_k.
 
-    Sample i draws its Verblunsky coefficients from a generator seeded by
+    Sample i draws its coefficients from a generator seeded by
     SeedSequence((seed, i)).
     """
-    n = spec.M // 2
     s, t = _verblunsky_shapes(spec.M)
-    alpha = np.empty((spec.samples, 2 * n - 1))
+    alpha = np.empty((spec.samples, len(s)))
     for i in range(spec.samples):
         rng = np.random.default_rng(np.random.SeedSequence((spec.seed, i)))
         alpha[i] = 1 - 2 * rng.beta(s, t)
-    return np.concatenate(
-        [_jacobi_cosines(alpha[i0 : i0 + _EIG_BATCH]) for i0 in range(0, spec.samples, _EIG_BATCH)]
-    )
+    return alpha
 
 
-def power_traces(cosines: np.ndarray, M: int, K: int) -> np.ndarray:
+def power_traces(alpha: np.ndarray, M: int, K: int) -> np.ndarray:
     """(samples, K + 1) array of Tr U^k = sum over all M angles of cos(k theta).
 
-    With the angles +-theta_j and, for odd M, the fixed angle 0,
-    Tr U^k = 2 sum_j T_k(x_j) + (M mod 2); T_k comes from the Chebyshev
-    recurrence T_{k+1} = 2 x T_k - T_{k-1}.
+    With alpha_{2n-1} = -1 appended, the 2n = 2 floor(M/2) eigenvalues other
+    than the fixed 1 of odd M are the zeros of the Szego polynomial Phi_{2n},
+    so det(I - u U) / (1 - u)^(M mod 2) = Phi*_{2n}(u) = sum_k c_k u^k
+    (Simon 2005, *Orthogonal Polynomials on the Unit Circle*, 1.5).  The
+    recursion
+
+        Phi_{k+1}(u) = u Phi_k(u) - alpha_k Phi*_k(u),
+        Phi*_{k+1}(u) = Phi*_k(u) - alpha_k u Phi_k(u),
+
+    from Phi_0 = Phi*_0 = 1 runs modulo u^{K+1}, which closes on itself, and
+    Newton's identities p_k = -k c_k - sum_{m<k} c_{k-m} p_m give the power
+    sums of those eigenvalues: Tr U^k = p_k + (M mod 2).  The arrays are laid
+    out (K + 1, samples), so each step is a few whole-array operations.
     """
-    x = np.asarray(cosines, dtype=float)
-    out = np.empty((x.shape[0], K + 1))
-    out[:, 0] = M
-    prev, cur = np.ones_like(x), x
+    rows = alpha.shape[0]
+    steps = np.empty((alpha.shape[1] + 1, rows))
+    steps[:-1] = alpha.T
+    steps[-1] = -1.0
+    phi, star, nxt, tmp = (np.zeros((K + 1, rows)) for _ in range(4))
+    phi[0] = star[0] = 1.0
+    for a in steps:
+        np.multiply(star, a, out=tmp)
+        np.negative(tmp[0], out=nxt[0])
+        np.subtract(phi[:-1], tmp[1:], out=nxt[1:])
+        np.multiply(phi[:-1], a, out=tmp[1:])
+        star[1:] -= tmp[1:]
+        phi, nxt = nxt, phi
+    traces = np.empty((K + 1, rows))
+    traces[0] = M
     for k in range(1, K + 1):
-        out[:, k] = 2 * cur.sum(axis=1) + M % 2
-        prev, cur = cur, 2 * x * cur - prev
-    return out
+        traces[k] = -k * star[k] - np.einsum("ms,ms->s", star[k - 1 : 0 : -1], traces[1:k])
+    traces[1:] += M % 2
+    return traces.T
 
 
-def z_values_for(tf: TestFunction, spec: EnsembleSpec, cosines: np.ndarray) -> np.ndarray:
-    """Z per sample from its cosines (they do not depend on the test function)."""
+def z_values_for(tf: TestFunction, spec: EnsembleSpec, alpha: np.ndarray) -> np.ndarray:
+    """Z per sample from its Verblunsky coefficients (they do not depend on the test function)."""
     coeffs = _fourier_coeffs(tf, spec.M)
     weights = 2 * coeffs
     weights[0] = coeffs[0]
-    return power_traces(cosines, spec.M, len(coeffs) - 1) @ weights / spec.M
+    return power_traces(alpha, spec.M, len(coeffs) - 1) @ weights / spec.M
 
 
 def finite_mean(tf: TestFunction, M: int) -> Fraction:

@@ -173,11 +173,11 @@ def test_criterion_7_rmt_statistical_gate():
             spec = rmt.EnsembleSpec(
                 M=M, parity=parity, samples=RMT_SAMPLES, seed=RMT_SEED
             )
-            rmt_collections[parity] = (spec, rmt.sample_cosines(spec))
+            rmt_collections[parity] = (spec, rmt.sample_verblunsky(spec))
         t35 = fejer(F(3, 5))
         predictions = {"even": F(325, 972), "odd": F(323, 972)}
-        for parity, (spec, cosines) in rmt_collections.items():
-            z = rmt.z_values_for(t35, spec, cosines)
+        for parity, (spec, alpha) in rmt_collections.items():
+            z = rmt.z_values_for(t35, spec, alpha)
             mean_rep = rmt.empirical_mean_check(t35, z)
             assert mean_rep.predicted == F(13, 6)
             mean_err = abs(mean_rep.empirical - float(mean_rep.predicted))
@@ -190,11 +190,11 @@ def test_criterion_7_rmt_statistical_gate():
 
         t14 = fejer(F(1, 4))
         gaussian = {2: F(1, 3), 3: F(0), 4: 3 * F(1, 3) ** 2}
-        for parity, (spec, cosines) in rmt_collections.items():
+        for parity, (spec, alpha) in rmt_collections.items():
             sub_spec = rmt.EnsembleSpec(
                 M=spec.M, parity=parity, samples=MOCK_SAMPLES, seed=RMT_SEED
             )
-            z = rmt.z_values_for(t14, sub_spec, cosines[:MOCK_SAMPLES])
+            z = rmt.z_values_for(t14, sub_spec, alpha[:MOCK_SAMPLES])
             reports = rmt.estimate_centered_moments(t14, sub_spec, 4, z_vals=z)
             for r in reports:
                 assert r.predicted == gaussian[r.n], (parity, r.n)

@@ -248,10 +248,31 @@ class TestRmtCommand:
         def no_sampling(spec):
             raise AssertionError("an oversized run reached the sampler")
 
-        monkeypatch.setattr(rmt, "sample_cosines", no_sampling)
+        monkeypatch.setattr(rmt, "sample_verblunsky", no_sampling)
         err = assert_usage_error(
             ["rmt", "--M", "100000", "--samples", "100000", "--sigma", "1/2"], capsys)
         assert "GiB" in err
+
+    @pytest.mark.parametrize("args, reason", [
+        # 1.25e12 multiply-adds of tracing in 80 MB of arrays
+        (["--M", "1000000", "--samples", "2", "--sigma", "1/2"], "multiply-adds"),
+        (["--M", "100", "--samples", "2000", "--sigma", "3/2"], "sigma <= 1"),
+    ], ids=["work", "sigma"])
+    def test_refused_before_sampling(self, capsys, monkeypatch, args, reason):
+        from splitmoments import rmt
+
+        def no_sampling(spec):
+            raise AssertionError("a refused run reached the sampler")
+
+        monkeypatch.setattr(rmt, "sample_verblunsky", no_sampling)
+        assert reason in assert_usage_error(["rmt", *args], capsys)
+
+    @pytest.mark.parametrize("M, samples", [(100, 20000), (1000, 300)])
+    def test_large_runs_within_budget(self, M, samples):
+        from splitmoments import rmt
+
+        spec = rmt.EnsembleSpec(M=M, parity="even", samples=samples, seed=0)
+        rmt.check_resources(spec, M)  # K = M is the largest sigma <= 1 allows
 
     def test_reproducible_z_stream(self, capsys, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,5 +1,6 @@
-"""The cosine sampler against the dense Haar reference, eigenangles, the linear
-statistic, and small-M moment gates."""
+"""The Szego power traces against the cosine reference, the sampler against
+the dense Haar reference, eigenangles, the linear statistic, and small-M
+moment gates."""
 
 import math
 from fractions import Fraction as F
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import rmt_reference as ref
 from splitmoments import rmt
 from splitmoments.errors import DomainError, InvariantViolation
 from splitmoments.testfn import fejer
@@ -83,10 +85,8 @@ def half_cosines(sample):
 
 
 def z_of(tf, M, cosines):
-    """Z through z_values_for for rows of floor(M/2) cosines."""
-    parity = "even" if M % 2 == 0 else "odd"
-    spec = rmt.EnsembleSpec(M=M, parity=parity, samples=len(cosines), seed=0)
-    return rmt.z_values_for(tf, spec, np.asarray(cosines))
+    """Z through the reference route for rows of floor(M/2) cosines."""
+    return ref.z_from_cosines(tf, M, np.asarray(cosines))
 
 
 def f_m(tf, M, theta):
@@ -163,34 +163,63 @@ class TestZValue:
         assert np.max(np.abs(got - z_direct(tf, M, thetas))) < 1e-12
 
 
+class TestSzegoTraces:
+    """The Szego power traces against the eigensolved cosine route."""
+
+    @pytest.mark.parametrize("M", [2, 3, 10, 11, 100, 101])
+    def test_matches_cosine_route(self, M):
+        parity = "even" if M % 2 == 0 else "odd"
+        alpha = rmt.sample_verblunsky(rmt.EnsembleSpec(M=M, parity=parity, samples=200, seed=5))
+        cosines = ref.jacobi_cosines(alpha)
+        for K in [M // 4, 3 * M // 5, M] + ([2 * M] if M == 11 else []):
+            got = rmt.power_traces(alpha, M, K)
+            assert got.shape == (200, K + 1)
+            assert np.max(np.abs(got - ref.chebyshev_traces(cosines, M, K))) <= 1e-9, K
+
+    @pytest.mark.parametrize("M, mean, var", [
+        (20, 2.0796559185148986, 0.37309792620138255),
+        (21, 2.055824454266671, 0.3356401685759518),
+    ])
+    def test_pinned_z_moments(self, M, mean, var):
+        # taken from the eigensolved cosine route on the same stream
+        spec = rmt.EnsembleSpec(M=M, parity="even" if M % 2 == 0 else "odd", samples=200,
+                                seed=1)
+        z = rmt.z_values_for(fejer(F(3, 5)), spec, rmt.sample_verblunsky(spec))
+        assert float(np.mean(z)) == pytest.approx(mean, rel=1e-12, abs=0)
+        assert float(np.var(z, ddof=1)) == pytest.approx(var, rel=1e-12, abs=0)
+
+
 class TestSamplerAgainstReference:
-    """The Killip-Nenciu cosines against the dense Haar route, in distribution."""
+    """The Killip-Nenciu samples against the dense Haar route, in distribution."""
 
     @pytest.mark.parametrize("M", [20, 21])
     def test_two_sample_ks(self, M):
         parity = "even" if M % 2 == 0 else "odd"
-        fast = rmt.sample_cosines(rmt.EnsembleSpec(M=M, parity=parity, samples=2000, seed=31))
-        ref_spec = rmt.EnsembleSpec(M=M, parity=parity, samples=2000, seed=32)
-        ref = np.array([half_cosines(s) for s in rmt.collect_angle_samples(ref_spec)])
-        assert fast.shape == ref.shape == (2000, M // 2)
-        assert stats.ks_2samp(fast.ravel(), ref.ravel()).pvalue > 0.01
+        spec = rmt.EnsembleSpec(M=M, parity=parity, samples=2000, seed=31)
+        alpha = rmt.sample_verblunsky(spec)
+        fast = ref.jacobi_cosines(alpha)
+        dense_spec = rmt.EnsembleSpec(M=M, parity=parity, samples=2000, seed=32)
+        dense = np.array([half_cosines(s) for s in rmt.collect_angle_samples(dense_spec)])
+        assert fast.shape == dense.shape == (2000, M // 2)
+        assert stats.ks_2samp(fast.ravel(), dense.ravel()).pvalue > 0.01
         tf = fejer(F(3, 5))
-        assert stats.ks_2samp(z_of(tf, M, fast), z_of(tf, M, ref)).pvalue > 0.01
+        z = rmt.z_values_for(tf, spec, alpha)
+        assert stats.ks_2samp(z, z_of(tf, M, dense)).pvalue > 0.01
 
     @pytest.mark.parametrize("M", [10, 11])
     def test_pooled_power_traces(self, M):
         # E Tr U^k over SO(M) is 1 for even k and 0 for odd k, 0 < k < M
         parity = "even" if M % 2 == 0 else "odd"
         spec = rmt.EnsembleSpec(M=M, parity=parity, samples=20000, seed=17)
-        cosines = rmt.sample_cosines(spec)
-        traces = rmt.power_traces(cosines, M, M - 1)
+        alpha = rmt.sample_verblunsky(spec)
+        traces = rmt.power_traces(alpha, M, M - 1)
         assert np.all(traces[:, 0] == M)
         for k in range(1, M):
             col = traces[:, k]
             err = abs(col.mean() - (1 - k % 2))
             assert err <= 4 * col.std(ddof=1) / np.sqrt(len(col)), (k, err)
         tf = fejer(F(1, 2))
-        z = rmt.z_values_for(tf, spec, cosines)
+        z = rmt.z_values_for(tf, spec, alpha)
         err = abs(z.mean() - float(rmt.finite_mean(tf, M)))
         assert err <= 4 * z.std(ddof=1) / np.sqrt(len(z))
 
@@ -207,10 +236,21 @@ class TestSamplerAgainstReference:
 class TestReproducibility:
     def test_bit_identical_streams(self):
         spec = rmt.EnsembleSpec(M=8, parity="even", samples=50, seed=99)
-        a = rmt.sample_cosines(spec)
-        assert np.array_equal(a, rmt.sample_cosines(spec))
+        a = rmt.sample_verblunsky(spec)
+        assert np.array_equal(a, rmt.sample_verblunsky(spec))
         other = rmt.EnsembleSpec(M=8, parity="even", samples=50, seed=100)
-        assert not np.array_equal(a, rmt.sample_cosines(other))
+        assert not np.array_equal(a, rmt.sample_verblunsky(other))
+
+    def test_stream_unchanged(self):
+        # drawn by the sampler before the traces came from the Szego
+        # recursion; float repr round-trips, so == is bit identity
+        spec = rmt.EnsembleSpec(M=7, parity="odd", samples=2, seed=1)
+        assert rmt.sample_verblunsky(spec).tolist() == [
+            [-0.1738067809721784, -0.6127010952368908, -0.3930583442246829,
+             -0.6185660448452404, -0.8454512543180892],
+            [-0.26552211803543413, -0.6468892936056232, -0.360910919378185,
+             -0.9525979582594406, 0.09291508942651261],
+        ]
 
     def test_spec_validation(self):
         with pytest.raises(DomainError):
@@ -225,7 +265,7 @@ class TestMomentEstimation:
     def test_mean_and_variance_small_M(self):
         tf = fejer(F(3, 5))
         spec = rmt.EnsembleSpec(M=40, parity="even", samples=4000, seed=11)
-        zv = rmt.z_values_for(tf, spec, rmt.sample_cosines(spec))
+        zv = rmt.z_values_for(tf, spec, rmt.sample_verblunsky(spec))
         mean_rep = rmt.empirical_mean_check(tf, zv)
         assert abs(mean_rep.empirical - float(mean_rep.predicted)) <= max(
             4 * mean_rep.stderr, 2.0 / spec.M
@@ -240,7 +280,7 @@ class TestMomentEstimation:
         # centering defect (see the n=3 analysis in the acceptance module)
         tf = fejer(F(1, 4))
         spec = rmt.EnsembleSpec(M=48, parity="even", samples=400, seed=13)
-        zv = rmt.z_values_for(tf, spec, rmt.sample_cosines(spec))
+        zv = rmt.z_values_for(tf, spec, rmt.sample_verblunsky(spec))
         reports = rmt.estimate_centered_moments(tf, spec, 3, z_vals=zv)
         gauss = {2: 1 / 3, 3: 0.0}
         for r in reports:
@@ -250,7 +290,7 @@ class TestMomentEstimation:
     def test_unsupported_order_labeled(self):
         tf = fejer(F(3, 5))  # 2/n < sigma for n >= 4
         spec = rmt.EnsembleSpec(M=12, parity="even", samples=200, seed=3)
-        zv = rmt.z_values_for(tf, spec, rmt.sample_cosines(spec))
+        zv = rmt.z_values_for(tf, spec, rmt.sample_verblunsky(spec))
         reports = rmt.estimate_centered_moments(tf, spec, 4, z_vals=zv)
         by_n = {r.n: r for r in reports}
         assert by_n[2].supported and by_n[3].supported
@@ -275,7 +315,7 @@ class TestMomentEstimation:
             bs, es = [], []
             for seed in (1, 2):
                 spec = rmt.EnsembleSpec(M=M, parity="even", samples=1500, seed=seed)
-                zv = rmt.z_values_for(tf, spec, rmt.sample_cosines(spec))
+                zv = rmt.z_values_for(tf, spec, rmt.sample_verblunsky(spec))
                 rep = rmt.empirical_mean_check(tf, zv)
                 bs.append(rep.empirical - float(rep.predicted))
                 es.append(rep.stderr)

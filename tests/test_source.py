@@ -98,3 +98,34 @@ def test_float_oracle_shares_nothing_with_the_exact_route():
                    if name.startswith("term_")
                    or name in ("to_terms", "from_terms", "psi_terms", "gp_terms")]
     assert shared == []
+
+
+MONTE_CARLO = ("sample_verblunsky", "power_traces", "z_values_for")
+
+
+def test_monte_carlo_shares_nothing_with_the_exact_route():
+    """The Monte Carlo path, and every ``rmt`` function it calls, names nothing
+    that ``rmt`` imports from ``moments`` or ``exactpoly`` and imports neither,
+    so its agreement with the exact moments means something."""
+    tree = _trees()["rmt"]
+    modules = ("moments", "exactpoly")
+    exact = set(modules)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            whole = isinstance(node, ast.ImportFrom) and (node.module or "").endswith(modules)
+            exact |= {alias.asname or alias.name for alias in node.names
+                      if whole or alias.name.endswith(modules)}
+    defs = {name: node for name, node in _definitions(tree)}
+    todo, seen, shared = list(MONTE_CARLO), set(), []
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for ref, _ in _references(defs[name]):
+            if ref in exact:
+                shared.append(f"rmt.{name}: {ref}")
+            elif ref in defs:
+                todo.append(ref)
+    assert {"mo"} <= exact  # the estimator's own import is seen
+    assert shared == []
