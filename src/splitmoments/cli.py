@@ -397,7 +397,8 @@ def _cmd_rmt(cfg: RunConfig):
         "z_score is measured from the same centre as the gate",
         "power traces Tr U^k from the Szego recursion of the Killip-Nenciu Verblunsky"
         " coefficients (no eigensolve)",
-        f"per-sample RNG: SeedSequence((seed={spec.seed}, index))",
+        f"RNG: one generator per run, default_rng(seed={spec.seed}), samples drawn in"
+        " index order",
     ]
     return results, assumptions, ok
 

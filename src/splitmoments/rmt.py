@@ -11,8 +11,9 @@ and Nenciu 2004, *Matrix models for circular ensembles*, Thm 2; see also
 Edelman and Sutton 2008, *The beta-Jacobi matrix model*): independent real
 Verblunsky coefficients alpha_0..alpha_{2n-2} with Beta laws on [-1, 1],
 and alpha_{2n-1} = -1, define a 2n x 2n CMV matrix whose eigenvalues are
-the exp(+-i theta_j).  Sample i uses a generator seeded by
-SeedSequence((seed, i)), so the stream is bit-identical for a given seed.
+the exp(+-i theta_j).  One generator seeded by ``seed`` draws every sample,
+in index order, so the stream is bit-identical for a given seed and a
+shorter run is a prefix of a longer one.
 
 The statistic uses the finite Fourier sum
 
@@ -22,7 +23,7 @@ with K = floor(sigma M); when sigma M is an integer the boundary term is
 included with weight fhat(sigma).  Z(U) sums F_M over all M angles, so it
 needs only the power traces Tr U^k for k <= K.  ``power_traces`` takes them
 from the Szego recursion of the coefficients, truncated after u^K, and
-Newton's identities; no eigenvalue is computed.
+Newton's identities, in blocks of samples; no eigenvalue is computed.
 
 Reference route, kept for the tests that check the sampler against it:
 Gaussian matrix -> QR -> fix signs so R has positive diagonal (Haar on O(M))
@@ -186,6 +187,7 @@ def _verblunsky_shapes(M: int) -> tuple[np.ndarray, np.ndarray]:
     return s, t
 
 
+_BLOCK = 512  # samples per pass of the Szego recursion in ``power_traces``
 _MEMORY_BUDGET = 1 << 31  # bytes of float64 arrays in one run
 # Multiply-adds of the trace stage, samples * (M K + K^2 / 2).  They took 3.6 to
 # 4.8 ns each at M = 100 to 4000 (2-core x86-64, numpy 2.4.6), so the cap is
@@ -196,13 +198,15 @@ _WORK_BUDGET = 2 * 10**10
 def check_resources(spec: EnsembleSpec, K: int) -> None:
     """Refuse, before any draw, a run over the memory or the work budget.
 
-    The float64 estimate counts the Verblunsky coefficients twice (as drawn
-    and in the layout of ``power_traces``) and six (K + 1, samples) arrays.
-    At sigma = 3/5 it is about 90 MB for M = 100 with 20000 samples (the
-    acceptance gate's size) and 9 MB with 2000.
+    The float64 estimate counts the Verblunsky coefficients, K + 2 outputs
+    per sample (its traces and Z) and the work arrays of one
+    ``power_traces`` block: its 2n steps and five (K + 1, block) arrays.
+    At sigma = 3/5 it is about 28 MB for M = 100 with 20000 samples (the
+    acceptance gate's size) and 4 MB with 2000.
     """
     n = spec.M // 2
-    floats = spec.samples * (2 * (2 * n) + 6 * (K + 1))
+    block = min(spec.samples, _BLOCK)
+    floats = spec.samples * (2 * n - 1 + K + 2) + block * (2 * n + 5 * (K + 1))
     if 8 * floats > _MEMORY_BUDGET:
         raise ResourceLimitError(
             f"rmt at M={spec.M} with {spec.samples} samples needs about"
@@ -217,14 +221,14 @@ def check_resources(spec: EnsembleSpec, K: int) -> None:
 def sample_verblunsky(spec: EnsembleSpec) -> np.ndarray:
     """(samples, 2 floor(M/2) - 1) array of the Verblunsky coefficients alpha_k.
 
-    Sample i draws its coefficients from a generator seeded by
-    SeedSequence((seed, i)).
+    One generator, seeded by ``seed``, draws all the Beta variates in one
+    call.  It fills the array row by row, so sample i depends only on the
+    seed and i: the first k rows of any longer draw are the k-sample draw.
     """
     s, t = _verblunsky_shapes(spec.M)
-    alpha = np.empty((spec.samples, len(s)))
-    for i in range(spec.samples):
-        rng = np.random.default_rng(np.random.SeedSequence((spec.seed, i)))
-        alpha[i] = 1 - 2 * rng.beta(s, t)
+    alpha = np.random.default_rng(spec.seed).beta(s, t, size=(spec.samples, len(s)))
+    alpha *= -2
+    alpha += 1
     return alpha
 
 
@@ -242,21 +246,32 @@ def power_traces(alpha: np.ndarray, M: int, K: int) -> np.ndarray:
 
     from Phi_0 = Phi*_0 = 1 runs modulo u^{K+1}, which closes on itself, and
     Newton's identities p_k = -k c_k - sum_{m<k} c_{k-m} p_m give the power
-    sums of those eigenvalues: Tr U^k = p_k + (M mod 2).  The arrays are laid
-    out (K + 1, samples), so each step is a few whole-array operations.
+    sums of those eigenvalues: Tr U^k = p_k + (M mod 2).  Blocks of
+    ``_BLOCK`` samples are laid out (K + 1, block), so each step is a few
+    whole-array operations on arrays that stay in cache; before step j only
+    the coefficients of u^0..u^j can be nonzero, so the step touches those.
     """
+    out = np.empty((alpha.shape[0], K + 1))
+    for i0 in range(0, alpha.shape[0], _BLOCK):
+        out[i0 : i0 + _BLOCK] = _block_traces(alpha[i0 : i0 + _BLOCK], M, K)
+    return out
+
+
+def _block_traces(alpha: np.ndarray, M: int, K: int) -> np.ndarray:
+    """``power_traces`` of one block of samples."""
     rows = alpha.shape[0]
     steps = np.empty((alpha.shape[1] + 1, rows))
     steps[:-1] = alpha.T
     steps[-1] = -1.0
     phi, star, nxt, tmp = (np.zeros((K + 1, rows)) for _ in range(4))
     phi[0] = star[0] = 1.0
-    for a in steps:
-        np.multiply(star, a, out=tmp)
+    for j, a in enumerate(steps):
+        d = min(j + 2, K + 1)  # rows of Phi_{j+1}, Phi*_{j+1} that can be nonzero
+        np.multiply(star[:d], a, out=tmp[:d])
         np.negative(tmp[0], out=nxt[0])
-        np.subtract(phi[:-1], tmp[1:], out=nxt[1:])
-        np.multiply(phi[:-1], a, out=tmp[1:])
-        star[1:] -= tmp[1:]
+        np.subtract(phi[: d - 1], tmp[1:d], out=nxt[1:d])
+        np.multiply(phi[: d - 1], a, out=tmp[1:d])
+        star[1:d] -= tmp[1:d]
         phi, nxt = nxt, phi
     traces = np.empty((K + 1, rows))
     traces[0] = M
