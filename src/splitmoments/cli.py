@@ -100,7 +100,7 @@ REQUIRED = object()  # the default of a key that must be given
 
 _SIGMA = (parse_rational, REQUIRED)
 _SIGN = (_one_of("plus", "minus"), "minus")
-_COMMON = {"seed": (_at_least(0), 42), "json": (Path, None), "csv": (Path, None)}
+_COMMON = {"seed": (_at_least(0), 42), "json": (Path, None)}
 
 # PARAMS[command][key] = (parser, default or REQUIRED).  A default of None
 # means the command derives the value (moment's a: the minimal valid a;
@@ -114,7 +114,7 @@ PARAMS: dict[str, dict[str, tuple]] = {
                **_COMMON},
     "rmt": {"M": (int, REQUIRED), "parity": (_one_of("even", "odd"), None),
             "samples": (_at_least(2), 1000), "sigma": _SIGMA, "nmax": (_at_least(1), 4),
-            **_COMMON},
+            **_COMMON, "csv": (Path, None)},
     "verify-combinat": {"n": (_at_least(3), 5), "a": (_at_least(2), None),
                         "t_max": (_at_least(1), 3), **_COMMON},
     "verify-arith": {"qmax": (_at_least(1), 200), "kloosterman_sweep": (_switch, False),
@@ -246,17 +246,14 @@ def _cmd_moment(cfg: RunConfig):
     sign = cfg.params["sign"]
     tf = fejer(sigma)
     a = cfg.params["a"]
-    spec = (
-        mo.MomentSpec(tf=tf, n=n, a=a, sign=sign)
-        if a is not None
-        else mo.MomentSpec.with_minimal_a(tf, n, sign)
-    )
-    value = mo.predicted_centered_moment(spec)
+    if a is None:
+        a = mo.minimal_a(tf, n)
+    value = mo.predicted_centered_moment(tf, n, a, sign)
     results = [
         {
             "quantity": "predicted_centered_moment",
             "n": n,
-            "a": spec.a,
+            "a": a,
             "sign": sign,
             **_exact(value),
         },
@@ -334,21 +331,18 @@ def _cmd_rmt(cfg: RunConfig):
     from .testfn import fejer
 
     M = cfg.params["M"]
-    spec = rmt.EnsembleSpec(
-        M=M,
-        parity=cfg.params["parity"] or ("even" if M % 2 == 0 else "odd"),
-        samples=cfg.params["samples"],
-        seed=cfg.params["seed"],
-    )
+    spec = rmt.EnsembleSpec(M=M, samples=cfg.params["samples"], seed=cfg.params["seed"])
+    parity = cfg.params["parity"]
+    if parity not in (None, "even" if M % 2 == 0 else "odd"):
+        raise DomainError(f"M={M} does not match parity {parity!r}")
     tf = fejer(cfg.params["sigma"])
     K = (tf.sigma.numerator * M) // tf.sigma.denominator
     rmt.check_resources(spec, K)
-    finite_mean = rmt.finite_mean(tf, spec.M)  # refuses sigma > 1
+    rmt.finite_mean(tf, M)  # refuses sigma > 1 before any draw
     if all(tf.fhat_at(Fraction(k, M)) == 0 for k in range(1, K + 1)):
         raise DomainError(
             f"Z is constant on SO({M}) at sigma={tf.sigma}: fhat(k/{M}) = 0 for all k >= 1"
         )
-    n_max = cfg.params["nmax"]
     z_vals = rmt.z_values_for(tf, spec, rmt.sample_verblunsky(spec))
     if cfg.params["csv"]:
         import csv
@@ -359,48 +353,18 @@ def _cmd_rmt(cfg: RunConfig):
         for i, z in enumerate(z_vals):
             writer.writerow([i, repr(float(z))])
         _write(cfg.params["csv"], rows.getvalue())
-    mean_rep = rmt.empirical_mean_check(tf, z_vals)
-    reports = [mean_rep] + rmt.estimate_centered_moments(tf, spec, n_max, z_vals=z_vals)
-    ok = True
-    results = []
-    for r in reports:
-        gate = None
-        passed = None
-        z_score = None
-        if r.predicted is not None:
-            # the mean is gated against its exact finite-M value, the
-            # centred moments against their M -> infinity limits
-            centre = finite_mean if r.n == 1 else r.predicted
-            floor = 0.05 if r.n == 1 else 2.0 / spec.M
-            gate = max(4 * r.stderr, floor)
-            passed = abs(r.empirical - float(centre)) <= gate
-            z_score = (r.empirical - float(centre)) / r.stderr
-            ok &= passed
-        results.append(
-            {
-                "n": r.n,
-                "empirical": r.empirical,
-                "stderr": r.stderr,
-                "predicted": _exact(r.predicted) if r.predicted is not None else None,
-                "finite_M_mean": _exact(finite_mean) if r.n == 1 else None,
-                "z_score": z_score,
-                "samples": r.samples,
-                "supported": r.supported,
-                "gate": gate,
-                "passed": passed,
-                "note": r.note,
-            }
-        )
+    results = rmt.moment_rows(tf, M, z_vals, cfg.params["nmax"])
     assumptions = [
-        "n = 1 gated against the exact finite-M mean; n >= 2 against the M -> infinity"
-        " limits with finite-M allowance c/M, c = 2 (no finite-M rates are available)",
+        "n = 1 gated against the exact finite-M mean; n >= 2 centred on that mean and gated"
+        " against the M -> infinity limits with finite-M allowance c/M, c = 2 (no finite-M"
+        " rates are available)",
         "z_score is measured from the same centre as the gate",
         "power traces Tr U^k from the Szego recursion of the Killip-Nenciu Verblunsky"
         " coefficients (no eigensolve)",
         f"RNG: one generator per run, default_rng(seed={spec.seed}), samples drawn in"
         " index order",
     ]
-    return results, assumptions, ok
+    return results, assumptions, all(row["passed"] is not False for row in results)
 
 
 def _cmd_verify_combinat(cfg: RunConfig):
@@ -416,7 +380,7 @@ def _cmd_verify_combinat(cfg: RunConfig):
     ok = True
     counterexamples = []
     for f in range(1, a):
-        got = table.get(sop.one_class(n, f).canonical, Fraction(0))
+        got = table.get(sop.one_class(n, f), Fraction(0))
         want = Fraction(2 * (-1) ** (n + f + 1) * comb(n, f))
         good = got == want
         ok &= good
@@ -425,7 +389,7 @@ def _cmd_verify_combinat(cfg: RunConfig):
         results.append(
             {"lemma": "one-class coefficient", "f": f, "value": _exact(got), "passed": good}
         )
-    f0 = table.get(sop.one_class(n, 0).canonical, Fraction(0))
+    f0 = table.get(sop.one_class(n, 0), Fraction(0))
     results.append(
         {
             "lemma": "one-class f=0 (reported, not asserted)",

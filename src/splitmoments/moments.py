@@ -31,7 +31,6 @@ against V brackets), not in the algebra beneath it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import comb, factorial
@@ -42,7 +41,6 @@ from .errors import DomainError
 from .testfn import TestFunction, gp_terms, psi_terms
 
 __all__ = [
-    "MomentSpec",
     "Sign",
     "sigma_phi_sq",
     "R_moment",
@@ -104,32 +102,6 @@ def _check_support(tf: TestFunction, n: int, a: int) -> None:
             f"sigma={tf.sigma} vs 1/(n-a)={Fraction(1, n - a)}; "
             f"need a >= {minimal_a(tf, n)}"
         )
-
-
-@dataclass(frozen=True)
-class MomentSpec:
-    """Parameters of one predicted centered moment.
-
-    ``a`` may be 0 only in the mock-Gaussian regime (sigma < 1/n), where the
-    correction sum is empty.  Sigma may sit on the closed support
-    boundaries (the continuity-in-sigma reading).
-    """
-
-    tf: TestFunction
-    n: int
-    a: int
-    sign: Sign
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("moment order n must be >= 1")
-        if self.sign not in ("plus", "minus"):
-            raise DomainError("sign must be 'plus' or 'minus'")
-        _check_support(self.tf, self.n, self.a)
-
-    @classmethod
-    def with_minimal_a(cls, tf: TestFunction, n: int, sign: Sign) -> "MomentSpec":
-        return cls(tf=tf, n=n, a=minimal_a(tf, n), sign=sign)
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +196,21 @@ def S_correction(tf: TestFunction, n: int, a: int) -> Fraction:
     return total
 
 
-def predicted_centered_moment(spec: MomentSpec) -> Fraction:
-    """1_{n even} (n-1)!! sigma_phi^n  +  sign * S(n, a)."""
-    n = spec.n
+def predicted_centered_moment(tf: TestFunction, n: int, a: int, sign: Sign) -> Fraction:
+    """1_{n even} (n-1)!! sigma_phi^n  +  sign * S(n, a).
+
+    ``a`` may be 0 only in the mock-Gaussian regime (sigma < 1/n), where the
+    correction sum is empty; ``minimal_a(tf, n)`` is the smallest valid a.
+    Sigma may sit on the closed support boundaries (the continuity-in-sigma
+    reading).
+    """
+    if sign not in ("plus", "minus"):
+        raise DomainError("sign must be 'plus' or 'minus'")
+    s = S_correction(tf, n, a)
     gaussian = Fraction(0)
     if n % 2 == 0:
-        gaussian = double_factorial(n - 1) * sigma_phi_sq(spec.tf) ** (n // 2)
-    s = S_correction(spec.tf, n, spec.a)
-    return gaussian + s if spec.sign == "plus" else gaussian - s
+        gaussian = double_factorial(n - 1) * sigma_phi_sq(tf) ** (n // 2)
+    return gaussian + s if sign == "plus" else gaussian - s
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,11 @@ The statistic uses the finite Fourier sum
 
 with K = floor(sigma M); when sigma M is an integer the boundary term is
 included with weight fhat(sigma).  Z(U) sums F_M over all M angles, so it
-needs only the power traces Tr U^k for k <= K.  ``power_traces`` takes them
+needs only the power traces Tr U^k for k <= K.  ``_block_traces`` takes them
 from the Szego recursion of the coefficients, truncated after u^K, and
-Newton's identities, in blocks of samples; no eigenvalue is computed.
+Newton's identities, one block of samples at a time, and ``z_values_for``
+keeps only each sample's Z; no eigenvalue is computed.  ``moment_rows``
+turns the Z values into the gated rows of the ``rmt`` report.
 
 Reference route, kept for the tests that check the sampler against it:
 Gaussian matrix -> QR -> fix signs so R has positive diagonal (Haar on O(M))
@@ -37,7 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal
 
 import numpy as np
 
@@ -48,37 +49,29 @@ from .testfn import TestFunction
 __all__ = [
     "EnsembleSpec",
     "EigenangleSample",
-    "MomentReport",
     "sample_haar_so",
     "eigenangles",
     "eigenangles_dense",
     "collect_angle_samples",
     "check_resources",
     "sample_verblunsky",
-    "power_traces",
     "z_values_for",
     "finite_mean",
-    "estimate_centered_moments",
-    "empirical_mean_check",
+    "moment_rows",
 ]
-
-Parity = Literal["even", "odd"]
 
 
 @dataclass(frozen=True)
 class EnsembleSpec:
+    """SO(M) with ``samples`` draws from ``seed``; M's parity picks SO(even) or SO(odd)."""
+
     M: int
-    parity: Parity
     samples: int
     seed: int
 
     def __post_init__(self):
         if self.M < 2:
             raise DomainError("M must be >= 2")
-        if self.parity not in ("even", "odd"):
-            raise DomainError("parity must be 'even' or 'odd'")
-        if self.M % 2 != (0 if self.parity == "even" else 1):
-            raise DomainError(f"M={self.M} does not match parity {self.parity!r}")
         if self.samples < 1:
             raise DomainError("samples must be >= 1")
 
@@ -166,7 +159,7 @@ def collect_angle_samples(spec: EnsembleSpec) -> list[EigenangleSample]:
     for i in range(spec.samples):
         rng = np.random.default_rng(np.random.SeedSequence((spec.seed, i)))
         s = eigenangles(sample_haar_so(spec.M, rng))
-        if spec.parity == "odd":
+        if spec.M % 2:
             s.check_odd_parity()
         out.append(s)
     return out
@@ -187,7 +180,7 @@ def _verblunsky_shapes(M: int) -> tuple[np.ndarray, np.ndarray]:
     return s, t
 
 
-_BLOCK = 512  # samples per pass of the Szego recursion in ``power_traces``
+_BLOCK = 512  # samples per pass of the Szego recursion in ``z_values_for``
 _MEMORY_BUDGET = 1 << 31  # bytes of float64 arrays in one run
 # Multiply-adds of the trace stage, samples * (M K + K^2 / 2).  They took 3.6 to
 # 4.8 ns each at M = 100 to 4000 (2-core x86-64, numpy 2.4.6), so the cap is
@@ -198,15 +191,15 @@ _WORK_BUDGET = 2 * 10**10
 def check_resources(spec: EnsembleSpec, K: int) -> None:
     """Refuse, before any draw, a run over the memory or the work budget.
 
-    The float64 estimate counts the Verblunsky coefficients, K + 2 outputs
-    per sample (its traces and Z) and the work arrays of one
-    ``power_traces`` block: its 2n steps and five (K + 1, block) arrays.
-    At sigma = 3/5 it is about 28 MB for M = 100 with 20000 samples (the
-    acceptance gate's size) and 4 MB with 2000.
+    The float64 estimate counts the Verblunsky coefficients, one Z per
+    sample and the work arrays of one ``_block_traces`` block: its 2n steps
+    and five (K + 1, block) arrays.  At sigma = 3/5 it is about 18 MB for
+    M = 100 with 20000 samples (the acceptance gate's size) and 3 MB with
+    2000.
     """
     n = spec.M // 2
     block = min(spec.samples, _BLOCK)
-    floats = spec.samples * (2 * n - 1 + K + 2) + block * (2 * n + 5 * (K + 1))
+    floats = spec.samples * 2 * n + block * (2 * n + 5 * (K + 1))
     if 8 * floats > _MEMORY_BUDGET:
         raise ResourceLimitError(
             f"rmt at M={spec.M} with {spec.samples} samples needs about"
@@ -232,8 +225,8 @@ def sample_verblunsky(spec: EnsembleSpec) -> np.ndarray:
     return alpha
 
 
-def power_traces(alpha: np.ndarray, M: int, K: int) -> np.ndarray:
-    """(samples, K + 1) array of Tr U^k = sum over all M angles of cos(k theta).
+def _block_traces(alpha: np.ndarray, M: int, K: int) -> np.ndarray:
+    """(rows, K + 1) array of Tr U^k = sum over all M angles of cos(k theta).
 
     With alpha_{2n-1} = -1 appended, the 2n = 2 floor(M/2) eigenvalues other
     than the fixed 1 of odd M are the zeros of the Szego polynomial Phi_{2n},
@@ -246,19 +239,11 @@ def power_traces(alpha: np.ndarray, M: int, K: int) -> np.ndarray:
 
     from Phi_0 = Phi*_0 = 1 runs modulo u^{K+1}, which closes on itself, and
     Newton's identities p_k = -k c_k - sum_{m<k} c_{k-m} p_m give the power
-    sums of those eigenvalues: Tr U^k = p_k + (M mod 2).  Blocks of
-    ``_BLOCK`` samples are laid out (K + 1, block), so each step is a few
-    whole-array operations on arrays that stay in cache; before step j only
-    the coefficients of u^0..u^j can be nonzero, so the step touches those.
+    sums of those eigenvalues: Tr U^k = p_k + (M mod 2).  The block is laid
+    out (K + 1, rows), so each step is a few whole-array operations on arrays
+    that stay in cache for rows up to ``_BLOCK``; before step j only the
+    coefficients of u^0..u^j can be nonzero, so the step touches those.
     """
-    out = np.empty((alpha.shape[0], K + 1))
-    for i0 in range(0, alpha.shape[0], _BLOCK):
-        out[i0 : i0 + _BLOCK] = _block_traces(alpha[i0 : i0 + _BLOCK], M, K)
-    return out
-
-
-def _block_traces(alpha: np.ndarray, M: int, K: int) -> np.ndarray:
-    """``power_traces`` of one block of samples."""
     rows = alpha.shape[0]
     steps = np.empty((alpha.shape[1] + 1, rows))
     steps[:-1] = alpha.T
@@ -282,11 +267,22 @@ def _block_traces(alpha: np.ndarray, M: int, K: int) -> np.ndarray:
 
 
 def z_values_for(tf: TestFunction, spec: EnsembleSpec, alpha: np.ndarray) -> np.ndarray:
-    """Z per sample from its Verblunsky coefficients (they do not depend on the test function)."""
+    """Z per sample from its Verblunsky coefficients (they do not depend on the test function).
+
+    Each block's traces are weighted and summed over k as soon as they are
+    made, so only one block of traces is held at a time.  The sum runs
+    elementwise in k order, so a sample's Z does not depend on its block.
+    """
     coeffs = _fourier_coeffs(tf, spec.M)
     weights = 2 * coeffs
     weights[0] = coeffs[0]
-    return power_traces(alpha, spec.M, len(coeffs) - 1) @ weights / spec.M
+    K = len(coeffs) - 1
+    z = np.empty(alpha.shape[0])
+    for i0 in range(0, alpha.shape[0], _BLOCK):
+        traces = _block_traces(alpha[i0 : i0 + _BLOCK], spec.M, K)
+        z[i0 : i0 + _BLOCK] = sum(w * t for w, t in zip(weights, traces.T))
+    z /= spec.M
+    return z
 
 
 def finite_mean(tf: TestFunction, M: int) -> Fraction:
@@ -302,68 +298,51 @@ def finite_mean(tf: TestFunction, M: int) -> Fraction:
     return tf.fhat_at(0) + Fraction(2, M) * even
 
 
-@dataclass(frozen=True)
-class MomentReport:
-    n: int
-    empirical: float
-    stderr: float
-    predicted: Fraction | None
-    samples: int
-    supported: bool
-    note: str = ""
+def moment_rows(tf: TestFunction, M: int, z_vals: np.ndarray, n_max: int) -> list[dict]:
+    """The ``rmt`` report rows: E[Z], then E[(Z - m)^n] for 2 <= n <= n_max.
 
-    def __post_init__(self):
-        if self.samples > 1 and not self.stderr > 0:
-            raise InvariantViolation("stderr must be positive for samples > 1")
-
-
-def _report(n, values, predicted, supported, note=""):
-    emp = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
-    return MomentReport(
-        n=n,
-        empirical=emp,
-        stderr=se,
-        predicted=predicted,
-        samples=len(values),
-        supported=supported,
-        note=note,
-    )
-
-
-def estimate_centered_moments(
-    tf: TestFunction,
-    spec: EnsembleSpec,
-    n_max: int,
-    z_vals: np.ndarray,
-) -> list[MomentReport]:
-    """Empirical E[(Z - mu)^n] for 2 <= n <= n_max against exact predictions.
-
-    ``z_vals`` holds one Z per sample (see :func:`z_values_for`).  Centering
-    uses the exact limiting mean; the standard error is the plain iid error
-    of the sample mean of (Z - mu)^n (the estimator is linear, so this
-    coincides with its jackknife estimate).
+    m is the exact finite-M mean (:func:`finite_mean`).  The mean is gated
+    against m with the floor 0.05, each centred moment against its
+    M -> infinity prediction (sign + for even M, - for odd, at the minimal a)
+    with the finite-M allowance 2/M; an order with sigma > 2/n has no
+    prediction and no gate.  The standard error is the plain iid error of the
+    sample mean of Z or (Z - m)^n (the estimator is linear, so this coincides
+    with its jackknife estimate), and ``z_score`` is measured from the centre
+    of the gate.
     """
-    mu = float(mo.mean_value(tf))
-    centered = z_vals - mu
-    sign = "plus" if spec.parity == "even" else "minus"
-    reports = []
-    for n in range(2, n_max + 1):
+    centre = finite_mean(tf, M)
+    centred = z_vals - float(centre)
+    sign = "plus" if M % 2 == 0 else "minus"
+    rows = []
+    for n in range(1, n_max + 1):
+        values = z_vals if n == 1 else centred**n
+        empirical = float(np.mean(values))
+        stderr = float(np.std(values, ddof=1) / np.sqrt(len(values)))
+        if not stderr > 0:
+            raise InvariantViolation(f"stderr of the n={n} row is {stderr}, not positive")
         supported = tf.sigma <= Fraction(2, n)
-        predicted = None
-        note = ""
-        if supported:
-            predicted = mo.predicted_centered_moment(
-                mo.MomentSpec.with_minimal_a(tf, n, sign)
-            )
-        else:
-            note = "sigma exceeds 2/n: no closed-form prediction at this order"
-        reports.append(_report(n, centered**n, predicted, supported, note))
-    return reports
-
-
-def empirical_mean_check(tf: TestFunction, z_vals: np.ndarray) -> MomentReport:
-    """Empirical E[Z] of the samples ``z_vals`` against the exact limiting mean."""
-    if tf.sigma > 1:
-        raise DomainError("mean comparison requires sigma <= 1")
-    return _report(1, z_vals, mo.mean_value(tf), True)
+        predicted = target = gate = passed = z_score = None
+        note = "" if supported else "sigma exceeds 2/n: no closed-form prediction at this order"
+        if n == 1:
+            predicted, target, floor = mo.mean_value(tf), centre, 0.05
+        elif supported:
+            predicted = mo.predicted_centered_moment(tf, n, mo.minimal_a(tf, n), sign)
+            target, floor = predicted, 2.0 / M
+        if target is not None:
+            gate = max(4 * stderr, floor)
+            passed = abs(empirical - float(target)) <= gate
+            z_score = (empirical - float(target)) / stderr
+        rows.append({
+            "n": n,
+            "empirical": empirical,
+            "stderr": stderr,
+            "predicted": predicted,
+            "finite_M_mean": centre if n == 1 else None,
+            "z_score": z_score,
+            "samples": len(values),
+            "supported": supported,
+            "gate": gate,
+            "passed": passed,
+            "note": note,
+        })
+    return rows

@@ -9,10 +9,11 @@ sign function eta(l, j) = +1 iff j <= lambda_1+..+lambda_l, the weight
 and, for a support parameter a, the family J(S) of index subsets whose
 eta*eps sign pattern is constant with at most a-1 exceptions; I(S) keeps the
 inclusion-minimal ones.  Unordered t-tuples of subsets are grouped into
-t-classes (orbits under relabeling of {1..n}); this module enumerates every
-system of parameters and accumulates sum_S T(S, C) A(S) per class, which the
-theory says collapses to 2(-1)^{n+f+1} C(n,f) for 1-classes of size f >= 1
-and to 0 for every feasible class of 2 or more subsets.
+t-classes (orbits under relabeling of {1..n}), each named by its canonical
+key, a sorted tuple of sorted tuples (``class_canonical``).  This module
+enumerates every system of parameters and accumulates sum_S T(S, C) A(S) per
+class, which the theory says collapses to 2(-1)^{n+f+1} C(n,f) for 1-classes
+of size f >= 1 and to 0 for every feasible class of 2 or more subsets.
 
 Also here: the log/exp composition-sum coefficients that the
 ``verify combinat`` command checks.  The tests hold the rest in
@@ -37,7 +38,6 @@ from .linfeas import Constraint, feasible
 
 __all__ = [
     "SystemOfParameters",
-    "TClass",
     "enumerate_sops",
     "compositions",
     "j_sets",
@@ -158,14 +158,6 @@ def a_weight(S: SystemOfParameters) -> Fraction:
 CanonicalKey = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class TClass:
-    """Orbit of an unordered tuple of distinct subsets of {1..n} under S_n."""
-
-    canonical: CanonicalKey
-    n: int
-
-
 def _canonical_key(subsets: Sequence[frozenset[int]], n: int) -> CanonicalKey:
     """Orbit-canonical representative via the atom-size signature.
 
@@ -199,19 +191,20 @@ def _canonical_key(subsets: Sequence[frozenset[int]], n: int) -> CanonicalKey:
     return best
 
 
-def class_canonical(subsets: Iterable[Iterable[int]], n: int) -> TClass:
-    """Canonical t-class of an unordered tuple of distinct subsets of {1..n}."""
+def class_canonical(subsets: Iterable[Iterable[int]], n: int) -> CanonicalKey:
+    """Canonical key of the t-class (the orbit under S_n) of an unordered tuple
+    of distinct subsets of {1..n}."""
     subs = [frozenset(s) for s in subsets]
     if len(set(subs)) != len(subs):
         raise DomainError("tuple components must be distinct subsets")
     for s in subs:
         if s and (min(s) < 1 or max(s) > n):
             raise DomainError("subset elements must lie in 1..n")
-    return TClass(canonical=_canonical_key(subs, n), n=n)
+    return _canonical_key(subs, n)
 
 
-def one_class(n: int, f: int) -> TClass:
-    """The 1-class of all f-element subsets."""
+def one_class(n: int, f: int) -> CanonicalKey:
+    """Canonical key of the 1-class of all f-element subsets."""
     return class_canonical([range(1, f + 1)] if f else [()], n)
 
 

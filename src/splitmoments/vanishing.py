@@ -80,8 +80,7 @@ def vanishing_result(q: VanishingQuery) -> VanishingResult:
             f"threshold r - 1/sigma - 1/2 = {threshold} is not positive; "
             "the Markov argument does not apply"
         )
-    spec = mo.MomentSpec.with_minimal_a(tf, q.n, q.sign)
-    moment = mo.predicted_centered_moment(spec)
+    moment = mo.predicted_centered_moment(tf, q.n, mo.minimal_a(tf, q.n), q.sign)
     return VanishingResult(moment=moment, threshold=threshold, bound=moment / threshold**q.n)
 
 

@@ -1,7 +1,7 @@
 """Test-only cosine route for the Monte Carlo statistic.
 
 The package gets the power traces of each sample from the Szego recursion of
-its Verblunsky coefficients (``splitmoments.rmt.power_traces``).  This module
+its Verblunsky coefficients (``splitmoments.rmt._block_traces``).  This module
 keeps the route it replaced, which computes the eigenvalues:
 
 - ``jacobi_cosines``: the Geronimus relations turn the coefficients into an

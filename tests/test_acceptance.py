@@ -44,8 +44,7 @@ class _Budget:
 def test_criterion_1_flagship_values():
     with _Budget("criterion 1 (exact flagship values)", 1.0):
         tf = fejer(F(1, 2))
-        spec = mo.MomentSpec(tf=tf, n=4, a=2, sign="minus")
-        assert mo.predicted_centered_moment(spec) == F(31, 105)
+        assert mo.predicted_centered_moment(tf, 4, 2, "minus") == F(31, 105)
         q = vb.VanishingQuery(r=5, n=4, sigma=F(1, 2), sign="minus")
         assert vb.vanishing_bound(q) == F(496, 65625)
 
@@ -109,7 +108,7 @@ def test_criterion_5_combinatorial_suite():
             for a in range(1, (n + 1) // 2 + 1):
                 table = sop.sum_TA_all(n, a, t_max=3)
                 for f in range(1, a):
-                    got = table.get(sop.one_class(n, f).canonical, F(0))
+                    got = table.get(sop.one_class(n, f), F(0))
                     assert got == 2 * (-1) ** (n + f + 1) * comb(n, f), (n, a, f)
                 for key, val in table.items():
                     if len(key) >= 2 and val != 0:
@@ -162,45 +161,39 @@ def test_criterion_6_arithmetic_suite():
 
 RMT_SEED = 123
 RMT_SAMPLES = 20000
-MOCK_SAMPLES = 2000  # resolution chosen so 4*stderr covers the O(1/M) centering
-                     # defect (~ fhat(0)/M); see the decisions ledger
 
 
 def test_criterion_7_rmt_statistical_gate():
+    """The moments are centred on the exact finite-M mean, so the mock-Gaussian
+    orders can be gated at the full sample count."""
     with _Budget("criterion 7 (RMT statistical gate)", 60.0):
         rmt_collections = {}
-        for M, parity in [(100, "even"), (101, "odd")]:
-            spec = rmt.EnsembleSpec(
-                M=M, parity=parity, samples=RMT_SAMPLES, seed=RMT_SEED
-            )
-            rmt_collections[parity] = (spec, rmt.sample_verblunsky(spec))
+        for M in (100, 101):
+            spec = rmt.EnsembleSpec(M=M, samples=RMT_SAMPLES, seed=RMT_SEED)
+            rmt_collections[M] = (spec, rmt.sample_verblunsky(spec))
         t35 = fejer(F(3, 5))
-        predictions = {"even": F(325, 972), "odd": F(323, 972)}
-        for parity, (spec, alpha) in rmt_collections.items():
+        predictions = {100: F(325, 972), 101: F(323, 972)}
+        for M, (spec, alpha) in rmt_collections.items():
             z = rmt.z_values_for(t35, spec, alpha)
-            mean_rep = rmt.empirical_mean_check(t35, z)
-            assert mean_rep.predicted == F(13, 6)
-            mean_err = abs(mean_rep.empirical - float(mean_rep.predicted))
-            assert mean_err <= max(4 * mean_rep.stderr, 0.05), (parity, mean_err)
-            (var_rep,) = rmt.estimate_centered_moments(t35, spec, 2, z_vals=z)
-            assert var_rep.predicted == predictions[parity]
-            var_err = abs(var_rep.empirical - float(var_rep.predicted))
-            assert var_err <= max(4 * var_rep.stderr, 0.02), (parity, var_err)
-            print(f"  {parity}: mean err {mean_err:.4f}, var err {var_err:.4f}")
+            mean_row, var_row = rmt.moment_rows(t35, M, z, 2)
+            assert mean_row["predicted"] == F(13, 6)
+            mean_err = abs(mean_row["empirical"] - float(mean_row["predicted"]))
+            assert mean_err <= max(4 * mean_row["stderr"], 0.05), (M, mean_err)
+            assert var_row["predicted"] == predictions[M]
+            var_err = abs(var_row["empirical"] - float(var_row["predicted"]))
+            assert var_err <= max(4 * var_row["stderr"], 0.02), (M, var_err)
+            print(f"  M={M}: mean err {mean_err:.4f}, var err {var_err:.4f}")
 
         t14 = fejer(F(1, 4))
         gaussian = {2: F(1, 3), 3: F(0), 4: 3 * F(1, 3) ** 2}
-        for parity, (spec, alpha) in rmt_collections.items():
-            sub_spec = rmt.EnsembleSpec(
-                M=spec.M, parity=parity, samples=MOCK_SAMPLES, seed=RMT_SEED
-            )
-            z = rmt.z_values_for(t14, sub_spec, alpha[:MOCK_SAMPLES])
-            reports = rmt.estimate_centered_moments(t14, sub_spec, 4, z_vals=z)
-            for r in reports:
-                assert r.predicted == gaussian[r.n], (parity, r.n)
-                err = abs(r.empirical - float(r.predicted))
-                assert err <= 4 * r.stderr, (parity, r.n, err, 4 * r.stderr)
-                print(f"  mock-Gaussian {parity} n={r.n}: err {err:.4f} <= {4*r.stderr:.4f}")
+        for M, (spec, alpha) in rmt_collections.items():
+            z = rmt.z_values_for(t14, spec, alpha)
+            for r in rmt.moment_rows(t14, M, z, 4)[1:]:
+                n = r["n"]
+                assert r["predicted"] == gaussian[n], (M, n)
+                err = abs(r["empirical"] - float(r["predicted"]))
+                assert err <= 4 * r["stderr"], (M, n, err, 4 * r["stderr"])
+                print(f"  mock-Gaussian M={M} n={n}: err {err:.4f} <= {4 * r['stderr']:.4f}")
 
 
 def test_criterion_8_qn_monte_carlo():
@@ -264,8 +257,8 @@ def test_criterion_9_invariant_sweeps():
             vals = {mo.S_correction(tf, n, a) for a in mo.valid_a_range(tf, n)}
             assert len(vals) == 1, (sigma, n, vals)
             a = mo.minimal_a(tf, n)
-            plus = mo.predicted_centered_moment(mo.MomentSpec(tf=tf, n=n, a=a, sign="plus"))
-            minus = mo.predicted_centered_moment(mo.MomentSpec(tf=tf, n=n, a=a, sign="minus"))
+            plus = mo.predicted_centered_moment(tf, n, a, "plus")
+            minus = mo.predicted_centered_moment(tf, n, a, "minus")
             gauss = (
                 mo.double_factorial(n - 1) * mo.sigma_phi_sq(tf) ** (n // 2)
                 if n % 2 == 0

@@ -113,9 +113,9 @@ class TestVanish:
         calls = []
         real = mo.predicted_centered_moment
 
-        def counted(spec):
-            calls.append(spec)
-            return real(spec)
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
 
         monkeypatch.setattr(mo, "predicted_centered_moment", counted)
         code, report = run_cli(
@@ -257,7 +257,9 @@ class TestRmtCommand:
         # 1.25e12 multiply-adds of tracing in 80 MB of arrays
         (["--M", "1000000", "--samples", "2", "--sigma", "1/2"], "multiply-adds"),
         (["--M", "100", "--samples", "2000", "--sigma", "3/2"], "sigma <= 1"),
-    ], ids=["work", "sigma"])
+        (["--M", "9", "--parity", "even", "--samples", "5", "--sigma", "1/2"],
+         "does not match parity"),
+    ], ids=["work", "sigma", "parity"])
     def test_refused_before_sampling(self, capsys, monkeypatch, args, reason):
         from splitmoments import rmt
 
@@ -271,8 +273,19 @@ class TestRmtCommand:
     def test_large_runs_within_budget(self, M, samples):
         from splitmoments import rmt
 
-        spec = rmt.EnsembleSpec(M=M, parity="even", samples=samples, seed=0)
+        spec = rmt.EnsembleSpec(M=M, samples=samples, seed=0)
         rmt.check_resources(spec, M)  # K = M is the largest sigma <= 1 allows
+
+    def test_moments_centred_on_finite_M_mean(self, capsys):
+        # centring on the M -> infinity mean 13/6 instead of the exact SO(100)
+        # mean 43/20 biases n = 3 by about 3 Var (43/20 - 13/6) = -0.017, which
+        # fails this seed: -0.0574 against -0.0304, gate 0.0255
+        code, report = run_cli(["rmt", "--M", "100", "--samples", "20000", "--sigma", "3/5",
+                                "--nmax", "3", "--seed", "2"], capsys)
+        assert code == 0 and report["passed"]
+        third = report["results"][2]
+        assert third["n"] == 3 and third["passed"]
+        assert third["predicted"]["exact"] == "-997/32805"
 
     def test_reproducible_z_stream(self, capsys, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -460,6 +473,15 @@ class TestBadInput:
             ["moment", "--sigma", "1/2", "--n", "4", "--json", str(target)], capsys
         )
         assert "r.json" in err
+
+    @pytest.mark.parametrize("command", [c for c in cli.PARAMS if c != "rmt"])
+    def test_csv_only_for_rmt(self, command, capsys, tmp_path):
+        target = tmp_path / "z.csv"
+        argv = command.split("-") + ["--csv", str(target)]
+        assert "--csv" in assert_usage_error(argv, capsys)
+        cfg_file = write_config(tmp_path, command, csv=target)
+        assert "unknown key 'csv'" in assert_usage_error(["--config", cfg_file], capsys)
+        assert not target.exists()
 
     def test_csv_path_in_missing_directory(self, capsys, tmp_path):
         target = tmp_path / "absent" / "z.csv"
@@ -687,6 +709,16 @@ class TestParamsTable:
                     assert cfg.params[key] is True
                 else:
                     assert cfg.params[key] == table[key][0](given)
+
+
+class TestBenchmarkOps:
+    @pytest.mark.parametrize("workload", sorted(load_bench_workloads()))
+    def test_every_op_passes_its_checks(self, workload, capsys):
+        """Each benchmark op, run in-process, passes the checks the benchmark applies."""
+        workloads = load_bench("workloads")
+        for op in workloads.WORKLOADS[workload](1):
+            code = cli.main(op["argv"])
+            assert workloads.check(op, code, capsys.readouterr().out) is None, op["argv"]
 
 
 class TestBenchTracer:

@@ -133,25 +133,21 @@ class TestSCorrection:
 
 class TestPredictedMoment:
     def test_flagship_value(self):
-        spec = mo.MomentSpec(tf=HALF, n=4, a=2, sign="minus")
-        assert mo.predicted_centered_moment(spec) == F(31, 105)
+        assert mo.predicted_centered_moment(HALF, 4, 2, "minus") == F(31, 105)
 
     def test_odd_moment_no_gaussian_term(self):
-        spec = mo.MomentSpec(tf=HALF, n=3, a=2, sign="minus")
-        assert mo.predicted_centered_moment(spec) == -mo.S_correction(HALF, 3, 2)
+        assert mo.predicted_centered_moment(HALF, 3, 2, "minus") == -mo.S_correction(HALF, 3, 2)
 
     def test_variance_both_signs(self):
-        plus = mo.MomentSpec(tf=THREE_FIFTHS, n=2, a=1, sign="plus")
-        minus = mo.MomentSpec(tf=THREE_FIFTHS, n=2, a=1, sign="minus")
-        assert mo.predicted_centered_moment(plus) == F(325, 972)
-        assert mo.predicted_centered_moment(minus) == F(323, 972)
+        assert mo.predicted_centered_moment(THREE_FIFTHS, 2, 1, "plus") == F(325, 972)
+        assert mo.predicted_centered_moment(THREE_FIFTHS, 2, 1, "minus") == F(323, 972)
 
     def test_sign_symmetry(self):
         for s, n in [(F(1, 2), 4), (F(1, 3), 5), (F(3, 5), 2)]:
             tf = fejer(s)
             a = mo.minimal_a(tf, n)
-            p = mo.predicted_centered_moment(mo.MomentSpec(tf=tf, n=n, a=a, sign="plus"))
-            m = mo.predicted_centered_moment(mo.MomentSpec(tf=tf, n=n, a=a, sign="minus"))
+            p = mo.predicted_centered_moment(tf, n, a, "plus")
+            m = mo.predicted_centered_moment(tf, n, a, "minus")
             gauss = (
                 mo.double_factorial(n - 1) * mo.sigma_phi_sq(tf) ** (n // 2)
                 if n % 2 == 0
@@ -161,18 +157,21 @@ class TestPredictedMoment:
 
     def test_mock_gaussian_regime(self):
         tf = fejer(F(1, 5))
-        spec = mo.MomentSpec.with_minimal_a(tf, 4, "minus")
-        assert spec.a == 0
-        assert mo.predicted_centered_moment(spec) == 3 * F(1, 3) ** 2
+        assert mo.minimal_a(tf, 4) == 0
+        assert mo.predicted_centered_moment(tf, 4, 0, "minus") == 3 * F(1, 3) ** 2
 
     def test_support_violation(self):
         with pytest.raises(DomainError, match="unsupported support"):
-            mo.MomentSpec(tf=THREE_FIFTHS, n=4, a=2, sign="minus")
+            mo.predicted_centered_moment(THREE_FIFTHS, 4, 2, "minus")
+
+    def test_unknown_sign(self):
+        with pytest.raises(DomainError, match="sign"):
+            mo.predicted_centered_moment(HALF, 4, 2, "both")
 
     def test_boundary_flag(self):
         # sigma = 2/n sits on the closed boundary and is accepted
         tf = fejer(F(1, 2))
-        mo.MomentSpec(tf=tf, n=4, a=2, sign="minus")
+        assert mo.predicted_centered_moment(tf, 4, 2, "minus") == F(31, 105)
 
 
 class TestMeanValue:

@@ -3,6 +3,7 @@ the dense Haar reference, eigenangles, the linear statistic, and small-M
 moment gates."""
 
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -168,22 +169,41 @@ class TestSzegoTraces:
 
     @pytest.mark.parametrize("M", [2, 3, 10, 11, 100, 101])
     def test_matches_cosine_route(self, M):
-        parity = "even" if M % 2 == 0 else "odd"
-        alpha = rmt.sample_verblunsky(rmt.EnsembleSpec(M=M, parity=parity, samples=200, seed=5))
+        alpha = rmt.sample_verblunsky(rmt.EnsembleSpec(M=M, samples=200, seed=5))
         cosines = ref.jacobi_cosines(alpha)
         for K in [M // 4, 3 * M // 5, M] + ([2 * M] if M == 11 else []):
-            got = rmt.power_traces(alpha, M, K)
+            got = rmt._block_traces(alpha, M, K)
             assert got.shape == (200, K + 1)
             assert np.max(np.abs(got - ref.chebyshev_traces(cosines, M, K))) <= 1e-9, K
 
     @pytest.mark.parametrize("samples", [1, 511, 512, 513, 1300])
     def test_blocks_split_nothing(self, samples):
-        # a sample's traces do not depend on the block it is traced in
-        alpha = rmt.sample_verblunsky(rmt.EnsembleSpec(M=21, parity="odd", samples=samples,
-                                                       seed=3))
-        whole = rmt.power_traces(alpha, 21, 12)
+        # a sample's traces and Z do not depend on the block they are made in
+        spec = rmt.EnsembleSpec(M=21, samples=samples, seed=3)
+        alpha = rmt.sample_verblunsky(spec)
+        tf = fejer(F(3, 5))
+        traces = rmt._block_traces(alpha, 21, 12)
+        z = rmt.z_values_for(tf, spec, alpha)
         for i, j in [(0, samples), (0, 1), (samples // 3, samples), (samples - 1, samples)]:
-            assert np.array_equal(whole[i:j], rmt.power_traces(alpha[i:j], 21, 12)), (i, j)
+            assert np.array_equal(traces[i:j], rmt._block_traces(alpha[i:j], 21, 12)), (i, j)
+            assert np.array_equal(z[i:j], rmt.z_values_for(tf, spec, alpha[i:j])), (i, j)
+
+    def test_holds_one_block_of_traces(self):
+        # Z is contracted block by block: the peak allocation is the Z array
+        # and one block, not the samples x (K + 1) traces (K = 2 here)
+        samples = 200_000
+        spec = rmt.EnsembleSpec(M=4, samples=samples, seed=1)
+        alpha = rmt.sample_verblunsky(spec)
+        tf = fejer(F(1, 2))
+        rmt.z_values_for(tf, spec, alpha[:10])  # warm the transform cache
+        tracemalloc.start()
+        try:
+            z = rmt.z_values_for(tf, spec, alpha)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert z.shape == (samples,)
+        assert peak < 2 * 8 * samples, peak
 
     @pytest.mark.parametrize("M, mean, var", [
         (20, 2.045406605771411, 0.31570718116121926),
@@ -191,8 +211,7 @@ class TestSzegoTraces:
     ], ids=["20", "21"])
     def test_pinned_z_moments(self, M, mean, var):
         # taken from the eigensolved cosine route (rmt_reference) on the same stream
-        spec = rmt.EnsembleSpec(M=M, parity="even" if M % 2 == 0 else "odd", samples=200,
-                                seed=1)
+        spec = rmt.EnsembleSpec(M=M, samples=200, seed=1)
         z = rmt.z_values_for(fejer(F(3, 5)), spec, rmt.sample_verblunsky(spec))
         assert float(np.mean(z)) == pytest.approx(mean, rel=1e-12, abs=0)
         assert float(np.var(z, ddof=1)) == pytest.approx(var, rel=1e-12, abs=0)
@@ -203,11 +222,10 @@ class TestSamplerAgainstReference:
 
     @pytest.mark.parametrize("M", [20, 21])
     def test_two_sample_ks(self, M):
-        parity = "even" if M % 2 == 0 else "odd"
-        spec = rmt.EnsembleSpec(M=M, parity=parity, samples=2000, seed=31)
+        spec = rmt.EnsembleSpec(M=M, samples=2000, seed=31)
         alpha = rmt.sample_verblunsky(spec)
         fast = ref.jacobi_cosines(alpha)
-        dense_spec = rmt.EnsembleSpec(M=M, parity=parity, samples=2000, seed=32)
+        dense_spec = rmt.EnsembleSpec(M=M, samples=2000, seed=32)
         dense = np.array([half_cosines(s) for s in rmt.collect_angle_samples(dense_spec)])
         assert fast.shape == dense.shape == (2000, M // 2)
         assert stats.ks_2samp(fast.ravel(), dense.ravel()).pvalue > 0.01
@@ -218,10 +236,9 @@ class TestSamplerAgainstReference:
     @pytest.mark.parametrize("M", [10, 11])
     def test_pooled_power_traces(self, M):
         # E Tr U^k over SO(M) is 1 for even k and 0 for odd k, 0 < k < M
-        parity = "even" if M % 2 == 0 else "odd"
-        spec = rmt.EnsembleSpec(M=M, parity=parity, samples=20000, seed=17)
+        spec = rmt.EnsembleSpec(M=M, samples=20000, seed=17)
         alpha = rmt.sample_verblunsky(spec)
-        traces = rmt.power_traces(alpha, M, M - 1)
+        traces = rmt._block_traces(alpha, M, M - 1)
         assert np.all(traces[:, 0] == M)
         for k in range(1, M):
             col = traces[:, k]
@@ -244,16 +261,16 @@ class TestSamplerAgainstReference:
 
 class TestReproducibility:
     def test_bit_identical_streams(self):
-        spec = rmt.EnsembleSpec(M=8, parity="even", samples=50, seed=99)
+        spec = rmt.EnsembleSpec(M=8, samples=50, seed=99)
         a = rmt.sample_verblunsky(spec)
         assert np.array_equal(a, rmt.sample_verblunsky(spec))
-        other = rmt.EnsembleSpec(M=8, parity="even", samples=50, seed=100)
+        other = rmt.EnsembleSpec(M=8, samples=50, seed=100)
         assert not np.array_equal(a, rmt.sample_verblunsky(other))
 
     def test_stream_unchanged(self):
         # drawn by the one-generator-per-run sampler; float repr
         # round-trips, so == is bit identity
-        spec = rmt.EnsembleSpec(M=7, parity="odd", samples=2, seed=1)
+        spec = rmt.EnsembleSpec(M=7, samples=2, seed=1)
         assert rmt.sample_verblunsky(spec).tolist() == [
             [-0.1738067809721784, -0.6127010952368908, -0.3930583442246829,
              -0.6185660448452404, -0.8454512543180892],
@@ -264,16 +281,15 @@ class TestReproducibility:
     @pytest.mark.parametrize("M", [8, 101])
     @pytest.mark.parametrize("k", [1, 300])
     def test_shorter_run_is_a_prefix(self, M, k):
-        parity = "even" if M % 2 == 0 else "odd"
-        long = rmt.sample_verblunsky(rmt.EnsembleSpec(M=M, parity=parity, samples=2000, seed=7))
-        short = rmt.sample_verblunsky(rmt.EnsembleSpec(M=M, parity=parity, samples=k, seed=7))
+        long = rmt.sample_verblunsky(rmt.EnsembleSpec(M=M, samples=2000, seed=7))
+        short = rmt.sample_verblunsky(rmt.EnsembleSpec(M=M, samples=k, seed=7))
         assert np.array_equal(long[:k], short)
 
     def test_spec_validation(self):
         with pytest.raises(DomainError):
-            rmt.EnsembleSpec(M=9, parity="even", samples=10, seed=0)
+            rmt.EnsembleSpec(M=1, samples=10, seed=0)
         with pytest.raises(DomainError):
-            rmt.EnsembleSpec(M=10, parity="odd", samples=10, seed=0)
+            rmt.EnsembleSpec(M=10, samples=0, seed=0)
 
 
 class TestMomentEstimation:
@@ -283,46 +299,41 @@ class TestMomentEstimation:
         # the mean is centred on its exact SO(40) value, as the CLI gates it;
         # the M -> infinity limit 13/6 is 0.042 away from it
         tf = fejer(F(3, 5))
-        spec = rmt.EnsembleSpec(M=40, parity="even", samples=4000, seed=11)
+        spec = rmt.EnsembleSpec(M=40, samples=4000, seed=11)
         zv = rmt.z_values_for(tf, spec, rmt.sample_verblunsky(spec))
-        mean_rep = rmt.empirical_mean_check(tf, zv)
-        assert abs(mean_rep.empirical - float(rmt.finite_mean(tf, spec.M))) <= max(
-            4 * mean_rep.stderr, 2.0 / spec.M
+        mean_row, var_row = rmt.moment_rows(tf, spec.M, zv, 2)
+        assert abs(mean_row["empirical"] - float(rmt.finite_mean(tf, spec.M))) <= max(
+            4 * mean_row["stderr"], 2.0 / spec.M
         )
-        (var_rep,) = rmt.estimate_centered_moments(tf, spec, 2, z_vals=zv)
-        assert abs(var_rep.empirical - float(var_rep.predicted)) <= max(
-            4 * var_rep.stderr, 2.0 / spec.M
+        assert abs(var_row["empirical"] - float(var_row["predicted"])) <= max(
+            4 * var_row["stderr"], 2.0 / spec.M
         )
 
     def test_mock_gaussian_small_sigma(self):
-        # sample count chosen so 4*stderr dominates the O(1/(sigma M))
-        # centering defect (see the n=3 analysis in the acceptance module)
+        # the moments are centred on the exact SO(48) mean, which sits
+        # O(1/(sigma M)) from the M -> infinity mean
         tf = fejer(F(1, 4))
-        spec = rmt.EnsembleSpec(M=48, parity="even", samples=400, seed=13)
+        spec = rmt.EnsembleSpec(M=48, samples=400, seed=13)
         zv = rmt.z_values_for(tf, spec, rmt.sample_verblunsky(spec))
-        reports = rmt.estimate_centered_moments(tf, spec, 3, z_vals=zv)
         gauss = {2: 1 / 3, 3: 0.0}
-        for r in reports:
-            assert float(r.predicted) == pytest.approx(gauss[r.n], abs=1e-12)
-            assert abs(r.empirical - gauss[r.n]) <= max(4 * r.stderr, 2.0 / spec.M)
+        for r in rmt.moment_rows(tf, spec.M, zv, 3)[1:]:
+            assert float(r["predicted"]) == pytest.approx(gauss[r["n"]], abs=1e-12)
+            assert abs(r["empirical"] - gauss[r["n"]]) <= max(4 * r["stderr"], 2.0 / spec.M)
 
     def test_unsupported_order_labeled(self):
         tf = fejer(F(3, 5))  # 2/n < sigma for n >= 4
-        spec = rmt.EnsembleSpec(M=12, parity="even", samples=200, seed=3)
+        spec = rmt.EnsembleSpec(M=12, samples=200, seed=3)
         zv = rmt.z_values_for(tf, spec, rmt.sample_verblunsky(spec))
-        reports = rmt.estimate_centered_moments(tf, spec, 4, z_vals=zv)
-        by_n = {r.n: r for r in reports}
-        assert by_n[2].supported and by_n[3].supported
-        assert not by_n[4].supported
-        assert by_n[4].predicted is None
-        assert by_n[4].empirical != 0.0  # still computed
+        by_n = {r["n"]: r for r in rmt.moment_rows(tf, spec.M, zv, 4)}
+        assert by_n[2]["supported"] and by_n[3]["supported"]
+        assert not by_n[4]["supported"]
+        assert by_n[4]["predicted"] is None and by_n[4]["gate"] is None
+        assert by_n[4]["passed"] is None and by_n[4]["note"]
+        assert by_n[4]["empirical"] != 0.0  # still computed
 
     def test_stderr_positive_invariant(self):
         with pytest.raises(InvariantViolation):
-            rmt.MomentReport(
-                n=2, empirical=0.0, stderr=0.0, predicted=None,
-                samples=5, supported=True,
-            )
+            rmt.moment_rows(fejer(F(1, 2)), 10, np.full(5, 2.0), 2)
 
     def test_mean_bias_shrinks_with_M(self):
         # |bias(large M)| <= |bias(small M)| + 2 * combined stderr, averaged
@@ -333,11 +344,11 @@ class TestMomentEstimation:
         for M in (24, 96):
             bs, es = [], []
             for seed in (1, 2):
-                spec = rmt.EnsembleSpec(M=M, parity="even", samples=1500, seed=seed)
+                spec = rmt.EnsembleSpec(M=M, samples=1500, seed=seed)
                 zv = rmt.z_values_for(tf, spec, rmt.sample_verblunsky(spec))
-                rep = rmt.empirical_mean_check(tf, zv)
-                bs.append(rep.empirical - float(rep.predicted))
-                es.append(rep.stderr)
+                rep = rmt.moment_rows(tf, M, zv, 1)[0]
+                bs.append(rep["empirical"] - float(rep["predicted"]))
+                es.append(rep["stderr"])
             biases[M] = float(np.mean(bs))
             errs[M] = float(np.mean(es)) / len(bs) ** 0.5
         combined = 2 * (errs[24] ** 2 + errs[96] ** 2) ** 0.5

@@ -100,7 +100,7 @@ def test_float_oracle_shares_nothing_with_the_exact_route():
     assert shared == []
 
 
-MONTE_CARLO = ("sample_verblunsky", "power_traces", "_block_traces", "z_values_for")
+MONTE_CARLO = ("sample_verblunsky", "_block_traces", "z_values_for")
 
 
 def test_monte_carlo_shares_nothing_with_the_exact_route():

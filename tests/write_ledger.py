@@ -35,7 +35,7 @@ def compute() -> dict:
         "r19": {key: str(getattr(r19, key)) for key in ("bound", "threshold", "moment")},
         "predicted_centered_moment": [
             [str(sigma), n, a, sign,
-             str(mo.predicted_centered_moment(mo.MomentSpec(tf, n, a, sign)))]
+             str(mo.predicted_centered_moment(tf, n, a, sign))]
             for sigma, tf in tfs.items() for n in range(2, 9)
             for a in mo.valid_a_range(tf, n) for sign in ("plus", "minus")],
         "sigma_phi_sq": {str(sigma): str(mo.sigma_phi_sq(tf)) for sigma, tf in tfs.items()},
