@@ -9,12 +9,16 @@ Subcommands:
     verify      identity suites: combinat | arith | all
 
 ``PARAMS`` declares each command's keys once, each with its parser and its
-default (or ``REQUIRED``); the key ``t_max`` is the flag ``--t-max``.  A run
-is given by flags, by a config file (``--config``) or by both: the file is
-read first and a flag overrides only the key it sets.  Defaults are the same
-for flags and files, a key the command does not take and a required key left
-unset are usage errors, and ``verify all`` runs the full suite unless
-``quick`` is set.
+default (or ``REQUIRED``); the key ``t_max`` is the flag ``--t-max``.  One
+loop over the command line (``parse_argv``) reads ``--key value`` and
+``--key=value`` flags from that table, so a negative rational can follow its
+flag (``--sigma -1/2``); a switch takes no value, a repeated flag keeps its
+last value, and an abbreviated flag is unknown.  ``-h`` prints help built
+from the same table.  A run is given by flags, by a config file
+(``--config``) or by both: the file is read first and a flag overrides only
+the key it sets.  Defaults are the same for flags and files, a key the
+command does not take and a required key left unset are usage errors, and
+``verify all`` runs the full suite unless ``quick`` is set.
 
 Every run emits a JSON report {command, params, results, assumptions, timing,
 passed} embedding the fully resolved configuration; exact rationals are
@@ -35,7 +39,6 @@ reject float literals ("0.6" must be written "3/5").
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import os
@@ -524,58 +527,64 @@ def run(cfg: RunConfig) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-class _Parser(argparse.ArgumentParser):
-    """A parser whose errors are one-line usage errors; its subparsers are too."""
-
-    def error(self, message: str):
-        raise UsageError(message)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    """One flag per PARAMS key, absent from the namespace when not given.
-
-    A subcommand's help line is its runner's docstring.
-    """
-    quiet = argparse.SUPPRESS
-    p = _Parser(
-        prog="splitmoments",
-        description="exact moments of low-lying-zero statistics, with verification suites",
-        argument_default=quiet,
-    )
-    p.add_argument("--config", type=Path, help="key = value configuration file")
-    sub = p.add_subparsers(dest="command")
-    verify = None
-    for command, table in PARAMS.items():
-        name, _, suite = command.partition("-")
-        if suite and verify is None:
-            verify = sub.add_parser(name, help="identity verification suites").add_subparsers()
-        sp = (verify if suite else sub).add_parser(
-            suite or name, help=_RUNNERS[command].__doc__, argument_default=quiet
-        )
-        sp.set_defaults(command=command)
-        for key, (parse, default) in table.items():
-            flag = "--" + key.replace("_", "-")
-            note = (None if default is None
-                    else "required" if default is REQUIRED else f"default {default}")
-            if parse is _switch:
-                sp.add_argument(flag, dest=key, action="store_const", const="1", help=note)
-            else:
-                sp.add_argument(flag, dest=key, help=note)
-    return p
+def _usage(command: str) -> str:
+    """The commands that ``command`` names, each with its runner's docstring
+    and its flags; every command, without flags, if it names none."""
+    named = [c for c in PARAMS if c == command or c.startswith(command + "-")]
+    lines = ["usage: splitmoments [--config FILE] COMMAND [--key VALUE | --key=VALUE ...]"]
+    for name in named or PARAMS:
+        lines.append(f"  {name.replace('-', ' '):17}{_RUNNERS[name].__doc__}")
+        for key, (parse, default) in PARAMS[name].items() if named else ():
+            note = ("switch" if parse is _switch else "required" if default is REQUIRED
+                    else "" if default is None else f"default {default}")
+            lines.append(f"      --{key.replace('_', '-'):19}{note}".rstrip())
+    return "\n".join(lines)
 
 
 def parse_argv(argv: Sequence[str] | None = None) -> RunConfig:
-    """The resolved configuration of a command line, ``--config`` file included."""
-    args = vars(_build_parser().parse_args(argv))
-    config = args.pop("config", None)
-    command = args.pop("command", None)
+    """The resolved configuration of a command line, ``--config`` file included.
+
+    The line is ``[--config FILE] [COMMAND [SUITE]] [--key VALUE | --key=VALUE ...]``,
+    the suite following ``verify``.  A key's flag is ``--`` and the key with
+    ``-`` for ``_``; a switch takes no value, a repeated flag keeps its last
+    value, and ``-h`` or ``--help`` prints the usage and raises SystemExit(0).
+    """
+    args = list(sys.argv[1:] if argv is None else argv)
+    words, flags = [], {}
+    table = {"config": (Path, None)}  # the one flag before the command
+    while args:
+        arg = args.pop(0)
+        if arg in ("-h", "--help"):
+            print(_usage("-".join(words)))
+            raise SystemExit(0)
+        if not arg.startswith("-"):
+            words.append(arg)
+            if "-" in arg or "-".join(words) not in PARAMS and words != ["verify"]:
+                raise UsageError(f"unknown command {' '.join(words)!r}")
+            table = PARAMS.get("-".join(words), {})
+            continue
+        flag, eq, value = arg.partition("=")
+        key = flag[2:].replace("-", "_")
+        if not flag.startswith("--") or key not in table:
+            raise UsageError(f"unknown flag {flag}")
+        if table[key][0] is _switch:
+            if eq:
+                raise UsageError(f"{flag} is a switch and takes no value")
+            value = "1"
+        elif not eq:
+            if not args:
+                raise UsageError(f"{flag} expects a value")
+            value = args.pop(0)
+        flags[key] = value
+    command = "-".join(words) or None
+    config = flags.pop("config", None)
     if command == "verify":
         raise UsageError("verify requires a suite: combinat | arith | all")
     if config is not None:
-        return load_config(config, command, args)
+        return load_config(config, command, flags)
     if command is None:
         raise UsageError("a command is required")
-    return resolve(command, args)
+    return resolve(command, flags)
 
 
 _EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the status a shell gives a reader-less writer

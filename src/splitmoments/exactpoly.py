@@ -48,10 +48,9 @@ trip.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -162,29 +161,38 @@ def _pintegrate(a: Sequence[Fraction]) -> tuple[Fraction, ...]:
 # the piecewise type
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class PiecewisePoly:
     """Compactly supported piecewise polynomial; see module docstring.
 
     ``breakpoints`` has length k+1 (or 0 for the zero function); ``pieces``
-    has length k, each a tuple of Fraction coefficients in x.
+    has length k, each a tuple of Fraction coefficients in x.  Equality and
+    hashing are structural, on the canonical form.
     """
 
-    breakpoints: tuple[Fraction, ...]
-    pieces: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("breakpoints", "pieces")
 
-    def __post_init__(self):
-        breaks = tuple(frac(b) for b in self.breakpoints)
-        pieces = tuple(_ptrim(tuple(frac(c) for c in p)) for p in self.pieces)
+    def __init__(self, breakpoints: Iterable[RationalLike],
+                 pieces: Iterable[Iterable[RationalLike]]):
+        breaks = tuple(frac(b) for b in breakpoints)
+        pieces = tuple(_ptrim(tuple(frac(c) for c in p)) for p in pieces)
         if len(breaks) != (len(pieces) + 1 if pieces else 0):
             if not (len(breaks) == 0 and len(pieces) == 0):
                 raise ValueError("breakpoints/pieces length mismatch")
         for lo, hi in zip(breaks, breaks[1:]):
             if not lo < hi:
                 raise ValueError("breakpoints must be strictly increasing")
-        breaks, pieces = _canonical(breaks, pieces)
-        object.__setattr__(self, "breakpoints", breaks)
-        object.__setattr__(self, "pieces", pieces)
+        self.breakpoints, self.pieces = _canonical(breaks, pieces)
+
+    def __eq__(self, other):
+        if other.__class__ is not PiecewisePoly:
+            return NotImplemented
+        return self.breakpoints == other.breakpoints and self.pieces == other.pieces
+
+    def __hash__(self):
+        return hash((self.breakpoints, self.pieces))
+
+    def __repr__(self):
+        return f"PiecewisePoly({self.breakpoints!r}, {self.pieces!r})"
 
     # -- convenience -------------------------------------------------------
 
@@ -395,8 +403,7 @@ def integral(p: PiecewisePoly) -> Fraction:
 # term lists (truncated powers on a knot lattice) and convolution
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Terms:
+class Terms(NamedTuple):
     """scale * sum_k sum_j coeffs_k[j] * e_j(x/unit - k), e_j(t) = t_+^j / j!.
 
     ``knots`` holds (k, coeffs_k) pairs in increasing k; every k and every

@@ -91,12 +91,12 @@ def _check_support(tf: TestFunction, n: int, a: int) -> None:
     """Validate the support window; the closed boundaries (sigma = 2/n or
     sigma = 1/(n-a)) are accepted, every downstream functional being
     continuous in sigma."""
-    if a < 0 or a > (n + 1) // 2:
-        raise DomainError(f"a={a} outside 0..ceil(n/2)={(n + 1) // 2}")
     if tf.sigma > Fraction(2, n):
         raise DomainError(
             f"unsupported support: sigma={tf.sigma} vs 2/n={Fraction(2, n)}"
         )
+    if a < 0 or a > (n + 1) // 2:
+        raise DomainError(f"a={a} outside 0..ceil(n/2)={(n + 1) // 2}")
     if a < n and tf.sigma > Fraction(1, n - a):
         raise DomainError(
             f"sigma={tf.sigma} vs 1/(n-a)={Fraction(1, n - a)}; "

@@ -37,8 +37,8 @@ dense nonsymmetric solver (``eigenangles_dense``), collected per seed by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -61,29 +61,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class EnsembleSpec:
     """SO(M) with ``samples`` draws from ``seed``; M's parity picks SO(even) or SO(odd)."""
 
-    M: int
-    samples: int
-    seed: int
+    __slots__ = ("M", "samples", "seed")
 
-    def __post_init__(self):
-        if self.M < 2:
+    def __init__(self, M: int, samples: int, seed: int):
+        if M < 2:
             raise DomainError("M must be >= 2")
-        if self.samples < 1:
+        if samples < 1:
             raise DomainError("samples must be >= 1")
+        self.M, self.samples, self.seed = M, samples, seed
 
 
-@dataclass(frozen=True)
 class EigenangleSample:
     """All M eigenvalue arguments in (-pi, pi], conjugates doubly counted."""
 
-    angles: tuple[float, ...]
+    __slots__ = ("angles",)
 
-    def __post_init__(self):
-        a = np.asarray(self.angles)
+    def __init__(self, angles: tuple[float, ...]):
+        self.angles = angles
+        a = np.asarray(angles)
         # negation closure: pi is its own negation mod 2 pi
         canon = np.sort(np.where(np.isclose(np.abs(a), np.pi, atol=1e-9), np.pi, a))
         neg = np.sort(np.where(np.isclose(np.abs(a), np.pi, atol=1e-9), np.pi, -a))
@@ -180,7 +178,7 @@ def _verblunsky_shapes(M: int) -> tuple[np.ndarray, np.ndarray]:
     return s, t
 
 
-_BLOCK = 512  # samples per pass of the Szego recursion in ``z_values_for``
+_BLOCK = 512  # samples per block of ``sample_verblunsky`` and the Szego recursion
 _MEMORY_BUDGET = 1 << 31  # bytes of float64 arrays in one run
 # Multiply-adds of the trace stage, samples * (M K + K^2 / 2).  They took 3.6 to
 # 4.8 ns each at M = 100 to 4000 (2-core x86-64, numpy 2.4.6), so the cap is
@@ -191,15 +189,14 @@ _WORK_BUDGET = 2 * 10**10
 def check_resources(spec: EnsembleSpec, K: int) -> None:
     """Refuse, before any draw, a run over the memory or the work budget.
 
-    The float64 estimate counts the Verblunsky coefficients, one Z per
-    sample and the work arrays of one ``_block_traces`` block: its 2n steps
-    and five (K + 1, block) arrays.  At sigma = 3/5 it is about 18 MB for
-    M = 100 with 20000 samples (the acceptance gate's size) and 3 MB with
-    2000.
+    The float64 estimate counts one Z per sample and the arrays of one block:
+    its 2n - 1 Verblunsky coefficients, the 2n steps of ``_block_traces`` and
+    five (K + 1, block) arrays.  At sigma = 3/5 it is about 2.2 MB for M = 100
+    with 20000 samples (the acceptance gate's size) and 2.1 MB with 2000.
     """
     n = spec.M // 2
     block = min(spec.samples, _BLOCK)
-    floats = spec.samples * 2 * n + block * (2 * n + 5 * (K + 1))
+    floats = spec.samples + block * (4 * n - 1 + 5 * (K + 1))
     if 8 * floats > _MEMORY_BUDGET:
         raise ResourceLimitError(
             f"rmt at M={spec.M} with {spec.samples} samples needs about"
@@ -211,18 +208,22 @@ def check_resources(spec: EnsembleSpec, K: int) -> None:
             f" {work:.1e} multiply-adds, over the budget of {_WORK_BUDGET:.0e}")
 
 
-def sample_verblunsky(spec: EnsembleSpec) -> np.ndarray:
-    """(samples, 2 floor(M/2) - 1) array of the Verblunsky coefficients alpha_k.
+def sample_verblunsky(spec: EnsembleSpec) -> Iterator[np.ndarray]:
+    """The Verblunsky coefficients alpha_k, in (rows, 2 floor(M/2) - 1) blocks.
 
-    One generator, seeded by ``seed``, draws all the Beta variates in one
-    call.  It fills the array row by row, so sample i depends only on the
-    seed and i: the first k rows of any longer draw are the k-sample draw.
+    One generator, seeded by ``seed``, draws the Beta variates of ``_BLOCK``
+    samples at a time (fewer in the last block).  It fills the rows in order,
+    so the blocks join into the array that one draw of every row gives, and
+    sample i depends only on the seed and i: the first k rows of any longer
+    draw are the k-sample draw.
     """
     s, t = _verblunsky_shapes(spec.M)
-    alpha = np.random.default_rng(spec.seed).beta(s, t, size=(spec.samples, len(s)))
-    alpha *= -2
-    alpha += 1
-    return alpha
+    rng = np.random.default_rng(spec.seed)
+    for i0 in range(0, spec.samples, _BLOCK):
+        alpha = rng.beta(s, t, size=(min(_BLOCK, spec.samples - i0), len(s)))
+        alpha *= -2
+        alpha += 1
+        yield alpha
 
 
 def _block_traces(alpha: np.ndarray, M: int, K: int) -> np.ndarray:
@@ -266,21 +267,28 @@ def _block_traces(alpha: np.ndarray, M: int, K: int) -> np.ndarray:
     return traces.T
 
 
-def z_values_for(tf: TestFunction, spec: EnsembleSpec, alpha: np.ndarray) -> np.ndarray:
-    """Z per sample from its Verblunsky coefficients (they do not depend on the test function).
+def z_values_for(tf: TestFunction, spec: EnsembleSpec,
+                 blocks: Iterable[np.ndarray]) -> np.ndarray:
+    """Z per sample from the blocks of Verblunsky coefficients that
+    :func:`sample_verblunsky` yields (they do not depend on the test function).
 
-    Each block's traces are weighted and summed over k as soon as they are
-    made, so only one block of traces is held at a time.  The sum runs
+    The blocks must hold ``spec.samples`` rows in all.  Each block's traces
+    are weighted and summed over k as soon as they are made, so only one
+    block of coefficients and traces is held at a time.  The sum runs
     elementwise in k order, so a sample's Z does not depend on its block.
     """
     coeffs = _fourier_coeffs(tf, spec.M)
     weights = 2 * coeffs
     weights[0] = coeffs[0]
     K = len(coeffs) - 1
-    z = np.empty(alpha.shape[0])
-    for i0 in range(0, alpha.shape[0], _BLOCK):
-        traces = _block_traces(alpha[i0 : i0 + _BLOCK], spec.M, K)
-        z[i0 : i0 + _BLOCK] = sum(w * t for w, t in zip(weights, traces.T))
+    z = np.empty(spec.samples)
+    i0 = 0
+    for alpha in blocks:
+        traces = _block_traces(alpha, spec.M, K)
+        z[i0 : i0 + len(alpha)] = sum(w * t for w, t in zip(weights, traces.T))
+        i0 += len(alpha)
+    if i0 != spec.samples:
+        raise InvariantViolation(f"{i0} rows of coefficients for {spec.samples} samples")
     z /= spec.M
     return z
 
@@ -311,11 +319,13 @@ def moment_rows(tf: TestFunction, M: int, z_vals: np.ndarray, n_max: int) -> lis
     of the gate.
     """
     centre = finite_mean(tf, M)
-    centred = z_vals - float(centre)
     sign = "plus" if M % 2 == 0 else "minus"
     rows = []
     for n in range(1, n_max + 1):
-        values = z_vals if n == 1 else centred**n
+        values = z_vals
+        if n > 1:  # raised in place, so one array of powers is held at a time
+            values = z_vals - float(centre)
+            values **= n
         empirical = float(np.mean(values))
         stderr = float(np.std(values, ddof=1) / np.sqrt(len(values)))
         if not stderr > 0:

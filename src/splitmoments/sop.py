@@ -27,7 +27,6 @@ end-to-end oracle for these identities, lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
@@ -54,18 +53,17 @@ __all__ = [
 ENUMERATION_CAP = 8
 
 
-@dataclass(frozen=True)
 class SystemOfParameters:
-    lambdas: tuple[int, ...]
-    epsilons: tuple[int, ...]
+    __slots__ = ("lambdas", "epsilons")
 
-    def __post_init__(self):
-        if not self.lambdas or any(l < 1 for l in self.lambdas):
+    def __init__(self, lambdas: tuple[int, ...], epsilons: tuple[int, ...]):
+        if not lambdas or any(l < 1 for l in lambdas):
             raise DomainError("lambdas must be a composition with parts >= 1")
-        if sum(self.lambdas) != len(self.epsilons):
+        if sum(lambdas) != len(epsilons):
             raise DomainError("epsilons must have length n = sum(lambdas)")
-        if any(e not in (-1, 1) for e in self.epsilons):
+        if any(e not in (-1, 1) for e in epsilons):
             raise DomainError("epsilons must be +-1")
+        self.lambdas, self.epsilons = lambdas, epsilons
 
     @property
     def m(self) -> int:

@@ -20,7 +20,6 @@ moment kernels consume: psi_k = fhat^{*k} and gp^{*l}, gp being fhat on
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -31,7 +30,6 @@ from .errors import DomainError
 __all__ = ["TestFunction", "fejer", "phi_power_hat", "psi_terms", "gp_terms"]
 
 
-@dataclass
 class PowerTerms:
     """Term lists of self-convolution powers, extended on demand.
 
@@ -39,35 +37,38 @@ class PowerTerms:
     sigma_phi^2 (see :func:`moments.sigma_phi_sq`).
     """
 
-    psi: list = field(default_factory=list)
-    gp: list = field(default_factory=list)
-    var: Fraction | None = None
+    __slots__ = ("psi", "gp", "var")
+
+    def __init__(self):
+        self.psi: list = []
+        self.gp: list = []
+        self.var: Fraction | None = None
 
 
-@dataclass(frozen=True, eq=False)
 class TestFunction:
-    """Even Schwartz test function with exact compactly supported transform."""
+    """Even Schwartz test function with exact compactly supported transform.
 
-    sigma: Fraction
-    fhat: PiecewisePoly
-    phi_at: Callable[[float], float] | None
-    label: str
-    _terms: PowerTerms = field(default_factory=PowerTerms, init=False, repr=False)
-    _phi0: Fraction = field(init=False, repr=False)
+    Equality is identity; each test function keeps its own :class:`PowerTerms`.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "sigma", frac(self.sigma))
+    __slots__ = ("sigma", "fhat", "phi_at", "label", "_terms", "_phi0")
+
+    def __init__(self, sigma: Fraction, fhat: PiecewisePoly,
+                 phi_at: Callable[[float], float] | None, label: str):
+        self.sigma = frac(sigma)
         if self.sigma <= 0:
             raise DomainError("sigma must be positive")
-        if ep.reflect(self.fhat) != self.fhat:
+        if ep.reflect(fhat) != fhat:
             raise DomainError("fhat must be even")
-        supp = self.fhat.support
+        supp = fhat.support
         if supp is not None and (supp[0] < -self.sigma or supp[1] > self.sigma):
             raise DomainError("fhat must vanish outside [-sigma, sigma]")
+        self.fhat, self.phi_at, self.label = fhat, phi_at, label
+        self._terms = PowerTerms()
         # Fourier inversion at 0: phi(0) = integral of fhat
-        object.__setattr__(self, "_phi0", ep.integral(self.fhat))
-        if self.phi_at is not None:
-            if abs(self.phi_at(0.0) - float(self.phi_zero())) > 1e-10:
+        self._phi0 = ep.integral(fhat)
+        if phi_at is not None:
+            if abs(phi_at(0.0) - float(self.phi_zero())) > 1e-10:
                 raise DomainError("phi_at(0) must equal the integral of fhat")
 
     def phi_zero(self) -> Fraction:

@@ -13,8 +13,8 @@ r=5 with (n=4, sigma=1/2) gives exactly 496/65625, and r=19 with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import moments as mo
 from .errors import DomainError
@@ -37,23 +37,20 @@ PRIOR_BOUNDS = {
 }
 
 
-@dataclass(frozen=True)
 class VanishingQuery:
-    r: int
-    n: int
-    sigma: Fraction
-    sign: mo.Sign
+    __slots__ = ("r", "n", "sigma", "sign")
 
-    def __post_init__(self):
-        if self.r < 1:
+    def __init__(self, r: int, n: int, sigma: Fraction, sign: mo.Sign):
+        if r < 1:
             raise DomainError("order threshold r must be >= 1")
-        if self.n % 2 != 0 or self.n < 2:
+        if n % 2 != 0 or n < 2:
             raise DomainError("Markov argument needs an even moment order n >= 2")
-        object.__setattr__(self, "sigma", Fraction(self.sigma))
-        if self.sigma <= 0:
+        sigma = Fraction(sigma)
+        if sigma <= 0:
             raise DomainError("sigma must be positive")
-        if self.sigma > Fraction(2, self.n):
-            raise DomainError(f"sigma={self.sigma} exceeds 2/n={Fraction(2, self.n)}")
+        if sigma > Fraction(2, n):
+            raise DomainError(f"sigma={sigma} exceeds 2/n={Fraction(2, n)}")
+        self.r, self.n, self.sigma, self.sign = r, n, sigma, sign
 
 
 def vanishing_threshold(tf: TestFunction, r: int) -> Fraction:
@@ -62,8 +59,7 @@ def vanishing_threshold(tf: TestFunction, r: int) -> Fraction:
     return r * phi0 - tf.fhat_at(0) - phi0 / 2
 
 
-@dataclass(frozen=True)
-class VanishingResult:
+class VanishingResult(NamedTuple):
     """The Markov bound together with the moment and threshold it is made of."""
 
     moment: Fraction

@@ -170,7 +170,7 @@ def test_criterion_7_rmt_statistical_gate():
         rmt_collections = {}
         for M in (100, 101):
             spec = rmt.EnsembleSpec(M=M, samples=RMT_SAMPLES, seed=RMT_SEED)
-            rmt_collections[M] = (spec, rmt.sample_verblunsky(spec))
+            rmt_collections[M] = (spec, list(rmt.sample_verblunsky(spec)))
         t35 = fejer(F(3, 5))
         predictions = {100: F(325, 972), 101: F(323, 972)}
         for M, (spec, alpha) in rmt_collections.items():

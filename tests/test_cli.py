@@ -241,8 +241,8 @@ class TestRmtCommand:
         assert report["results"][1]["finite_M_mean"] is None
 
     def test_oversized_run_refused_before_sampling(self, capsys, monkeypatch):
-        # 74.5 GiB of Verblunsky coefficients alone: the stub fails the test
-        # instead of allocating them if the run reaches the sampler
+        # 7.5 GiB of Z values alone: the stub fails the test instead of
+        # drawing them if the run reaches the sampler
         from splitmoments import rmt
 
         def no_sampling(spec):
@@ -250,7 +250,7 @@ class TestRmtCommand:
 
         monkeypatch.setattr(rmt, "sample_verblunsky", no_sampling)
         err = assert_usage_error(
-            ["rmt", "--M", "100000", "--samples", "100000", "--sigma", "1/2"], capsys)
+            ["rmt", "--M", "4", "--samples", "1000000000", "--sigma", "1/2"], capsys)
         assert "GiB" in err
 
     @pytest.mark.parametrize("args, reason", [
@@ -483,6 +483,11 @@ class TestBadInput:
         assert "unknown key 'csv'" in assert_usage_error(["--config", cfg_file], capsys)
         assert not target.exists()
 
+    def test_support_error_names_sigma_not_a(self, capsys):
+        # no a was given: the fault is sigma > 2/n, not the derived a
+        err = assert_usage_error(["moment", "--sigma", "1", "--n", "4"], capsys)
+        assert "sigma=1 vs 2/n=1/2" in err and "ceil(n/2)" not in err
+
     def test_csv_path_in_missing_directory(self, capsys, tmp_path):
         target = tmp_path / "absent" / "z.csv"
         err = assert_usage_error(
@@ -572,6 +577,21 @@ class TestDependencyBoundary:
         package = {name for name in got["on_import"] if name.split(".")[0] == "splitmoments"}
         assert package == {"splitmoments", "splitmoments.cli", "splitmoments.errors"}
         assert "dataclasses" not in got["on_import"]
+
+    @pytest.mark.parametrize("argv, exact", [
+        (["moment", "--sigma", "1/2", "--n", "4"], True),
+        (["crosscheck", "--sigma", "1/2", "--n", "4"], True),
+        (["vanish", "--r", "5", "--n", "4", "--sigma", "1/2"], True),
+        (["verify", "all", "--quick"], True),
+        (["rmt", "--M", "10", "--sigma", "1/2", "--samples", "20", "--nmax", "2"], False),
+    ], ids=["moment", "crosscheck", "vanish", "verify-all", "rmt"])
+    def test_command_loads_no_dataclasses_or_argparse(self, argv, exact):
+        """Start-up cost: no command loads dataclasses or argparse, and the
+        exact commands do not load inspect (numpy itself loads it for rmt)."""
+        got = run_script(MODULES_LOADED, json.dumps(argv))
+        assert got["code"] == 0
+        unwanted = {"dataclasses", "argparse"} | ({"inspect"} if exact else set())
+        assert unwanted & set(got["on_run"]) == set()
 
     @pytest.mark.parametrize("argv, unused", [
         (["crosscheck", "--sigma", "1/2", "--n", "4"], ("arith", "sop", "linfeas", "vanishing")),
@@ -728,6 +748,47 @@ class TestBenchTracer:
         missing = [f"{module.__name__}.{name}" for module, names in layers.items()
                    for name in names if not callable(getattr(module, name, None))]
         assert missing == []
+
+
+class TestFlagParsing:
+    def test_equals_form(self):
+        assert cli.parse_argv(["moment", "--sigma=1/2", "--n=4"]) == cli.parse_argv(
+            ["moment", "--sigma", "1/2", "--n", "4"])
+
+    def test_repeated_flag_keeps_last_value(self):
+        cfg = cli.parse_argv(["moment", "--sigma", "1/3", "--n", "4", "--sigma=1/2"])
+        assert cfg.params["sigma"] == F(1, 2)
+
+    def test_switch_takes_no_value(self):
+        assert cli.parse_argv(["verify", "all", "--quick"]).params["quick"] is True
+        with pytest.raises(UsageError, match="unknown command"):
+            cli.parse_argv(["verify", "all", "--quick", "0"])
+        with pytest.raises(UsageError, match="takes no value"):
+            cli.parse_argv(["verify", "arith", "--kloosterman-sweep=0"])
+
+    def test_abbreviated_flag_is_unknown(self, capsys):
+        err = assert_usage_error(["moment", "--sig", "1/2", "--n", "4"], capsys)
+        assert "unknown flag --sig" in err
+
+    def test_negative_value_follows_its_flag(self, capsys):
+        err = assert_usage_error(["moment", "--sigma", "-1/2", "--n", "4"], capsys)
+        assert "sigma > 0" in err
+
+    def test_help_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for command, runner in cli._RUNNERS.items():
+            assert f"{command.replace('-', ' ')} " in out and runner.__doc__ in out
+
+    @pytest.mark.parametrize("command", list(cli.PARAMS))
+    def test_help_names_every_flag(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(command.split("-") + ["-h"])
+        assert exc.value.code == 0
+        words = capsys.readouterr().out.split()
+        assert {"--" + key.replace("_", "-") for key in cli.PARAMS[command]} <= set(words)
 
 
 class TestParseRational:

@@ -16,6 +16,11 @@ from splitmoments.errors import DomainError, InvariantViolation
 from splitmoments.testfn import fejer
 
 
+def draw(spec):
+    """Every sample's Verblunsky coefficients as one array."""
+    return np.concatenate(list(rmt.sample_verblunsky(spec)))
+
+
 class TestHaarSampling:
     def test_orthogonal_and_special(self):
         rng = np.random.default_rng(1)
@@ -169,7 +174,7 @@ class TestSzegoTraces:
 
     @pytest.mark.parametrize("M", [2, 3, 10, 11, 100, 101])
     def test_matches_cosine_route(self, M):
-        alpha = rmt.sample_verblunsky(rmt.EnsembleSpec(M=M, samples=200, seed=5))
+        alpha = draw(rmt.EnsembleSpec(M=M, samples=200, seed=5))
         cosines = ref.jacobi_cosines(alpha)
         for K in [M // 4, 3 * M // 5, M] + ([2 * M] if M == 11 else []):
             got = rmt._block_traces(alpha, M, K)
@@ -180,25 +185,33 @@ class TestSzegoTraces:
     def test_blocks_split_nothing(self, samples):
         # a sample's traces and Z do not depend on the block they are made in
         spec = rmt.EnsembleSpec(M=21, samples=samples, seed=3)
-        alpha = rmt.sample_verblunsky(spec)
+        alpha = draw(spec)
         tf = fejer(F(3, 5))
         traces = rmt._block_traces(alpha, 21, 12)
-        z = rmt.z_values_for(tf, spec, alpha)
+        z = rmt.z_values_for(tf, spec, rmt.sample_verblunsky(spec))
         for i, j in [(0, samples), (0, 1), (samples // 3, samples), (samples - 1, samples)]:
             assert np.array_equal(traces[i:j], rmt._block_traces(alpha[i:j], 21, 12)), (i, j)
-            assert np.array_equal(z[i:j], rmt.z_values_for(tf, spec, alpha[i:j])), (i, j)
+            part = rmt.EnsembleSpec(M=21, samples=j - i, seed=3)
+            assert np.array_equal(z[i:j], rmt.z_values_for(tf, part, [alpha[i:j]])), (i, j)
+
+    def test_blocks_must_cover_the_samples(self):
+        spec = rmt.EnsembleSpec(M=21, samples=600, seed=3)
+        alpha = draw(spec)
+        with pytest.raises(InvariantViolation, match="599 rows"):
+            rmt.z_values_for(fejer(F(3, 5)), spec, [alpha[:599]])
 
     def test_holds_one_block_of_traces(self):
-        # Z is contracted block by block: the peak allocation is the Z array
-        # and one block, not the samples x (K + 1) traces (K = 2 here)
+        # the coefficients are drawn and Z is contracted block by block: the
+        # peak allocation is the Z array and one block, not the samples x
+        # (K + 1) traces (K = 2 here) or the samples x 1 coefficients
         samples = 200_000
         spec = rmt.EnsembleSpec(M=4, samples=samples, seed=1)
-        alpha = rmt.sample_verblunsky(spec)
         tf = fejer(F(1, 2))
-        rmt.z_values_for(tf, spec, alpha[:10])  # warm the transform cache
+        warm = rmt.EnsembleSpec(M=4, samples=10, seed=1)
+        rmt.z_values_for(tf, warm, rmt.sample_verblunsky(warm))  # warm the transform cache
         tracemalloc.start()
         try:
-            z = rmt.z_values_for(tf, spec, alpha)
+            z = rmt.z_values_for(tf, spec, rmt.sample_verblunsky(spec))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -223,21 +236,21 @@ class TestSamplerAgainstReference:
     @pytest.mark.parametrize("M", [20, 21])
     def test_two_sample_ks(self, M):
         spec = rmt.EnsembleSpec(M=M, samples=2000, seed=31)
-        alpha = rmt.sample_verblunsky(spec)
+        alpha = draw(spec)
         fast = ref.jacobi_cosines(alpha)
         dense_spec = rmt.EnsembleSpec(M=M, samples=2000, seed=32)
         dense = np.array([half_cosines(s) for s in rmt.collect_angle_samples(dense_spec)])
         assert fast.shape == dense.shape == (2000, M // 2)
         assert stats.ks_2samp(fast.ravel(), dense.ravel()).pvalue > 0.01
         tf = fejer(F(3, 5))
-        z = rmt.z_values_for(tf, spec, alpha)
+        z = rmt.z_values_for(tf, spec, [alpha])
         assert stats.ks_2samp(z, z_of(tf, M, dense)).pvalue > 0.01
 
     @pytest.mark.parametrize("M", [10, 11])
     def test_pooled_power_traces(self, M):
         # E Tr U^k over SO(M) is 1 for even k and 0 for odd k, 0 < k < M
         spec = rmt.EnsembleSpec(M=M, samples=20000, seed=17)
-        alpha = rmt.sample_verblunsky(spec)
+        alpha = draw(spec)
         traces = rmt._block_traces(alpha, M, M - 1)
         assert np.all(traces[:, 0] == M)
         for k in range(1, M):
@@ -245,7 +258,7 @@ class TestSamplerAgainstReference:
             err = abs(col.mean() - (1 - k % 2))
             assert err <= 4 * col.std(ddof=1) / np.sqrt(len(col)), (k, err)
         tf = fejer(F(1, 2))
-        z = rmt.z_values_for(tf, spec, alpha)
+        z = rmt.z_values_for(tf, spec, [alpha])
         err = abs(z.mean() - float(rmt.finite_mean(tf, M)))
         assert err <= 4 * z.std(ddof=1) / np.sqrt(len(z))
 
@@ -262,16 +275,16 @@ class TestSamplerAgainstReference:
 class TestReproducibility:
     def test_bit_identical_streams(self):
         spec = rmt.EnsembleSpec(M=8, samples=50, seed=99)
-        a = rmt.sample_verblunsky(spec)
-        assert np.array_equal(a, rmt.sample_verblunsky(spec))
+        a = draw(spec)
+        assert np.array_equal(a, draw(spec))
         other = rmt.EnsembleSpec(M=8, samples=50, seed=100)
-        assert not np.array_equal(a, rmt.sample_verblunsky(other))
+        assert not np.array_equal(a, draw(other))
 
     def test_stream_unchanged(self):
         # drawn by the one-generator-per-run sampler; float repr
         # round-trips, so == is bit identity
         spec = rmt.EnsembleSpec(M=7, samples=2, seed=1)
-        assert rmt.sample_verblunsky(spec).tolist() == [
+        assert draw(spec).tolist() == [
             [-0.1738067809721784, -0.6127010952368908, -0.3930583442246829,
              -0.6185660448452404, -0.8454512543180892],
             [-0.20921273593231082, -0.9084755804488442, -0.061334450344810554,
@@ -281,9 +294,20 @@ class TestReproducibility:
     @pytest.mark.parametrize("M", [8, 101])
     @pytest.mark.parametrize("k", [1, 300])
     def test_shorter_run_is_a_prefix(self, M, k):
-        long = rmt.sample_verblunsky(rmt.EnsembleSpec(M=M, samples=2000, seed=7))
-        short = rmt.sample_verblunsky(rmt.EnsembleSpec(M=M, samples=k, seed=7))
+        long = draw(rmt.EnsembleSpec(M=M, samples=2000, seed=7))
+        short = draw(rmt.EnsembleSpec(M=M, samples=k, seed=7))
         assert np.array_equal(long[:k], short)
+
+    @pytest.mark.parametrize("M", [4, 100, 101])
+    def test_blocks_join_into_one_draw(self, M):
+        # drawing block by block from the one generator gives the stream of
+        # one Beta call over every sample, bit for bit
+        spec = rmt.EnsembleSpec(M=M, samples=2000, seed=7)
+        blocks = list(rmt.sample_verblunsky(spec))
+        assert [len(b) for b in blocks] == [512, 512, 512, 464]
+        s, t = rmt._verblunsky_shapes(M)
+        whole = np.random.default_rng(7).beta(s, t, size=(2000, len(s))) * -2 + 1
+        assert np.array_equal(np.concatenate(blocks), whole)
 
     def test_spec_validation(self):
         with pytest.raises(DomainError):

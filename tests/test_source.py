@@ -12,7 +12,6 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 # definitions that nothing in src/ refers to and that stay, each with its reason
 KEEP = {
-    "cli._Parser.error": "argparse calls it on every parse error",
     "exactpoly.PiecewisePoly.degree": "bench/trace_child.py reads each traced convolve "
                                       "result's degree with it",
     "moments.I_integral": "the only exact caller of _integral_against_T's neg branch",
