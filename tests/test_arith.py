@@ -1,6 +1,7 @@
 """Arithmetic sums: Ramanujan/Gauss/Kloosterman identities and bounds."""
 
 import cmath
+import hashlib
 import math
 
 import pytest
@@ -102,6 +103,21 @@ class TestCharacters:
     def test_orthogonality_sweep(self):
         for q in range(1, 51):
             assert character_orthogonality_defect(q) < 1e-9, q
+
+    def test_character_table_pinned(self):
+        # every character mod q <= 60 in list order; integers only, so no libm
+        rows = [(c.modulus, c.order, c.exps, c.is_principal, c.primitive)
+                for q in range(1, 61) for c in arith.enumerate_characters(q)]
+        assert len(rows) == 1102
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "810f6f367f45052d41db67d6102444655dc358a1d3256272c5ed8902f83b53f4")
+
+    def test_primitive_count(self):
+        # the primitive characters mod q number sum_{d | q} mu(q/d) phi(d)
+        for q in range(1, 201):
+            want = sum(arith.mobius(q // d) * arith.euler_phi(d)
+                       for d in range(1, q + 1) if q % d == 0)
+            assert sum(c.primitive for c in arith.enumerate_characters(q)) == want, q
 
 
 class TestGaussSums:
