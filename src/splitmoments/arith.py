@@ -1,9 +1,12 @@
 """Arithmetic exponential sums: Ramanujan, Gauss, Kloosterman, and the
 prime-level Kloosterman-to-Gauss factorization.
 
-Dirichlet characters are built by CRT from the unit-group structure of each
-prime power (primitive roots for odd prime powers, {+-1} x <5> for 2^k with
-k >= 3).  Character values are stored as exact root-of-unity exponents
+Dirichlet characters are built from the unit-group generators of each
+prime power p^e || q (primitive roots for odd prime powers, {+-1} x <5> for
+2^k with k >= 3), each lifted by CRT to a residue mod q that is g mod p^e and
+1 mod q/p^e.  One ``itertools.product`` over the exponent vectors t lists
+every unit prod_i g_i^{t_i}; a second over the index vectors j lists the
+characters.  Character values are stored as exact root-of-unity exponents
 (k, N) meaning e(k/N) = e^{2 pi i k / N}.  Each character's primitivity
 (conductor == modulus, by ``_conductor``) is computed once, when
 ``enumerate_characters`` builds it, and kept in ``chi.primitive``.
@@ -12,11 +15,13 @@ where character values and exponential sums become complex numbers: each
 term's exponent is reduced to an integer residue and the sums add table
 entries.  ``enumerate_characters`` also keeps each character's values on
 the units as (a, chi(a)) pairs, so a Gauss sum walks only the units, in
-increasing a.  Kloosterman sums take their units d and inverses d^-1 from a
-second cached table, ``_units(q)``, and the divisor count in their bound
-from the cached ``tau(q)``.  All verified identities at these modulus sizes
-are separated by far more than the 1e-9/1e-6 comparison tolerances; the
-tests also check the characters' orthogonality relations.
+increasing a.  Every other walk over the units of q (the exponential
+Ramanujan route, Kloosterman sums with their inverses d^-1) reads the cached
+``_units(q)``.  gcd(0, q) = q is ``math.gcd``'s own convention, which the
+Ramanujan routes and the Kloosterman bound rely on; the divisor count in that
+bound comes from the cached ``tau(q)``.  All verified identities at these
+modulus sizes are separated by far more than the 1e-9/1e-6 comparison
+tolerances; the tests also check the characters' orthogonality relations.
 
 The magnitude bound sqrt(q) for Gauss sums is a theorem only for primitive
 characters (for the principal character G reduces to a Ramanujan sum, e.g.
@@ -30,6 +35,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
+from itertools import product
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError, InvariantViolation
@@ -129,7 +135,7 @@ def gcd_saturate(x: int, y: int) -> int:
 def ramanujan_exponential(n: int, q: int) -> int:
     """Direct unit sum of e(an/q), rounded from floats (oracle route)."""
     e = _roots(q)
-    total = sum(e[a * n % q].real for a in range(1, q + 1) if math.gcd(a, q) == 1)
+    total = sum(e[a * n % q].real for a, _ in _units(q))
     r = round(total)
     if abs(total - r) > 1e-6:
         raise InvariantViolation(f"ramanujan exponential sum not integral: {total}")
@@ -137,16 +143,13 @@ def ramanujan_exponential(n: int, q: int) -> int:
 
 
 def ramanujan_divisor_sum(n: int, q: int) -> int:
-    g = math.gcd(n, q) if n != 0 else q
-    return sum(mobius(q // d) * d for d in range(1, g + 1) if g % d == 0 and q % d == 0)
+    g = math.gcd(n, q)
+    return sum(mobius(q // d) * d for d in range(1, g + 1) if g % d == 0)
 
 
 def ramanujan_von_sterneck(n: int, q: int) -> int:
-    g = math.gcd(n, q) if n != 0 else q
-    qg = q // g
-    phi_q = euler_phi(q)
-    phi_qg = euler_phi(qg)
-    return mobius(qg) * phi_q // phi_qg
+    qg = q // math.gcd(n, q)
+    return mobius(qg) * euler_phi(q) // euler_phi(qg)
 
 
 def ramanujan(n: int, q: int) -> int:
@@ -219,91 +222,45 @@ def _unit_group_generators(p: int, e: int) -> list[tuple[int, int]]:
 
 @lru_cache(maxsize=256)
 def enumerate_characters(q: int) -> tuple[DirichletCharacter, ...]:
-    """All phi(q) Dirichlet characters modulo q."""
+    """All phi(q) Dirichlet characters modulo q.
+
+    The character with index vector j sends the unit prod_i g_i^{t_i} to
+    e(sum_i j_i t_i / order_i), where the g_i are the generators of every
+    prime power p^e || q, each lifted by CRT to g mod p^e and 1 mod q/p^e.
+    The characters run over j in lexicographic order.
+    """
     if q < 1:
         raise DomainError("modulus must be >= 1")
-    if q == 1:
-        return (
-            DirichletCharacter(modulus=1, order=1, exps=(0,), is_principal=True,
-                               primitive=True, pairs=((0, _roots(1)[0]),)),
-        )
-    factors = factorize(q)
-    # per prime power: list of (component modulus, [(gen, order)...])
-    comp_mods = [p**e for p, e in factors]
-    comp_gens = [_unit_group_generators(p, e) for p, e in factors]
-    # discrete log table per component: residue mod p^e -> exponent vector
-    comp_logs: list[dict[int, tuple[int, ...]]] = []
-    for pe, gens in zip(comp_mods, comp_gens):
-        table: dict[int, tuple[int, ...]] = {}
-        if not gens:
-            table[1 % pe] = ()
-        else:
-            orders = [o for _, o in gens]
-            vec = [0] * len(gens)
-            # iterate the direct product of cyclic groups
-            def rec(i: int, cur: int):
-                if i == len(gens):
-                    table[cur] = tuple(vec)
-                    return
-                g, o = gens[i]
-                x = 1
-                for t in range(o):
-                    vec[i] = t
-                    rec(i + 1, (cur * x) % pe)
-                    x = (x * g) % pe
-            rec(0, 1)
-        comp_logs.append(table)
-
-    all_gens = [(i, gi) for i, gens in enumerate(comp_gens) for gi in range(len(gens))]
-    orders = [comp_gens[i][gi][1] for i, gi in all_gens]
-    order_lcm = 1
-    for o in orders:
-        order_lcm = order_lcm * o // math.gcd(order_lcm, o)
-
-    # precompute, per residue a mod q, the exponent vector over all generators
-    unit_logs: dict[int, tuple[int, ...]] = {}
-    for a in range(q):
-        if math.gcd(a, q) != 1:
-            continue
-        vec: list[int] = []
-        ok = True
-        for pe, table in zip(comp_mods, comp_logs):
-            entry = table.get(a % pe)
-            if entry is None:
-                ok = False
-                break
-            vec.extend(entry)
-        if ok:
-            unit_logs[a] = tuple(vec)
-    assert len(unit_logs) == euler_phi(q)
-
+    gens = []
+    for p, e in factorize(q):
+        pe = p**e
+        m = q // pe
+        gens += [(1 + m * ((g - 1) * pow(m, -1, pe) % pe), o)
+                 for g, o in _unit_group_generators(p, e)]
+    powers = [[pow(g, t, q) for t in range(o)] for g, o in gens]
+    # the units prod_i g_i^{t_i} mod q, over the exponent vectors t in lexicographic order
+    units = [math.prod(xs) % q for xs in product(*powers)]
+    assert len(set(units)) == euler_phi(q)
+    order = math.lcm(*(o for _, o in gens))
+    w = _roots(order)
     chars = []
-    w = _roots(order_lcm)
-    # character indexed by a choice j_i in Z_{order_i} per generator
-    def rec_char(i: int, js: list[int]):
-        if i == len(orders):
-            exps: list[Optional[int]] = [None] * q
-            for a, vec in unit_logs.items():
-                k = 0
-                for j, t, o in zip(js, vec, orders):
-                    k = (k + j * t * (order_lcm // o)) % order_lcm
-                exps[a] = k
-            chars.append(
-                DirichletCharacter(
-                    modulus=q,
-                    order=order_lcm,
-                    exps=tuple(exps),
-                    is_principal=all(j == 0 for j in js),
-                    primitive=_conductor(q, exps) == q,
-                    pairs=tuple((a, w[k]) for a, k in enumerate(exps) if k is not None),
-                )
+    for js in product(*(range(o) for _, o in gens)):
+        # steps[i][t]: chi(g_i^t) = e(j_i t / order_i) as an exponent over order
+        steps = [[j * (order // o) * t % order for t in range(o)]
+                 for j, (_, o) in zip(js, gens)]
+        exps: list[Optional[int]] = [None] * q
+        for a, ks in zip(units, product(*steps)):
+            exps[a] = sum(ks) % order
+        chars.append(
+            DirichletCharacter(
+                modulus=q,
+                order=order,
+                exps=tuple(exps),
+                is_principal=not any(js),
+                primitive=_conductor(q, exps) == q,
+                pairs=tuple((a, w[k]) for a, k in enumerate(exps) if k is not None),
             )
-            return
-        for j in range(orders[i]):
-            rec_char(i + 1, js + [j])
-
-    rec_char(0, [])
-    assert len(chars) == euler_phi(q)
+        )
     return tuple(chars)
 
 
@@ -343,11 +300,6 @@ def gauss_sum(chi: DirichletCharacter, n: int) -> complex:
     return total
 
 
-def _gcd0(a: int, q: int) -> int:
-    """gcd with the (0, q) = q convention."""
-    return math.gcd(a % q, q) if (a % q) != 0 else q
-
-
 def kloosterman(m: int, n: int, q: int) -> float:
     """S(m, n; q) = sum over units d of e((m d + n dbar)/q); real-valued.
 
@@ -360,11 +312,8 @@ def kloosterman(m: int, n: int, q: int) -> float:
     if abs(total.imag) > 1e-9 * max(1, q):
         raise InvariantViolation(f"Kloosterman sum has imaginary part {total.imag}")
     value = total.real
-    bound = (
-        _gcd0(math.gcd(m, n) if (m or n) else 0, q)
-        * math.sqrt(min(q / _gcd0(m, q), q / _gcd0(n, q)))
-        * tau(q)
-    )
+    bound = (math.gcd(m, n, q) * math.sqrt(min(q / math.gcd(m, q), q / math.gcd(n, q)))
+             * tau(q))
     if abs(value) > bound + 1e-6:
         raise InvariantViolation(
             f"|S({m},{n};{q})| = {abs(value)} exceeds Weil-type bound {bound}"

@@ -108,11 +108,12 @@ _COMMON = {"seed": (_at_least(0), 42), "json": (Path, None)}
 # PARAMS[command][key] = (parser, default or REQUIRED).  A default of None
 # means the command derives the value (moment's a: the minimal valid a;
 # verify combinat's a: ceil(n/2), which is >= 2 as n >= 3).  The lower
-# bounds of verify's keys refuse suites that would check nothing.
+# bounds refuse a moment order n < 1 and verify suites that would check
+# nothing.
 PARAMS: dict[str, dict[str, tuple]] = {
-    "moment": {"sigma": _SIGMA, "n": (int, REQUIRED), "a": (int, None), "sign": _SIGN,
-               **_COMMON},
-    "crosscheck": {"sigma": _SIGMA, "n": (int, REQUIRED), **_COMMON},
+    "moment": {"sigma": _SIGMA, "n": (_at_least(1), REQUIRED), "a": (int, None),
+               "sign": _SIGN, **_COMMON},
+    "crosscheck": {"sigma": _SIGMA, "n": (_at_least(1), REQUIRED), **_COMMON},
     "vanish": {"r": (int, REQUIRED), "n": (int, REQUIRED), "sigma": _SIGMA, "sign": _SIGN,
                **_COMMON},
     "rmt": {"M": (int, REQUIRED), "parity": (_one_of("even", "odd"), None),
@@ -339,7 +340,7 @@ def _cmd_rmt(cfg: RunConfig):
     if parity not in (None, "even" if M % 2 == 0 else "odd"):
         raise DomainError(f"M={M} does not match parity {parity!r}")
     tf = fejer(cfg.params["sigma"])
-    K = (tf.sigma.numerator * M) // tf.sigma.denominator
+    K = rmt.fourier_cutoff(tf, M)
     rmt.check_resources(spec, K)
     rmt.finite_mean(tf, M)  # refuses sigma > 1 before any draw
     if all(tf.fhat_at(Fraction(k, M)) == 0 for k in range(1, K + 1)):

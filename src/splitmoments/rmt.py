@@ -19,9 +19,9 @@ The statistic uses the finite Fourier sum
 
     F_M(theta) = (1/M) [ fhat(0) + 2 sum_{k=1}^{K} fhat(k/M) cos(k theta) ],
 
-with K = floor(sigma M); when sigma M is an integer the boundary term is
-included with weight fhat(sigma).  Z(U) sums F_M over all M angles, so it
-needs only the power traces Tr U^k for k <= K.  ``_block_traces`` takes them
+with K = floor(sigma M) (``fourier_cutoff``); when sigma M is an integer the
+boundary term is included with weight fhat(sigma).  Z(U) sums F_M over all
+M angles, so it needs only the power traces Tr U^k for k <= K.  ``_block_traces`` takes them
 from the Szego recursion of the coefficients, truncated after u^K, and
 Newton's identities, one block of samples at a time, and ``z_values_for``
 keeps only each sample's Z; no eigenvalue is computed.  ``moment_rows``
@@ -53,6 +53,7 @@ __all__ = [
     "eigenangles",
     "eigenangles_dense",
     "collect_angle_samples",
+    "fourier_cutoff",
     "check_resources",
     "sample_verblunsky",
     "z_values_for",
@@ -142,10 +143,15 @@ def eigenangles(U: np.ndarray) -> EigenangleSample:
     return EigenangleSample(angles=tuple(out))
 
 
+def fourier_cutoff(tf: TestFunction, M: int) -> int:
+    """K = floor(sigma M), the last k whose fhat(k/M) the statistic weights."""
+    return (tf.sigma.numerator * M) // tf.sigma.denominator
+
+
 def _fourier_coeffs(tf: TestFunction, M: int) -> np.ndarray:
     """fhat(k/M) for k = 0..floor(sigma M), exact evaluations to double."""
-    K = (tf.sigma.numerator * M) // tf.sigma.denominator
-    return np.array([float(tf.fhat_at(Fraction(k, M))) for k in range(K + 1)])
+    return np.array([float(tf.fhat_at(Fraction(k, M)))
+                     for k in range(fourier_cutoff(tf, M) + 1)])
 
 
 def collect_angle_samples(spec: EnsembleSpec) -> list[EigenangleSample]:
@@ -301,7 +307,7 @@ def finite_mean(tf: TestFunction, M: int) -> Fraction:
     """
     if tf.sigma > 1 or tf.fhat_at(1) != 0:
         raise DomainError("finite-M mean requires sigma <= 1 and fhat(1) = 0")
-    K = (tf.sigma.numerator * M) // tf.sigma.denominator
+    K = fourier_cutoff(tf, M)
     even = sum((tf.fhat_at(Fraction(k, M)) for k in range(2, K + 1, 2)), Fraction(0))
     return tf.fhat_at(0) + Fraction(2, M) * even
 

@@ -420,6 +420,8 @@ class TestBadInput:
         "args",
         [
             ["crosscheck", "--sigma", "1/2", "--n", "0"],
+            ["moment", "--sigma", "1/2", "--n", "0"],
+            ["moment", "--sigma", "1/2", "--n", "-3"],
             ["verify", "combinat", "--n", "9"],
             ["verify", "combinat", "--t-max", "0"],
             ["verify", "combinat", "--n", "0"],
@@ -441,7 +443,7 @@ class TestBadInput:
             ["bogus"],
             ["verify", "bogus"],
         ],
-        ids=["crosscheck-n0", "combinat-n9", "t-max0", "combinat-n0", "combinat-n1",
+        ids=["crosscheck-n0", "moment-n0", "moment-n-negative", "combinat-n9", "t-max0", "combinat-n0", "combinat-n1",
              "combinat-n2", "combinat-a1", "arith-qmax0", "seed-1", "rmt-nmax0",
              "rmt-nmax-1", "rmt-constant-z-M2", "rmt-constant-z-M3", "rmt-constant-z-M5",
              "verify-no-suite", "no-command", "unknown-flag",
@@ -450,6 +452,13 @@ class TestBadInput:
     )
     def test_usage_error(self, args, capsys):
         assert_usage_error(args, capsys)
+
+    @pytest.mark.parametrize("command", ["moment", "crosscheck"])
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_order_below_one_names_n(self, command, n, capsys):
+        err = assert_usage_error([command, "--sigma", "1/2", "--n", n], capsys)
+        assert "bad value for n: must be >= 1" in err
+        assert "S_correction" not in err
 
     @pytest.mark.parametrize("args", [["-h"], ["moment", "-h"], ["verify", "arith", "--help"]])
     def test_help_exits_zero(self, args, capsys):
