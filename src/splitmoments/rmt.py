@@ -21,11 +21,12 @@ The statistic uses the finite Fourier sum
 
 with K = floor(sigma M) (``fourier_cutoff``); when sigma M is an integer the
 boundary term is included with weight fhat(sigma).  Z(U) sums F_M over all
-M angles, so it needs only the power traces Tr U^k for k <= K.  ``_block_traces`` takes them
-from the Szego recursion of the coefficients, truncated after u^K, and
-Newton's identities, one block of samples at a time, and ``z_values_for``
-keeps only each sample's Z; no eigenvalue is computed.  ``moment_rows``
-turns the Z values into the gated rows of the ``rmt`` report.
+M angles, so it needs only the power traces Tr U^k for k <= K.
+``_block_traces`` takes them from the Szego recursion of the coefficients,
+truncated after u^K, and Newton's identities, one block of samples at a
+time, and ``z_values_for`` keeps only each sample's Z; no eigenvalue is
+computed.  ``moment_rows`` turns the Z values into the gated rows of the
+``rmt`` report.
 
 Reference route, kept for the tests that check the sampler against it:
 Gaussian matrix -> QR -> fix signs so R has positive diagonal (Haar on O(M))

@@ -443,8 +443,8 @@ class TestBadInput:
             ["bogus"],
             ["verify", "bogus"],
         ],
-        ids=["crosscheck-n0", "moment-n0", "moment-n-negative", "combinat-n9", "t-max0", "combinat-n0", "combinat-n1",
-             "combinat-n2", "combinat-a1", "arith-qmax0", "seed-1", "rmt-nmax0",
+        ids=["crosscheck-n0", "moment-n0", "moment-n-negative", "combinat-n9", "t-max0",
+             "combinat-n0", "combinat-n1", "combinat-n2", "combinat-a1", "arith-qmax0", "seed-1", "rmt-nmax0",
              "rmt-nmax-1", "rmt-constant-z-M2", "rmt-constant-z-M3", "rmt-constant-z-M5",
              "verify-no-suite", "no-command", "unknown-flag",
              "flag-without-value", "negative-sigma-as-flag", "unknown-command",
