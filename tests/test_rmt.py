@@ -2,6 +2,7 @@
 the dense Haar reference, eigenangles, the linear statistic, and small-M
 moment gates."""
 
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction as F
@@ -193,6 +194,22 @@ class TestSzegoTraces:
             assert np.array_equal(traces[i:j], rmt._block_traces(alpha[i:j], 21, 12)), (i, j)
             part = rmt.EnsembleSpec(M=21, samples=j - i, seed=3)
             assert np.array_equal(z[i:j], rmt.z_values_for(tf, part, [alpha[i:j]])), (i, j)
+
+    def test_traces_and_z_pinned(self):
+        # sha256 over the bytes of the traces at every K <= 2M and of Z at five
+        # sigma, taken before the recursion carried Phi alone: any rewrite of
+        # the trace stage must keep every float bit for bit
+        digest = hashlib.sha256()
+        for M in (2, 3, 4, 5, 10, 11, 21, 100, 101):
+            spec = rmt.EnsembleSpec(M=M, samples=300, seed=M)
+            alpha = draw(spec)
+            for K in range(1, 2 * M + 1):
+                digest.update(rmt._block_traces(alpha[:40], M, K).tobytes())
+            for sigma in (F(1, 10), F(1, 4), F(1, 2), F(3, 5), F(1)):
+                z = rmt.z_values_for(fejer(sigma), spec, rmt.sample_verblunsky(spec))
+                digest.update(z.tobytes())
+        assert digest.hexdigest() == (
+            "b13ea6980a133c9ed5510ce66acf5c0b0b36d25f91796737142a476449fc3913")
 
     def test_blocks_must_cover_the_samples(self):
         spec = rmt.EnsembleSpec(M=21, samples=600, seed=3)
