@@ -99,24 +99,32 @@ def _switch(text: str) -> bool:
     return word in ("1", "true", "yes")
 
 
+def _positive_rational(text: str) -> Fraction:
+    value = parse_rational(text)
+    if value <= 0:
+        raise ValueError("must be > 0")
+    return value
+
+
 REQUIRED = object()  # the default of a key that must be given
 
-_SIGMA = (parse_rational, REQUIRED)
+_SIGMA = (_positive_rational, REQUIRED)
 _SIGN = (_one_of("plus", "minus"), "minus")
 _COMMON = {"seed": (_at_least(0), 42), "json": (Path, None)}
 
 # PARAMS[command][key] = (parser, default or REQUIRED).  A default of None
 # means the command derives the value (moment's a: the minimal valid a;
 # verify combinat's a: ceil(n/2), which is >= 2 as n >= 3).  The lower
-# bounds refuse a moment order n < 1 and verify suites that would check
-# nothing.
+# bounds refuse sigma <= 0, a moment order n < 1, an order threshold r < 1,
+# SO(M) with M < 2 and verify suites that would check nothing, each as a bad
+# value of its key.
 PARAMS: dict[str, dict[str, tuple]] = {
     "moment": {"sigma": _SIGMA, "n": (_at_least(1), REQUIRED), "a": (int, None),
                "sign": _SIGN, **_COMMON},
     "crosscheck": {"sigma": _SIGMA, "n": (_at_least(1), REQUIRED), **_COMMON},
-    "vanish": {"r": (int, REQUIRED), "n": (int, REQUIRED), "sigma": _SIGMA, "sign": _SIGN,
-               **_COMMON},
-    "rmt": {"M": (int, REQUIRED), "parity": (_one_of("even", "odd"), None),
+    "vanish": {"r": (_at_least(1), REQUIRED), "n": (int, REQUIRED), "sigma": _SIGMA,
+               "sign": _SIGN, **_COMMON},
+    "rmt": {"M": (_at_least(2), REQUIRED), "parity": (_one_of("even", "odd"), None),
             "samples": (_at_least(2), 1000), "sigma": _SIGMA, "nmax": (_at_least(1), 4),
             **_COMMON, "csv": (Path, None)},
     "verify-combinat": {"n": (_at_least(3), 5), "a": (_at_least(2), None),
@@ -347,7 +355,7 @@ def _cmd_rmt(cfg: RunConfig):
         raise DomainError(
             f"Z is constant on SO({M}) at sigma={tf.sigma}: fhat(k/{M}) = 0 for all k >= 1"
         )
-    z_vals = rmt.z_values_for(tf, spec, rmt.sample_verblunsky(spec))
+    z_vals = rmt.z_values_for(tf, spec, rmt.sample_verblunsky(spec, K))
     if cfg.params["csv"]:
         import csv
 

@@ -22,11 +22,13 @@ The statistic uses the finite Fourier sum
 with K = floor(sigma M) (``fourier_cutoff``); when sigma M is an integer the
 boundary term is included with weight fhat(sigma).  Z(U) sums F_M over all
 M angles, so it needs only the power traces Tr U^k for k <= K.
-``_block_traces`` takes them from the Szego recursion of the coefficients,
-truncated after u^K, and Newton's identities, one block of samples at a
-time, and ``z_values_for`` keeps only each sample's Z; no eigenvalue is
-computed.  ``moment_rows`` turns the Z values into the gated rows of the
-``rmt`` report.
+``_block_traces`` takes them from the Szego recursion of the coefficients
+and Newton's identities, one block of ``_block_rows(K)`` samples at a time.
+The recursion carries one array, Phi*_k (Phi_k's coefficients reversed),
+until it would pass 2K + 2 coefficients, and then Phi_k and Phi*_k
+truncated after u^K.  ``z_values_for`` keeps only each sample's Z; no
+eigenvalue is computed.  ``moment_rows`` turns the Z values into the gated
+rows of the ``rmt`` report.
 
 Reference route, kept for the tests that check the sampler against it:
 Gaussian matrix -> QR -> fix signs so R has positive diagonal (Haar on O(M))
@@ -185,7 +187,16 @@ def _verblunsky_shapes(M: int) -> tuple[np.ndarray, np.ndarray]:
     return s, t
 
 
-_BLOCK = 512  # samples per block of ``sample_verblunsky`` and the Szego recursion
+def _block_rows(K: int) -> int:
+    """Samples per block: 2^14 // (K + 1), clipped to [256, 512].
+
+    Each step of ``_block_traces`` is a few whole-array operations, so a
+    block of rows * (K + 1) >= 2^14 elements keeps the per-call cost of a
+    small K from dominating, and a large K still gets the smaller block.
+    """
+    return min(512, max(256, (1 << 14) // (K + 1)))
+
+
 _MEMORY_BUDGET = 1 << 31  # bytes of float64 arrays in one run
 # Multiply-adds of the trace stage, samples * (M K + K^2 / 2).  They took 3.6 to
 # 4.8 ns each at M = 100 to 4000 (2-core x86-64, numpy 2.4.6), so the cap is
@@ -196,14 +207,20 @@ _WORK_BUDGET = 2 * 10**10
 def check_resources(spec: EnsembleSpec, K: int) -> None:
     """Refuse, before any draw, a run over the memory or the work budget.
 
-    The float64 estimate counts one Z per sample and the arrays of one block:
-    its 2n - 1 Verblunsky coefficients, the 2n steps of ``_block_traces`` and
-    five (K + 1, block) arrays.  At sigma = 3/5 it is about 2.2 MB for M = 100
-    with 20000 samples (the acceptance gate's size) and 2.1 MB with 2000.
+    The float64 estimate counts one Z per sample; the arrays of one block of
+    ``_block_rows(K)`` samples: its 2n - 1 Verblunsky coefficients, the two
+    arrays of ``_block_traces`` (max(min(2n + 1, 2K + 2), K + 1)
+    coefficients each) and four rows for Newton's identities and the
+    weighted sum; the two buffers of ``np.getbufsize()`` elements that a
+    broadcasting ufunc allocates; and the Beta shapes and Fourier weights.
+    At sigma = 3/5 it is about 0.95 MB for M = 100 with 20000 samples (the
+    acceptance gate's size) and 0.80 MB with 2000.
     """
     n = spec.M // 2
-    block = min(spec.samples, _BLOCK)
-    floats = spec.samples + block * (4 * n - 1 + 5 * (K + 1))
+    rows = min(spec.samples, _block_rows(K))
+    coefficients = max(min(2 * n + 1, 2 * K + 2), K + 1)
+    floats = (spec.samples + rows * (2 * n - 1 + 2 * coefficients + 4)
+              + 2 * np.getbufsize() + 2 * (2 * n - 1) + 2 * (K + 1))
     if 8 * floats > _MEMORY_BUDGET:
         raise ResourceLimitError(
             f"rmt at M={spec.M} with {spec.samples} samples needs about"
@@ -215,22 +232,29 @@ def check_resources(spec: EnsembleSpec, K: int) -> None:
             f" {work:.1e} multiply-adds, over the budget of {_WORK_BUDGET:.0e}")
 
 
-def sample_verblunsky(spec: EnsembleSpec) -> Iterator[np.ndarray]:
+def _draw(rng: np.random.Generator, s: np.ndarray, t: np.ndarray, rows: int) -> np.ndarray:
+    alpha = rng.beta(s, t, size=(rows, len(s)))
+    alpha *= -2
+    alpha += 1
+    return alpha
+
+
+def sample_verblunsky(spec: EnsembleSpec, K: int = 0) -> Iterator[np.ndarray]:
     """The Verblunsky coefficients alpha_k, in (rows, 2 floor(M/2) - 1) blocks.
 
-    One generator, seeded by ``seed``, draws the Beta variates of ``_BLOCK``
-    samples at a time (fewer in the last block).  It fills the rows in order,
-    so the blocks join into the array that one draw of every row gives, and
-    sample i depends only on the seed and i: the first k rows of any longer
-    draw are the k-sample draw.
+    One generator, seeded by ``seed``, draws the Beta variates of
+    ``_block_rows(K)`` samples at a time (fewer in the last block), K being
+    the last power the blocks will be traced to; it sets only the block
+    length.  The generator fills the rows in order, so the blocks join into
+    the array that one draw of every row gives, and sample i depends only on
+    the seed and i: the first k rows of any longer draw are the k-sample
+    draw.  No block is referenced here once it is yielded.
     """
     s, t = _verblunsky_shapes(spec.M)
     rng = np.random.default_rng(spec.seed)
-    for i0 in range(0, spec.samples, _BLOCK):
-        alpha = rng.beta(s, t, size=(min(_BLOCK, spec.samples - i0), len(s)))
-        alpha *= -2
-        alpha += 1
-        yield alpha
+    rows = _block_rows(K)
+    for i0 in range(0, spec.samples, rows):
+        yield _draw(rng, s, t, min(rows, spec.samples - i0))
 
 
 def _block_traces(alpha: np.ndarray, M: int, K: int) -> np.ndarray:
@@ -245,31 +269,52 @@ def _block_traces(alpha: np.ndarray, M: int, K: int) -> np.ndarray:
         Phi_{k+1}(u) = u Phi_k(u) - alpha_k Phi*_k(u),
         Phi*_{k+1}(u) = Phi*_k(u) - alpha_k u Phi_k(u),
 
-    from Phi_0 = Phi*_0 = 1 runs modulo u^{K+1}, which closes on itself, and
-    Newton's identities p_k = -k c_k - sum_{m<k} c_{k-m} p_m give the power
-    sums of those eigenvalues: Tr U^k = p_k + (M mod 2).  The block is laid
-    out (K + 1, rows), so each step is a few whole-array operations on arrays
-    that stay in cache for rows up to ``_BLOCK``; before step j only the
-    coefficients of u^0..u^j can be nonzero, so the step touches those.
+    starts from Phi_0 = Phi*_0 = 1, and Newton's identities
+    p_k = -k c_k - sum_{m<k} c_{k-m} p_m give the power sums of those
+    eigenvalues: Tr U^k = p_k + (M mod 2).
+
+    The alpha are real, so Phi*_k(u) = u^k Phi_k(1/u): one array holds the
+    k + 1 coefficients of Phi*_k, which are those of Phi_k reversed, and a
+    step is Phi*_{k+1}[m] = Phi*_k[m] - alpha_k Phi*_k[k + 1 - m] for
+    1 <= m <= k, with Phi*_{k+1}[0] = 1 and Phi*_{k+1}[k + 1] = -alpha_k
+    written in advance.  Once Phi*_k would exceed 2K + 2 coefficients, only
+    its low K + 1 and the low K + 1 of Phi_k (its top K + 1, reversed) can
+    reach c_0..c_K, so the recursion carries those two arrays modulo
+    u^{K+1}, which closes on itself; at sigma >= 1/2 it never gets there.
+    Every coefficient comes from the same float operations in either form
+    (adding -alpha_k times a coefficient rounds as subtracting alpha_k times
+    it does).
+    The block is laid out (coefficients, rows), so each step is two to five
+    whole-array operations on rows that stay in cache.
     """
-    rows = alpha.shape[0]
-    steps = np.empty((alpha.shape[1] + 1, rows))
-    steps[:-1] = alpha.T
-    steps[-1] = -1.0
-    phi, star, nxt, tmp = (np.zeros((K + 1, rows)) for _ in range(4))
-    phi[0] = star[0] = 1.0
-    for j, a in enumerate(steps):
-        d = min(j + 2, K + 1)  # rows of Phi_{j+1}, Phi*_{j+1} that can be nonzero
-        np.multiply(star[:d], a, out=tmp[:d])
-        np.negative(tmp[0], out=nxt[0])
-        np.subtract(phi[: d - 1], tmp[1:d], out=nxt[1:d])
-        np.multiply(phi[: d - 1], a, out=tmp[1:d])
-        star[1:d] -= tmp[1:d]
-        phi, nxt = nxt, phi
-    traces = np.empty((K + 1, rows))
+    rows, steps = alpha.shape[0], alpha.shape[1] + 1
+    whole = min(steps, 2 * K + 1)  # steps on all of Phi*
+    star = np.zeros((max(whole + 1, K + 1), rows))
+    work = np.empty_like(star)
+    star[0] = 1.0
+    drawn = min(whole, steps - 1)
+    np.negative(alpha[:, :drawn].T, out=star[1 : drawn + 1])  # star[j + 1] = -alpha_j
+    star[drawn + 1 : whole + 1] = 1.0  # -alpha_{2n-1}, if the whole form reaches it
+    for j in range(whole):
+        np.multiply(star[j:0:-1], star[j + 1], out=work[:j])
+        np.add(star[1 : j + 1], work[:j], out=star[1 : j + 1])
+    if whole < steps:
+        phi, nxt, tmp = work[: K + 1], star[K + 1 :], work[K + 1 :]
+        phi[:] = star[: K : -1]
+        star = star[: K + 1]
+        for j in range(whole, steps):
+            np.negative(alpha[:, j] if j < steps - 1 else -1.0, out=nxt[0])  # Phi_{j+1}[0]
+            np.multiply(star[1:], nxt[0], out=tmp[1:])
+            np.add(phi[:-1], tmp[1:], out=nxt[1:])
+            np.multiply(phi[:-1], nxt[0], out=tmp[1:])
+            star[1:] += tmp[1:]
+            phi, nxt = nxt, phi
+    traces = work[: K + 1]
     traces[0] = M
-    for k in range(1, K + 1):
-        traces[k] = -k * star[k] - np.einsum("ms,ms->s", star[k - 1 : 0 : -1], traces[1:k])
+    np.multiply(star[1 : K + 1], -np.arange(1.0, K + 1)[:, None], out=traces[1:])
+    row = np.empty(rows)
+    for k in range(2, K + 1):
+        traces[k] -= np.einsum("ms,ms->s", star[k - 1 : 0 : -1], traces[1:k], out=row)
     traces[1:] += M % 2
     return traces.T
 
@@ -277,12 +322,15 @@ def _block_traces(alpha: np.ndarray, M: int, K: int) -> np.ndarray:
 def z_values_for(tf: TestFunction, spec: EnsembleSpec,
                  blocks: Iterable[np.ndarray]) -> np.ndarray:
     """Z per sample from the blocks of Verblunsky coefficients that
-    :func:`sample_verblunsky` yields (they do not depend on the test function).
+    :func:`sample_verblunsky` yields (their values do not depend on the test
+    function).
 
-    The blocks must hold ``spec.samples`` rows in all.  Each block's traces
-    are weighted and summed over k as soon as they are made, so only one
-    block of coefficients and traces is held at a time.  The sum runs
-    elementwise in k order, so a sample's Z does not depend on its block.
+    The blocks must hold ``spec.samples`` rows in all, in blocks of any
+    length.  Each block's traces are weighted and summed over k as soon as
+    they are made, and neither this loop nor the sampler keeps a block once
+    it is used, so only one block of coefficients and traces is held at a
+    time.  The sum runs elementwise in k order, so a sample's Z does not
+    depend on its block.
     """
     coeffs = _fourier_coeffs(tf, spec.M)
     weights = 2 * coeffs
@@ -291,9 +339,10 @@ def z_values_for(tf: TestFunction, spec: EnsembleSpec,
     z = np.empty(spec.samples)
     i0 = 0
     for alpha in blocks:
-        traces = _block_traces(alpha, spec.M, K)
-        z[i0 : i0 + len(alpha)] = sum(w * t for w, t in zip(weights, traces.T))
-        i0 += len(alpha)
+        rows = len(alpha)
+        z[i0 : i0 + rows] = sum(w * t for w, t in zip(weights, _block_traces(alpha, spec.M, K).T))
+        i0 += rows
+        del alpha  # held by nothing while the next block is drawn
     if i0 != spec.samples:
         raise InvariantViolation(f"{i0} rows of coefficients for {spec.samples} samples")
     z /= spec.M
@@ -328,13 +377,20 @@ def moment_rows(tf: TestFunction, M: int, z_vals: np.ndarray, n_max: int) -> lis
     centre = finite_mean(tf, M)
     sign = "plus" if M % 2 == 0 else "minus"
     rows = []
+    N = len(z_vals)
     for n in range(1, n_max + 1):
-        values = z_vals
-        if n > 1:  # raised in place, so one array of powers is held at a time
+        if n == 1:
+            empirical = float(np.mean(z_vals))
+            stderr = float(np.std(z_vals, ddof=1) / np.sqrt(N))
+        else:  # np.mean and np.std(ddof=1), bit for bit, in the one array of powers
             values = z_vals - float(centre)
             values **= n
-        empirical = float(np.mean(values))
-        stderr = float(np.std(values, ddof=1) / np.sqrt(len(values)))
+            mean = np.add.reduce(values) / N
+            empirical = float(mean)
+            values -= mean
+            np.multiply(values, values, out=values)
+            stderr = float(np.sqrt(np.add.reduce(values) / (N - 1)) / np.sqrt(N))
+            del values  # before the next row makes its powers
         if not stderr > 0:
             raise InvariantViolation(f"stderr of the n={n} row is {stderr}, not positive")
         supported = tf.sigma <= Fraction(2, n)
@@ -356,7 +412,7 @@ def moment_rows(tf: TestFunction, M: int, z_vals: np.ndarray, n_max: int) -> lis
             "predicted": predicted,
             "finite_M_mean": centre if n == 1 else None,
             "z_score": z_score,
-            "samples": len(values),
+            "samples": N,
             "supported": supported,
             "gate": gate,
             "passed": passed,

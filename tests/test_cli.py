@@ -245,7 +245,7 @@ class TestRmtCommand:
         # drawing them if the run reaches the sampler
         from splitmoments import rmt
 
-        def no_sampling(spec):
+        def no_sampling(spec, K):
             raise AssertionError("an oversized run reached the sampler")
 
         monkeypatch.setattr(rmt, "sample_verblunsky", no_sampling)
@@ -263,7 +263,7 @@ class TestRmtCommand:
     def test_refused_before_sampling(self, capsys, monkeypatch, args, reason):
         from splitmoments import rmt
 
-        def no_sampling(spec):
+        def no_sampling(spec, K):
             raise AssertionError("a refused run reached the sampler")
 
         monkeypatch.setattr(rmt, "sample_verblunsky", no_sampling)
@@ -459,6 +459,27 @@ class TestBadInput:
         err = assert_usage_error([command, "--sigma", "1/2", "--n", n], capsys)
         assert "bad value for n: must be >= 1" in err
         assert "S_correction" not in err
+
+    @pytest.mark.parametrize("args, key", [
+        (["moment", "--sigma", "0", "--n", "2"], "sigma"),
+        (["moment", "--sigma", "-1/2", "--n", "4"], "sigma"),
+        (["crosscheck", "--sigma", "0", "--n", "2"], "sigma"),
+        (["rmt", "--M", "10", "--sigma", "0"], "sigma"),
+        (["rmt", "--M", "10", "--sigma", "-1/2"], "sigma"),
+        (["vanish", "--r", "5", "--n", "4", "--sigma", "0"], "sigma"),
+        (["rmt", "--M", "1", "--sigma", "1/2"], "M"),
+        (["vanish", "--r", "0", "--n", "4", "--sigma", "1/2"], "r"),
+    ], ids=["moment-sigma0", "moment-sigma-negative", "crosscheck-sigma0", "rmt-sigma0",
+            "rmt-sigma-negative", "vanish-sigma0", "rmt-M1", "vanish-r0"])
+    def test_bad_value_names_key(self, args, key, capsys):
+        # the message names the flag, not the constructor that would refuse it
+        err = assert_usage_error(args, capsys)
+        assert f"bad value for {key}: must be" in err
+        assert "fejer" not in err and "order threshold" not in err
+
+    def test_float_sigma_still_needs_exactness(self, capsys):
+        err = assert_usage_error(["moment", "--sigma", "0.5", "--n", "2"], capsys)
+        assert "bad value for sigma: exactness required" in err
 
     @pytest.mark.parametrize("args", [["-h"], ["moment", "-h"], ["verify", "arith", "--help"]])
     def test_help_exits_zero(self, args, capsys):
@@ -781,7 +802,7 @@ class TestFlagParsing:
 
     def test_negative_value_follows_its_flag(self, capsys):
         err = assert_usage_error(["moment", "--sigma", "-1/2", "--n", "4"], capsys)
-        assert "sigma > 0" in err
+        assert "bad value for sigma: must be > 0" in err
 
     def test_help_names_every_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -13,7 +13,7 @@ from scipy import stats
 
 import rmt_reference as ref
 from splitmoments import rmt
-from splitmoments.errors import DomainError, InvariantViolation
+from splitmoments.errors import DomainError, InvariantViolation, ResourceLimitError
 from splitmoments.testfn import fejer
 
 
@@ -189,7 +189,8 @@ class TestSzegoTraces:
         alpha = draw(spec)
         tf = fejer(F(3, 5))
         traces = rmt._block_traces(alpha, 21, 12)
-        z = rmt.z_values_for(tf, spec, rmt.sample_verblunsky(spec))
+        assert rmt._block_rows(12) == 512  # the block length sampled around
+        z = rmt.z_values_for(tf, spec, rmt.sample_verblunsky(spec, 12))
         for i, j in [(0, samples), (0, 1), (samples // 3, samples), (samples - 1, samples)]:
             assert np.array_equal(traces[i:j], rmt._block_traces(alpha[i:j], 21, 12)), (i, j)
             part = rmt.EnsembleSpec(M=21, samples=j - i, seed=3)
@@ -210,6 +211,27 @@ class TestSzegoTraces:
                 digest.update(z.tobytes())
         assert digest.hexdigest() == (
             "b13ea6980a133c9ed5510ce66acf5c0b0b36d25f91796737142a476449fc3913")
+
+    @pytest.mark.parametrize("M, sigma, samples", [
+        (100, F(3, 5), 2000), (101, F(1, 4), 2000), (400, F(1, 10), 600),
+    ], ids=["100-3/5", "101-1/4", "400-1/10"])
+    def test_resource_estimate_covers_the_peak(self, M, sigma, samples, monkeypatch):
+        # check_resources counts every float64 array a run holds: with the
+        # budget set to the traced peak of z_values_for, it refuses the run
+        tf = fejer(sigma)
+        K = rmt.fourier_cutoff(tf, M)
+        spec = rmt.EnsembleSpec(M=M, samples=samples, seed=1)
+        warm = rmt.EnsembleSpec(M=M, samples=3, seed=1)
+        rmt.z_values_for(tf, warm, rmt.sample_verblunsky(warm, K))  # warm the caches
+        tracemalloc.start()
+        try:
+            rmt.z_values_for(tf, spec, rmt.sample_verblunsky(spec, K))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(rmt, "_MEMORY_BUDGET", peak)
+        with pytest.raises(ResourceLimitError, match="GiB"):
+            rmt.check_resources(spec, K)
 
     def test_blocks_must_cover_the_samples(self):
         spec = rmt.EnsembleSpec(M=21, samples=600, seed=3)
@@ -318,10 +340,12 @@ class TestReproducibility:
     @pytest.mark.parametrize("M", [4, 100, 101])
     def test_blocks_join_into_one_draw(self, M):
         # drawing block by block from the one generator gives the stream of
-        # one Beta call over every sample, bit for bit
+        # one Beta call over every sample, bit for bit; at sigma = 3/5 the
+        # block is 2^14 // (K + 1) samples, clipped to [256, 512]
         spec = rmt.EnsembleSpec(M=M, samples=2000, seed=7)
-        blocks = list(rmt.sample_verblunsky(spec))
-        assert [len(b) for b in blocks] == [512, 512, 512, 464]
+        blocks = list(rmt.sample_verblunsky(spec, 3 * M // 5))
+        assert [len(b) for b in blocks] == {
+            4: [512, 512, 512, 464], 100: [268] * 7 + [124], 101: [268] * 7 + [124]}[M]
         s, t = rmt._verblunsky_shapes(M)
         whole = np.random.default_rng(7).beta(s, t, size=(2000, len(s))) * -2 + 1
         assert np.array_equal(np.concatenate(blocks), whole)
@@ -371,6 +395,35 @@ class TestMomentEstimation:
         assert by_n[4]["predicted"] is None and by_n[4]["gate"] is None
         assert by_n[4]["passed"] is None and by_n[4]["note"]
         assert by_n[4]["empirical"] != 0.0  # still computed
+
+    def test_rows_are_numpy_mean_and_std(self):
+        # the rows n >= 2 reduce their one array of powers in place; that is
+        # np.mean and np.std(ddof=1) bit for bit, at every length
+        tf = fejer(F(1, 2))
+        centre = float(rmt.finite_mean(tf, 10))
+        rng = np.random.default_rng(0)
+        for N in [*range(2, 300), 511, 512, 513, 2000, 20000, 100003]:
+            z = rng.normal(2.0, 0.7, N)
+            for row in rmt.moment_rows(tf, 10, z, 4):
+                powers = z if row["n"] == 1 else (z - centre) ** row["n"]
+                assert row["empirical"] == float(np.mean(powers)), (N, row["n"])
+                assert row["stderr"] == float(np.std(powers, ddof=1) / np.sqrt(N)), (N, row["n"])
+
+    def test_rows_hold_one_array_of_powers(self):
+        # beyond the caller's Z values, the rows allocate one sample-sized
+        # array at a time (the deviations np.std makes for n = 1, then the
+        # powers), not two
+        N = 200_000
+        tf = fejer(F(1, 2))
+        z = np.random.default_rng(1).normal(2.0, 0.7, N)
+        rmt.moment_rows(tf, 10, z[:10], 4)  # warm the exact predictions
+        tracemalloc.start()
+        try:
+            rmt.moment_rows(tf, 10, z, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * N, peak
 
     def test_stderr_positive_invariant(self):
         with pytest.raises(InvariantViolation):
