@@ -239,7 +239,7 @@ def _draw(rng: np.random.Generator, s: np.ndarray, t: np.ndarray, rows: int) -> 
     return alpha
 
 
-def sample_verblunsky(spec: EnsembleSpec, K: int = 0) -> Iterator[np.ndarray]:
+def sample_verblunsky(spec: EnsembleSpec, K: int) -> Iterator[np.ndarray]:
     """The Verblunsky coefficients alpha_k, in (rows, 2 floor(M/2) - 1) blocks.
 
     One generator, seeded by ``seed``, draws the Beta variates of
@@ -379,18 +379,19 @@ def moment_rows(tf: TestFunction, M: int, z_vals: np.ndarray, n_max: int) -> lis
     rows = []
     N = len(z_vals)
     for n in range(1, n_max + 1):
+        # np.mean and np.std(ddof=1), bit for bit, reduced in place in one
+        # private array: Z itself for n = 1, (Z - m)^n after
         if n == 1:
-            empirical = float(np.mean(z_vals))
-            stderr = float(np.std(z_vals, ddof=1) / np.sqrt(N))
-        else:  # np.mean and np.std(ddof=1), bit for bit, in the one array of powers
+            values = z_vals.copy()
+        else:
             values = z_vals - float(centre)
             values **= n
-            mean = np.add.reduce(values) / N
-            empirical = float(mean)
-            values -= mean
-            np.multiply(values, values, out=values)
-            stderr = float(np.sqrt(np.add.reduce(values) / (N - 1)) / np.sqrt(N))
-            del values  # before the next row makes its powers
+        mean = np.add.reduce(values) / N
+        empirical = float(mean)
+        values -= mean
+        np.multiply(values, values, out=values)
+        stderr = float(np.sqrt(np.add.reduce(values) / (N - 1)) / np.sqrt(N))
+        del values  # before the next row makes its own
         if not stderr > 0:
             raise InvariantViolation(f"stderr of the n={n} row is {stderr}, not positive")
         supported = tf.sigma <= Fraction(2, n)

@@ -167,11 +167,12 @@ def test_criterion_7_rmt_statistical_gate():
     """The moments are centred on the exact finite-M mean, so the mock-Gaussian
     orders can be gated at the full sample count."""
     with _Budget("criterion 7 (RMT statistical gate)", 60.0):
+        t35 = fejer(F(3, 5))
         rmt_collections = {}
         for M in (100, 101):
             spec = rmt.EnsembleSpec(M=M, samples=RMT_SAMPLES, seed=RMT_SEED)
-            rmt_collections[M] = (spec, list(rmt.sample_verblunsky(spec)))
-        t35 = fejer(F(3, 5))
+            K = rmt.fourier_cutoff(t35, M)
+            rmt_collections[M] = (spec, list(rmt.sample_verblunsky(spec, K)))
         predictions = {100: F(325, 972), 101: F(323, 972)}
         for M, (spec, alpha) in rmt_collections.items():
             z = rmt.z_values_for(t35, spec, alpha)

@@ -18,8 +18,15 @@ from splitmoments.testfn import fejer
 
 
 def draw(spec):
-    """Every sample's Verblunsky coefficients as one array."""
-    return np.concatenate(list(rmt.sample_verblunsky(spec)))
+    """Every sample's Verblunsky coefficients as one array (the blocks join
+    into one draw whatever their length, so any K will do)."""
+    return np.concatenate(list(rmt.sample_verblunsky(spec, spec.M)))
+
+
+def haar_z(tf, spec):
+    """Z per sample, drawn in the blocks that ``rmt`` traces tf with."""
+    K = rmt.fourier_cutoff(tf, spec.M)
+    return rmt.z_values_for(tf, spec, rmt.sample_verblunsky(spec, K))
 
 
 class TestHaarSampling:
@@ -207,7 +214,7 @@ class TestSzegoTraces:
             for K in range(1, 2 * M + 1):
                 digest.update(rmt._block_traces(alpha[:40], M, K).tobytes())
             for sigma in (F(1, 10), F(1, 4), F(1, 2), F(3, 5), F(1)):
-                z = rmt.z_values_for(fejer(sigma), spec, rmt.sample_verblunsky(spec))
+                z = haar_z(fejer(sigma), spec)
                 digest.update(z.tobytes())
         assert digest.hexdigest() == (
             "b13ea6980a133c9ed5510ce66acf5c0b0b36d25f91796737142a476449fc3913")
@@ -247,10 +254,10 @@ class TestSzegoTraces:
         spec = rmt.EnsembleSpec(M=4, samples=samples, seed=1)
         tf = fejer(F(1, 2))
         warm = rmt.EnsembleSpec(M=4, samples=10, seed=1)
-        rmt.z_values_for(tf, warm, rmt.sample_verblunsky(warm))  # warm the transform cache
+        haar_z(tf, warm)  # warm the transform cache
         tracemalloc.start()
         try:
-            z = rmt.z_values_for(tf, spec, rmt.sample_verblunsky(spec))
+            z = haar_z(tf, spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -264,7 +271,7 @@ class TestSzegoTraces:
     def test_pinned_z_moments(self, M, mean, var):
         # taken from the eigensolved cosine route (rmt_reference) on the same stream
         spec = rmt.EnsembleSpec(M=M, samples=200, seed=1)
-        z = rmt.z_values_for(fejer(F(3, 5)), spec, rmt.sample_verblunsky(spec))
+        z = haar_z(fejer(F(3, 5)), spec)
         assert float(np.mean(z)) == pytest.approx(mean, rel=1e-12, abs=0)
         assert float(np.var(z, ddof=1)) == pytest.approx(var, rel=1e-12, abs=0)
 
@@ -365,7 +372,7 @@ class TestMomentEstimation:
         # the M -> infinity limit 13/6 is 0.042 away from it
         tf = fejer(F(3, 5))
         spec = rmt.EnsembleSpec(M=40, samples=4000, seed=11)
-        zv = rmt.z_values_for(tf, spec, rmt.sample_verblunsky(spec))
+        zv = haar_z(tf, spec)
         mean_row, var_row = rmt.moment_rows(tf, spec.M, zv, 2)
         assert abs(mean_row["empirical"] - float(rmt.finite_mean(tf, spec.M))) <= max(
             4 * mean_row["stderr"], 2.0 / spec.M
@@ -379,7 +386,7 @@ class TestMomentEstimation:
         # O(1/(sigma M)) from the M -> infinity mean
         tf = fejer(F(1, 4))
         spec = rmt.EnsembleSpec(M=48, samples=400, seed=13)
-        zv = rmt.z_values_for(tf, spec, rmt.sample_verblunsky(spec))
+        zv = haar_z(tf, spec)
         gauss = {2: 1 / 3, 3: 0.0}
         for r in rmt.moment_rows(tf, spec.M, zv, 3)[1:]:
             assert float(r["predicted"]) == pytest.approx(gauss[r["n"]], abs=1e-12)
@@ -388,7 +395,7 @@ class TestMomentEstimation:
     def test_unsupported_order_labeled(self):
         tf = fejer(F(3, 5))  # 2/n < sigma for n >= 4
         spec = rmt.EnsembleSpec(M=12, samples=200, seed=3)
-        zv = rmt.z_values_for(tf, spec, rmt.sample_verblunsky(spec))
+        zv = haar_z(tf, spec)
         by_n = {r["n"]: r for r in rmt.moment_rows(tf, spec.M, zv, 4)}
         assert by_n[2]["supported"] and by_n[3]["supported"]
         assert not by_n[4]["supported"]
@@ -397,8 +404,8 @@ class TestMomentEstimation:
         assert by_n[4]["empirical"] != 0.0  # still computed
 
     def test_rows_are_numpy_mean_and_std(self):
-        # the rows n >= 2 reduce their one array of powers in place; that is
-        # np.mean and np.std(ddof=1) bit for bit, at every length
+        # every row reduces its one private array in place; that is np.mean
+        # and np.std(ddof=1) bit for bit, at every length
         tf = fejer(F(1, 2))
         centre = float(rmt.finite_mean(tf, 10))
         rng = np.random.default_rng(0)
@@ -411,8 +418,7 @@ class TestMomentEstimation:
 
     def test_rows_hold_one_array_of_powers(self):
         # beyond the caller's Z values, the rows allocate one sample-sized
-        # array at a time (the deviations np.std makes for n = 1, then the
-        # powers), not two
+        # array at a time (a copy of Z for n = 1, then the powers), not two
         N = 200_000
         tf = fejer(F(1, 2))
         z = np.random.default_rng(1).normal(2.0, 0.7, N)
@@ -439,7 +445,7 @@ class TestMomentEstimation:
             bs, es = [], []
             for seed in (1, 2):
                 spec = rmt.EnsembleSpec(M=M, samples=1500, seed=seed)
-                zv = rmt.z_values_for(tf, spec, rmt.sample_verblunsky(spec))
+                zv = haar_z(tf, spec)
                 rep = rmt.moment_rows(tf, M, zv, 1)[0]
                 bs.append(rep["empirical"] - float(rep["predicted"]))
                 es.append(rep["stderr"])
