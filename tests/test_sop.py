@@ -1,5 +1,6 @@
 """Systems of parameters, t-classes, and the combinatorial identities."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction as F
@@ -245,6 +246,16 @@ class TestSumTA:
         for n, a in [(3, 2), (4, 2), (5, 2), (6, 3)]:
             got = one_class_sum(n, a, 0)
             assert got == 2 * (-1) ** (n + 1)
+
+    def test_tables_pinned(self):
+        # every class sum at n = 2..8 and every a, pinned by digest
+        h = hashlib.sha256()
+        for n in range(2, 9):
+            for a in range(1, (n + 1) // 2 + 1):
+                table = sop.sum_TA_all(n, a, t_max=3)
+                h.update(repr((n, a, sorted((k, str(v)) for k, v in table.items()))).encode())
+        assert h.hexdigest() == (
+            "5a8a8194f33bc26b4b65f276ed927d1e464dedab93aeecd4fdf20a3ee3bb95d7")
 
 
 class TestCoefficientIdentities:
