@@ -3,9 +3,14 @@
 No command runs these; the tests check ``sop`` and ``linfeas`` against them
 and check the identities that collapse the class expansion:
 
+- ``SystemOfParameters``, ``enumerate_sops``, ``j_sets``, ``i_min`` and
+  ``a_weight``: the definitional object model of a system of parameters,
+  its J-sets, their inclusion-minimal sets I(S) and its weight A(S);
+- ``sum_ta_reference``: the loop over every system of parameters that
+  ``sop.sum_TA_all`` (bitmasks, integer weights) is tested against;
 - ``eta`` and ``i_min_block_rule``: the sign function of a system of
   parameters and the lambda-block rule for minimal J-sets, against which
-  ``sop.j_sets`` and ``sop.i_min`` are tested;
+  ``j_sets`` and ``i_min`` are tested;
 - ``g_combin`` and ``verify_single_simp``: the G binomial telescope;
 - ``h_partial_sums`` and ``verify_h_vanishes``: the H binomial telescope;
 - ``symmetric_transform_check``: the symmetric-function transform collapse;
@@ -16,10 +21,114 @@ and check the identities that collapse the class expansion:
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial, prod
+from typing import Iterator
 
 from splitmoments.errors import DomainError
-from splitmoments.sop import compositions, i_min, j_sets
+from splitmoments.sop import CanonicalKey, class_canonical, compositions
+
+
+class SystemOfParameters:
+    __slots__ = ("lambdas", "epsilons")
+
+    def __init__(self, lambdas: tuple[int, ...], epsilons: tuple[int, ...]):
+        if not lambdas or any(l < 1 for l in lambdas):
+            raise DomainError("lambdas must be a composition with parts >= 1")
+        if sum(lambdas) != len(epsilons):
+            raise DomainError("epsilons must have length n = sum(lambdas)")
+        if any(e not in (-1, 1) for e in epsilons):
+            raise DomainError("epsilons must be +-1")
+        self.lambdas, self.epsilons = lambdas, epsilons
+
+    @property
+    def m(self) -> int:
+        return len(self.lambdas)
+
+    @property
+    def n(self) -> int:
+        return len(self.epsilons)
+
+    def partial_sums(self) -> tuple[int, ...]:
+        out = []
+        acc = 0
+        for l in self.lambdas:
+            acc += l
+            out.append(acc)
+        return tuple(out)
+
+
+def enumerate_sops(n: int) -> Iterator[SystemOfParameters]:
+    """All systems of parameters: m ascending, compositions lex, eps as n-bit ints."""
+    comps = [c for m in range(1, n + 1) for c in compositions(n, m)]
+    for lambdas in comps:
+        for bits in range(1 << n):
+            eps = tuple(1 if bits & (1 << j) else -1 for j in range(n))
+            yield SystemOfParameters(lambdas, eps)
+
+
+def j_sets(S: SystemOfParameters, a: int) -> list[tuple[int, frozenset[int], int]]:
+    """(ell, J_ell, zeta_ell) for every ell where a side has <= a-1 indices.
+
+    The two sign-count conditions are mutually exclusive when 2(a-1) < n, and
+    at most one (ell, zeta) pair can produce any given subset.
+    """
+    if not 1 <= a <= (S.n + 1) // 2:
+        raise DomainError(f"a={a} outside 1..ceil(n/2)")
+    out = []
+    psums = S.partial_sums()
+    for ell in range(1, S.m + 1):
+        plus = frozenset(
+            j
+            for j in range(1, S.n + 1)
+            if (1 if j <= psums[ell - 1] else -1) * S.epsilons[j - 1] == 1
+        )
+        if len(plus) <= a - 1:
+            out.append((ell, plus, 1))
+        elif S.n - len(plus) <= a - 1:
+            out.append((ell, frozenset(range(1, S.n + 1)) - plus, -1))
+    return out
+
+
+def i_min(S: SystemOfParameters, a: int) -> frozenset[frozenset[int]]:
+    """Inclusion-minimal subsets among {J_ell}."""
+    js = [J for _, J, _ in j_sets(S, a)]
+    return frozenset(
+        J for J in js if not any(K < J for K in js)
+    )
+
+
+def a_weight(S: SystemOfParameters) -> Fraction:
+    """A(S) = (-1)^{m+1}/m * n!/(prod lambda_i!)."""
+    denom = 1
+    for l in S.lambdas:
+        denom *= factorial(l)
+    return Fraction((-1) ** (S.m + 1), S.m) * Fraction(factorial(S.n), denom)
+
+
+def sum_ta_reference(n: int, a: int, t_max: int = 3) -> dict[CanonicalKey, Fraction]:
+    """sum_S T(S, C) A(S) for every class C with t <= t_max, one system at a time.
+
+    Enumerates all sum_m C(n-1, m-1) * 2^n systems of parameters; for each,
+    accumulates A(S) onto the canonical key of every t-subset of I(S).
+    """
+    acc: dict[CanonicalKey, Fraction] = {}
+    canon_memo: dict[frozenset[frozenset[int]], CanonicalKey] = {}
+    for S in enumerate_sops(n):
+        mins = i_min(S, a)
+        if not mins:
+            continue
+        w = a_weight(S)
+        mins_list = sorted(mins, key=lambda s: (len(s), sorted(s)))
+        for t in range(1, min(t_max, len(mins_list)) + 1):
+            for combo in combinations(mins_list, t):
+                fs = frozenset(combo)
+                ck = canon_memo.get(fs)
+                if ck is None:
+                    ck = class_canonical(combo, n)
+                    canon_memo[fs] = ck
+                acc[ck] = acc.get(ck, Fraction(0)) + w
+    return acc
 
 
 def eta(S, ell: int, j: int) -> int:

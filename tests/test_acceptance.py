@@ -285,9 +285,9 @@ def test_criterion_9_invariant_sweeps():
             n = rng.randint(2, 7)
             lam = rng.choice(list(sop.compositions(n)))
             eps = tuple(rng.choice([-1, 1]) for _ in range(n))
-            s = sop.SystemOfParameters(lam, eps)
+            s = cr.SystemOfParameters(lam, eps)
             a = rng.randint(1, (n + 1) // 2)
-            for ell, J, zeta in sop.j_sets(s, a):
+            for ell, J, zeta in cr.j_sets(s, a):
                 members = {
                     j for j in range(1, n + 1)
                     if cr.eta(s, ell, j) * eps[j - 1] == zeta

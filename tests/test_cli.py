@@ -477,6 +477,12 @@ class TestBadInput:
         assert f"bad value for {key}: must be" in err
         assert "fejer" not in err and "order threshold" not in err
 
+    @pytest.mark.parametrize("n, a, bound", [("4", "3", 2), ("5", "9", 3)],
+                             ids=["combinat-n4-a3", "combinat-n5-a9"])
+    def test_combinat_a_above_range_names_bound(self, n, a, bound, capsys):
+        err = assert_usage_error(["verify", "combinat", "--n", n, "--a", a], capsys)
+        assert err.strip().endswith(f"a={a} outside 1..ceil(n/2)={bound}")
+
     def test_float_sigma_still_needs_exactness(self, capsys):
         err = assert_usage_error(["moment", "--sigma", "0.5", "--n", "2"], capsys)
         assert "bad value for sigma: exactness required" in err

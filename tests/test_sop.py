@@ -20,7 +20,7 @@ from splitmoments.testfn import fejer
 
 
 def S(lambdas, epsilons):
-    return sop.SystemOfParameters(tuple(lambdas), tuple(epsilons))
+    return cr.SystemOfParameters(tuple(lambdas), tuple(epsilons))
 
 
 class TestEta:
@@ -49,12 +49,12 @@ class TestEta:
 class TestJSets:
     def test_all_plus_gives_empty_negative_side(self):
         s = S([4], [1, 1, 1, 1])
-        out = sop.j_sets(s, 2)
+        out = cr.j_sets(s, 2)
         assert out == [(1, frozenset(), -1)]
 
     def test_single_negative_index(self):
         s = S([4], [-1, 1, 1, 1])
-        out = sop.j_sets(s, 2)
+        out = cr.j_sets(s, 2)
         assert out == [(1, frozenset({1}), -1)]
 
     def test_definitional_sign_condition(self):
@@ -67,7 +67,7 @@ class TestJSets:
             eps = [random.choice([-1, 1]) for _ in range(n)]
             s = S(lam, eps)
             a = random.randint(1, (n + 1) // 2)
-            for ell, J, zeta in sop.j_sets(s, a):
+            for ell, J, zeta in cr.j_sets(s, a):
                 members = {
                     j for j in range(1, n + 1) if cr.eta(s, ell, j) * eps[j - 1] == zeta
                 }
@@ -81,18 +81,18 @@ class TestJSets:
             lam = random.choice(list(sop.compositions(n)))
             eps = [random.choice([-1, 1]) for _ in range(n)]
             a = random.randint(1, (n + 1) // 2)
-            js = sop.j_sets(S(lam, eps), a)
+            js = cr.j_sets(S(lam, eps), a)
             subsets = [J for _, J, _ in js]
             assert len(subsets) == len(set(subsets))
 
 
 class TestIMin:
     def test_minimality(self):
-        assert sop.i_min(S([4], [1, 1, 1, 1]), 2) == frozenset({frozenset()})
+        assert cr.i_min(S([4], [1, 1, 1, 1]), 2) == frozenset({frozenset()})
 
     def test_m1_keeps_single(self):
         s = S([5], [-1, 1, 1, 1, 1])
-        assert sop.i_min(s, 2) == frozenset({frozenset({1})})
+        assert cr.i_min(s, 2) == frozenset({frozenset({1})})
 
     def test_strict_containment_filter(self):
         base = {frozenset(), frozenset({1})}
@@ -110,25 +110,25 @@ class TestIMin:
             eps = [random.choice([-1, 1]) for _ in range(n)]
             a = random.randint(1, (n + 1) // 2)
             s = S(lam, eps)
-            assert sop.i_min(s, a) == cr.i_min_block_rule(s, a), (lam, eps, a)
+            assert cr.i_min(s, a) == cr.i_min_block_rule(s, a), (lam, eps, a)
 
 
 class TestAWeight:
     def test_m1(self):
-        assert sop.a_weight(S([5], [1] * 5)) == 1
+        assert cr.a_weight(S([5], [1] * 5)) == 1
 
     def test_n2_split(self):
-        assert sop.a_weight(S([1, 1], [1, 1])) == -1
+        assert cr.a_weight(S([1, 1], [1, 1])) == -1
 
     def test_n3_12(self):
-        assert sop.a_weight(S([1, 2], [1, 1, 1])) == F(-3, 2)
+        assert cr.a_weight(S([1, 2], [1, 1, 1])) == F(-3, 2)
 
 
 class TestEnumeration:
     def test_count(self):
         # sum over m of C(n-1, m-1) compositions times 2^n epsilons = 2^{2n-1}
         for n in [2, 3, 4]:
-            assert sum(1 for _ in sop.enumerate_sops(n)) == 2 ** (2 * n - 1)
+            assert sum(1 for _ in cr.enumerate_sops(n)) == 2 ** (2 * n - 1)
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -247,6 +247,12 @@ class TestSumTA:
             got = one_class_sum(n, a, 0)
             assert got == 2 * (-1) ** (n + 1)
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_definitional_reference(self, n):
+        for a in range(1, (n + 1) // 2 + 1):
+            for t_max in (1, 3):
+                assert sop.sum_TA_all(n, a, t_max) == cr.sum_ta_reference(n, a, t_max), (a, t_max)
+
     def test_tables_pinned(self):
         # every class sum at n = 2..8 and every a, pinned by digest
         h = hashlib.sha256()
@@ -362,7 +368,7 @@ def random_sops(draw):
 @given(random_sops(), st.integers(1, 4))
 def test_jsets_invariant(s, a):
     a = min(a, (s.n + 1) // 2)
-    for ell, J, zeta in sop.j_sets(s, a):
+    for ell, J, zeta in cr.j_sets(s, a):
         assert len(J) <= a - 1
         for j in range(1, s.n + 1):
             inside = cr.eta(s, ell, j) * s.epsilons[j - 1] == zeta
@@ -372,6 +378,6 @@ def test_jsets_invariant(s, a):
 @settings(max_examples=200, deadline=None)
 @given(random_sops())
 def test_a_weight_sign(s):
-    w = sop.a_weight(s)
+    w = cr.a_weight(s)
     assert (w > 0) == (s.m % 2 == 1)
     assert abs(w) >= F(1, s.m)
