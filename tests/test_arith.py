@@ -167,6 +167,19 @@ class TestGaussSums:
                     )
                     assert abs(arith.gauss_sum(chi, n) - want) <= 1e-12, (q, chi.exps, n)
 
+    def test_every_sum_bit_identical_to_the_unit_sum(self):
+        # the same products chi(a) e(an/q), in increasing a, added from 0j
+        checked = 0
+        for q in range(1, 51):
+            e = arith._roots(q)
+            units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
+            for chi in arith.enumerate_characters(q):
+                for n in range(51):
+                    want = sum((chi.value(a) * e[a * n % q] for a in units), 0j)
+                    assert arith.gauss_sum(chi, n) == want, (q, chi.exps, n)
+                    checked += 1
+        assert checked == 39474
+
 
 class TestKloosterman:
     def test_s00_is_phi(self):

@@ -1,5 +1,6 @@
 """Exact moment quantities: paper values, cross-route identities, oracle checks."""
 
+import hashlib
 import math
 from fractions import Fraction as F
 from functools import reduce
@@ -345,6 +346,18 @@ class TestOracleConcordance:
         assert abs(qd.oracle_R_moment(HALF, 2, 2) - float(mo.R_moment(HALF, 2, 2))) < 1e-9
         exact = float(mo.I_integral(HALF, 2, 1, 0))
         assert abs(qd.oracle_I_integral(HALF, 2, 1, 0) - exact) < 1e-9
+
+    def test_oracle_values_pinned(self):
+        # oracle_R_moment at every crosscheck row of n <= 4, sigma in {1/2, 1/3, 1/4}
+        # (sigma <= 2/n, every valid a >= 1), then oracle_I_integral at n = 5, sigma = 1/2
+        vals = [qd.oracle_R_moment(fejer(s), n, a)
+                for n in range(2, 5) for s in (F(1, 2), F(1, 3), F(1, 4)) if s <= F(2, n)
+                for a in mo.valid_a_range(fejer(s), n) if a >= 1]
+        vals += [qd.oracle_I_integral(HALF, 5, alpha, delta)
+                 for alpha in range(5) for delta in range(5 - alpha)]
+        assert len(vals) == 29
+        assert hashlib.sha256(" ".join(map(float.hex, vals)).encode()).hexdigest() == (
+            "817c7b2edff3ddbf2c17a5da3939c59fe3464a263602f57f17c930c79afd5b7f")
 
     def test_gauss_legendre_table_matches_numpy(self):
         x, w = np.polynomial.legendre.leggauss(16)
