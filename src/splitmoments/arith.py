@@ -13,11 +13,12 @@ characters.  Character values are stored as exact root-of-unity exponents
 ``_roots(N)``, the cached table of e(j/N) for j = 0..N-1, is the one place
 where character values and exponential sums become complex numbers: each
 term's exponent is reduced to an integer residue and the sums add table
-entries.  ``enumerate_characters`` also keeps each character's values on
-the units as (a, chi(a)) pairs, so a Gauss sum walks only the units, in
-increasing a.  Every other walk over the units of q (the exponential
-Ramanujan route, Kloosterman sums with their inverses d^-1) reads the cached
-``_units(q)``.  gcd(0, q) = q is ``math.gcd``'s own convention, which the
+entries.  ``enumerate_characters`` caches one modulus at a time, and keeps
+each character's values on the units of ``_units(q)`` in ``chi.values``; a
+Gauss sum multiplies them with the cached row ``_twist(q, n mod q)`` of
+e(an/q) that all phi(q) characters share.  Every other walk over the units
+(the exponential Ramanujan route, Kloosterman sums with their inverses d^-1)
+reads ``_units(q)``.  gcd(0, q) = q is ``math.gcd``'s own convention, which the
 Ramanujan routes and the Kloosterman bound rely on; the divisor count in that
 bound comes from the cached ``tau(q)``.  All verified identities at these
 modulus sizes are separated by far more than the 1e-9/1e-6 comparison
@@ -36,6 +37,7 @@ import cmath
 import math
 from functools import lru_cache
 from itertools import product
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError, InvariantViolation
@@ -70,6 +72,13 @@ def _roots(N: int) -> tuple[complex, ...]:
 def _units(q: int) -> tuple[tuple[int, int], ...]:
     """The pairs (d, d^-1 mod q) over units d in 1..q, in increasing d."""
     return tuple((d, pow(d, -1, q)) for d in range(1, q + 1) if math.gcd(d, q) == 1)
+
+
+@lru_cache(maxsize=64)
+def _twist(q: int, r: int) -> tuple[complex, ...]:
+    """e(a r / q) at the units a of ``_units(q)``, in increasing a."""
+    e = _roots(q)
+    return tuple(e[a * r % q] for a, _ in _units(q))
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -174,8 +183,8 @@ def ramanujan(n: int, q: int) -> int:
 class DirichletCharacter(NamedTuple):
     """Character modulo q; exps[a] is k with value e^{2 pi i k/order}, None off units.
 
-    ``pairs`` holds (a, e(k/order)) for the units a in increasing order: the
-    values that :func:`gauss_sum` weights.
+    ``values`` holds e(k/order) at the units of ``_units(q)``, in increasing
+    a: the values that :func:`gauss_sum` weights.
     """
 
     modulus: int
@@ -183,7 +192,7 @@ class DirichletCharacter(NamedTuple):
     exps: tuple[Optional[int], ...]
     is_principal: bool
     primitive: bool  # conductor == modulus, fixed when the character is built
-    pairs: tuple[tuple[int, complex], ...]
+    values: tuple[complex, ...]
 
     def value(self, a: int) -> complex:
         k = self.exps[a % self.modulus]
@@ -220,7 +229,7 @@ def _unit_group_generators(p: int, e: int) -> list[tuple[int, int]]:
     return [(_primitive_root(p, e), euler_phi(q))]
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)
 def enumerate_characters(q: int) -> tuple[DirichletCharacter, ...]:
     """All phi(q) Dirichlet characters modulo q.
 
@@ -258,7 +267,7 @@ def enumerate_characters(q: int) -> tuple[DirichletCharacter, ...]:
                 exps=tuple(exps),
                 is_principal=not any(js),
                 primitive=_conductor(q, exps) == q,
-                pairs=tuple((a, w[k]) for a, k in enumerate(exps) if k is not None),
+                values=tuple(w[k] for k in exps if k is not None),
             )
         )
     return tuple(chars)
@@ -282,11 +291,12 @@ def gauss_sum(chi: DirichletCharacter, n: int) -> complex:
     """G_chi(n) = sum over a mod q of chi(a) e(an/q).
 
     A principal chi must give the Ramanujan sum and a primitive one at most
-    sqrt(q) in modulus; either violation raises InvariantViolation.
+    sqrt(q) in modulus; either violation raises InvariantViolation.  Other
+    characters assert nothing, yet hold 213282 of the 937278 terms (23%) of
+    ``verify arith``'s Gauss row (q, n <= 50), where they count as checked.
     """
     q = chi.modulus
-    e = _roots(q)
-    total = sum([v * e[a * n % q] for a, v in chi.pairs], 0j)
+    total = sum(map(mul, chi.values, _twist(q, n % q)), 0j)
     if chi.is_principal:
         ram = ramanujan_divisor_sum(n, q)
         if abs(total - ram) > 1e-9 * max(1, q):

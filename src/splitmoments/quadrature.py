@@ -23,8 +23,10 @@ on the pieces of ``tf.fhat``, whose coefficients are in y.
 
 Target absolute error is 1e-8.  The T_k rule's panel count grows like
 1/sigma; above ``_MAX_PANELS`` it raises ResourceLimitError before building
-a node.  The tests reuse this rule for float references of phi(x), T_k(A)
-and sigma_phi^2 (``tests/oracle_reference.py``).
+a node.  The rule streams into one correctly rounded ``fsum`` a 16-node
+panel at a time, so memory does not grow with the panel count.  The tests
+reuse this rule for float references of phi(x), T_k(A) and sigma_phi^2
+(``tests/oracle_reference.py``).
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_right
+from itertools import chain
 from math import comb, fsum
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import DomainError, ResourceLimitError
 from .testfn import TestFunction
@@ -41,9 +44,10 @@ from .testfn import TestFunction
 __all__ = ["oracle_R_moment", "oracle_I_integral"]
 
 _TARGET = 1e-8
-# Panel cap of the T_k rule: 2**17 panels take about 1.7 s to build (2-core
-# x86-64, Python 3.11).  The tests need at most 28117 (sigma = 1/2, k = 1) and
-# crosscheck --n 3 at sigma = 1/1000 needs 61142; sigma = 1/10000 is refused.
+# Panel cap of the streamed T_k rule, a bound on time only: 130853 panels
+# (R(3, 1) at sigma = 1/5300) take about 1.6 s (2-core x86-64, Python 3.11).
+# The tests need at most 28117 (sigma = 1/2, k = 1) and crosscheck --n 3 at
+# sigma = 1/1000 needs 61142; sigma = 1/10000 is refused.
 _MAX_PANELS = 1 << 17
 
 
@@ -152,14 +156,16 @@ def _F(pieces: list[_Piece], xi: float) -> complex:
 
 
 def _t_kernel(tf: TestFunction, k: int, freq: float, fold: int,
-              v: float) -> tuple[list[float], list[float]]:
+              v: float) -> Iterator[tuple[list[float], list[float]]]:
     """Nodes xi and weights g(xi) = phi^k(xi) w / (2 pi xi) of the rule for T_k.
 
     T_k(A) = 2 sum g(xi) sin(2 pi A xi).  The panels resolve oscillation up
     to frequency ``freq`` on top of phi^k's band k sigma.  The rule stops
     where the envelope (pi sigma xi)^{-2k}, times (v / (pi xi))^fold for a
     factor the integrand carries besides, leaves a tail under a tenth of the
-    target.  phi^k comes from the test function's ``phi_at``.
+    target.  phi^k comes from the test function's ``phi_at``.  The panel
+    count is checked at once; the rule then yields one panel's (xi, g) lists
+    at a time, as they are drawn.
     """
     phi = tf.phi_at
     if phi is None:
@@ -173,12 +179,12 @@ def _t_kernel(tf: TestFunction, k: int, freq: float, fold: int,
         raise ResourceLimitError(
             f"quadrature oracle: T_{k} at sigma={tf.sigma} needs {panels} panels,"
             f" over the cap of {_MAX_PANELS}")
-    xi, g = [], []
-    for j in range(panels):
+
+    def panel(j: int) -> tuple[list[float], list[float]]:
         nodes, weights = _panel(cutoff * j / panels, cutoff * (j + 1) / panels)
-        xi += nodes
-        g += [phi(x) ** k * w / (2.0 * math.pi * x) for x, w in zip(nodes, weights)]
-    return xi, g
+        return nodes, [phi(x) ** k * w / (2.0 * math.pi * x) for x, w in zip(nodes, weights)]
+
+    return map(panel, range(panels))
 
 
 def _folded(tf: TestFunction, k: int, pos: int, neg: int) -> float:
@@ -195,15 +201,17 @@ def _folded(tf: TestFunction, k: int, pos: int, neg: int) -> float:
     pieces = _pieces(tf)
     f = [a for p in pieces for a in p.f]
     v = 2.0 * (abs(f[0]) + abs(f[-1]) + fsum(abs(b - a) for a, b in zip(f, f[1:])))
-    xi, g = _t_kernel(tf, k, 1.0 + max(pos, neg) * float(tf.sigma), fold, v)
-    terms = []
-    for x, w in zip(xi, g):
-        z = cmath.exp(2j * math.pi * x)
-        if fold:
-            F = _F(pieces, x)
-            z *= F**pos * F.conjugate() ** neg
-        terms.append(w * z.imag)
-    return 2.0 * fsum(terms)
+
+    def terms(panel: tuple[list[float], list[float]]) -> list[float]:
+        xi, g = panel
+        if not fold:
+            return [w * cmath.exp(2j * math.pi * x).imag for x, w in zip(xi, g)]
+        fx = [_F(pieces, x) for x in xi]
+        return [w * (cmath.exp(2j * math.pi * x) * (F**pos * F.conjugate() ** neg)).imag
+                for x, w, F in zip(xi, g, fx)]
+
+    rule = _t_kernel(tf, k, 1.0 + max(pos, neg) * float(tf.sigma), fold, v)
+    return 2.0 * fsum(chain.from_iterable(map(terms, rule)))
 
 
 def oracle_R_moment(tf: TestFunction, m: int, i: int) -> float:

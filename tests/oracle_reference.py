@@ -166,8 +166,9 @@ def oracle_Qn_mc(
 
 def t_transform_numeric(tf: TestFunction, k: int, A: float) -> float:
     """T_k(A) by direct oscillatory quadrature of the defining integral."""
-    xi, g = _t_kernel(tf, k, abs(A), 0, 0.0)  # no folded factor
-    return 2.0 * fsum(w * math.sin(2.0 * math.pi * A * x) for x, w in zip(xi, g))
+    rule = _t_kernel(tf, k, abs(A), 0, 0.0)  # no folded factor
+    return 2.0 * fsum(w * math.sin(2.0 * math.pi * A * x)
+                      for xi, g in rule for x, w in zip(xi, g))
 
 
 def phi_value_numeric(tf: TestFunction, x: float) -> float:

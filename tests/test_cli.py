@@ -1,5 +1,6 @@
 """CLI driver: parsing, reports, exit codes, config files."""
 
+import gc
 import importlib.util
 import json
 import os
@@ -159,6 +160,13 @@ class TestVerify:
             ("kloosterman Weil-type bound", 12 * 21 * 21, 0),
             ("prime-level Kloosterman factorization", sweep, 0),
         ]
+
+    def test_arith_holds_one_modulus_of_characters(self, capsys):
+        code, report = run_cli(["verify", "arith", "--qmax", "60"], capsys)
+        assert code == 0 and report["passed"]
+        gc.collect()
+        held = {o.modulus for o in gc.get_objects() if isinstance(o, arith.DirichletCharacter)}
+        assert len(held) <= 1, sorted(held)
 
     def test_arith_counts_failures(self, capsys, monkeypatch):
         # one Kloosterman case raises, one factorization case returns False

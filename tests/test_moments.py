@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction as F
 from functools import reduce
 
@@ -358,6 +359,19 @@ class TestOracleConcordance:
         assert len(vals) == 29
         assert hashlib.sha256(" ".join(map(float.hex, vals)).encode()).hexdigest() == (
             "817c7b2edff3ddbf2c17a5da3939c59fe3464a263602f57f17c930c79afd5b7f")
+
+    def test_oracle_memory_does_not_grow_with_its_rule(self):
+        # sigma = 1/100 needs a T_2 rule of 12153 panels; it is drawn one
+        # panel at a time, so the traced peak stays that of a few panels
+        tf = fejer(F(1, 100))
+        qd.oracle_R_moment(tf, 2, 1)
+        tracemalloc.start()
+        try:
+            qd.oracle_R_moment(tf, 2, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_gauss_legendre_table_matches_numpy(self):
         x, w = np.polynomial.legendre.leggauss(16)
