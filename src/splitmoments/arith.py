@@ -62,13 +62,13 @@ __all__ = [
 _FACTOR_CAP = 10**6
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=8)
 def _roots(N: int) -> tuple[complex, ...]:
     """e(j/N) = e^{2 pi i j / N} for j = 0..N-1."""
     return tuple(cmath.exp(2j * cmath.pi * j / N) for j in range(N))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=8)
 def _units(q: int) -> tuple[tuple[int, int], ...]:
     """The pairs (d, d^-1 mod q) over units d in 1..q, in increasing d."""
     return tuple((d, pow(d, -1, q)) for d in range(1, q + 1) if math.gcd(d, q) == 1)

@@ -34,20 +34,21 @@ term by term and needs no factorial weights,
     e_m(x/h - a) * e_n(x/h - b) = h * e_{m+n+1}(x/h - a - b),
 
 so :func:`term_convolve` is an integer multiply-add whose scale is the
-product of the two scales times h.  Two lists on different units are first
-moved to the gcd unit; the self-convolution powers of one transform share
-its unit and never need this.  Because the terms of a compactly supported
-function telescope to zero past its last knot, reflection
-(:func:`term_reflect`) and the mass below a point (:func:`term_mass_below`)
-also act on the terms directly, the latter summing ints over one common
-denominator.  Chains of these operations need no piecewise form and no
-``Fraction`` arithmetic in between; :func:`convolve` is the single-step round
-trip.
+product of the two scales times h; asked only for the knots below a point,
+it builds no pair whose knot sum lies at or past it.  Two lists on
+different units are first moved to the gcd unit; the self-convolution
+powers of one transform share its unit and never need this.  Because the
+terms of a compactly supported function telescope to zero past its last
+knot, reflection (:func:`term_reflect`) and the mass below a point
+(:func:`term_mass_below`) also act on the terms directly, the latter summing
+ints over one common denominator.  Chains of these operations need no
+piecewise form and no ``Fraction`` arithmetic in between; :func:`convolve`
+is the single-step round trip.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -479,8 +480,14 @@ def _on_unit(terms: Terms, unit: Fraction) -> Terms:
         (k * r, tuple(c * r ** (d - j) for j, c in enumerate(cs))) for k, cs in terms.knots))
 
 
-def term_convolve(tp: Terms, tq: Terms) -> Terms:
-    """Exact convolution of two term lists: e_m * e_n = unit * e_{m+n+1}."""
+def term_convolve(tp: Terms, tq: Terms, below: RationalLike | None = None) -> Terms:
+    """Exact convolution of two term lists: e_m * e_n = unit * e_{m+n+1}.
+
+    With ``below=x`` only the knots k with k * unit < x are built, which are
+    exactly the knots that ``term_mass_below(., x)`` reads: knot k collects
+    the pairs ka + kb = k, so each ``ka`` takes the ``kb`` below
+    ceil(x/unit) - ka, found by bisection in the sorted ``kb``.
+    """
     if not tp.knots or not tq.knots:
         return _NO_TERMS
     if tp.unit != tq.unit:
@@ -488,10 +495,17 @@ def term_convolve(tp: Terms, tq: Terms) -> Terms:
         tp, tq = _on_unit(tp, unit), _on_unit(tq, unit)
     width = max(len(c) for _, c in tp.knots) + max(len(c) for _, c in tq.knots)
     q_nonzero = [(kb, [(n + 1, b) for n, b in enumerate(cb) if b]) for kb, cb in tq.knots]
+    if below is not None:
+        kbs = [kb for kb, _ in tq.knots]
+        t = frac(below) / tp.unit
+        cut = -(-t.numerator // t.denominator)  # ka + kb < cut  <=>  (ka + kb) * unit < x
     out: dict[int, list[int]] = {}
     for ka, ca in tp.knots:
+        pairs = q_nonzero if below is None else q_nonzero[:bisect_left(kbs, cut - ka)]
+        if not pairs:
+            break  # ka increases, so no later ka has a pair below the cut
         p_nonzero = [(m, a) for m, a in enumerate(ca) if a]
-        for kb, qb in q_nonzero:
+        for kb, qb in pairs:
             bucket = out.get(ka + kb)
             if bucket is None:
                 bucket = out[ka + kb] = [0] * width

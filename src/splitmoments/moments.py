@@ -27,6 +27,12 @@ piecewise intermediate.  The Q route (``X_xi``,
 rebuilds from ``fhat`` on every call, so it reads nothing from that cache; the
 two routes then differ in the formula they evaluate (sign-pattern classes
 against V brackets), not in the algebra beneath it.
+
+fhat is even, so psi_k is, and each R bracket (the mass below 1 of
+psi_k * reflect(gp^{*l})) is its known total minus the mass below -1 of
+psi_k * gp^{*l}.  With sigma <= 2/n that is a thin tail, and the R route
+builds only the knots it reads there.  The Q route keeps full convolutions,
+so R == Q compares the cut computation against an uncut one.
 """
 
 from __future__ import annotations
@@ -139,6 +145,11 @@ def mean_value(tf: TestFunction) -> Fraction:
 # the order of integration turns int rho(s) F_k(1 + s) ds, with F_k the
 # cumulative of psi_k, into the mass of psi_k * reflect(rho) below 1, so each
 # bracket is one chain of term-list convolutions.
+#
+# With no negative part (every R bracket) that mass is the total minus the
+# mass above 1, which, psi_k being even, is the mass below -1 of
+# psi_k * gp^{*l}: a thin tail, whose knots alone are built.  The Q route
+# keeps full convolutions, so R == Q checks the cut against an uncut one.
 # ---------------------------------------------------------------------------
 
 def _integral_against_T(tf: TestFunction, k: int, pos: int, neg: int) -> Fraction:
@@ -147,14 +158,19 @@ def _integral_against_T(tf: TestFunction, k: int, pos: int, neg: int) -> Fractio
 
     This is the mass of psi_k * reflect(rho) below 1 minus F_k(0) int rho,
     with F_k(0) = phi(0)^k / 2 (psi_k is even), int rho = phi(0)^(pos+neg)
-    and reflect(rho) = 2^(pos+neg) reflect(gp^{*pos}) * gp^{*neg}.
+    and reflect(rho) = 2^(pos+neg) reflect(gp^{*pos}) * gp^{*neg}.  With
+    neg = 0 and psi_k even this is phi(0)^(k+pos) / 2 - 2^pos times the mass
+    of psi_k * gp^{*pos} below -1, built only at the knots below -1.
     """
     conv = psi_terms(tf, k)
+    phi0 = tf.phi_zero()
+    if not neg:
+        if pos:
+            conv = ep.term_convolve(conv, gp_terms(tf, pos), below=-1)
+        return phi0 ** (k + pos) / 2 - 2 ** pos * ep.term_mass_below(conv, -1)
     if pos:
         conv = ep.term_convolve(conv, ep.term_reflect(gp_terms(tf, pos)))
-    if neg:
-        conv = ep.term_convolve(conv, gp_terms(tf, neg))
-    phi0 = tf.phi_zero()
+    conv = ep.term_convolve(conv, gp_terms(tf, neg))
     return 2 ** (pos + neg) * ep.term_mass_below(conv, 1) - phi0 ** (k + pos + neg) / 2
 
 

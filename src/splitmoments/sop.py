@@ -208,30 +208,27 @@ def sum_TA_all(n: int, a: int, t_max: int = 3) -> dict[CanonicalKey, Fraction]:
 # ---------------------------------------------------------------------------
 
 def soshnikov_coeff(n: int) -> Fraction:
-    """sum over compositions of (-1)^{m+1}/m / prod(lambda!); 1 iff n == 1."""
+    """sum over compositions of (-1)^{m+1}/m / prod(lambda!); 1 iff n == 1.
+
+    Each term is an int over lcm(1..n) n!, so the sum divides once at the end.
+    """
     if n < 1:
         raise DomainError("n must be >= 1")
-    total = Fraction(0)
-    for lam in compositions(n):
-        m = len(lam)
-        denom = 1
-        for l in lam:
-            denom *= factorial(l)
-        total += Fraction((-1) ** (m + 1), m * denom)
-    return total
+    scale = lcm(*range(1, n + 1))
+    total = sum((-1) ** (len(lam) + 1) * (scale // len(lam))
+                * (factorial(n) // prod(factorial(l) for l in lam)) for lam in compositions(n))
+    return Fraction(total, scale * factorial(n))
 
 
 def exp_neg_coeff(n: int) -> Fraction:
-    """sum over compositions of (-1)^m / prod(lambda!) = (-1)^n / n!."""
+    """sum over compositions of (-1)^m / prod(lambda!) = (-1)^n / n!.
+
+    Each term is an int over n!, so the sum divides once at the end.
+    """
     if n < 0:
         raise DomainError("n must be >= 0")
     if n == 0:
         return Fraction(1)  # empty composition, empty product
-    total = Fraction(0)
-    for lam in compositions(n):
-        m = len(lam)
-        denom = 1
-        for l in lam:
-            denom *= factorial(l)
-        total += Fraction((-1) ** m, denom)
-    return total
+    total = sum((-1) ** len(lam) * (factorial(n) // prod(factorial(l) for l in lam))
+                for lam in compositions(n))
+    return Fraction(total, factorial(n))

@@ -5,13 +5,19 @@
 [a0, a1) ∩ (x - b1, x - b0].  Both factors are expanded as polynomials in y
 and their product is integrated exactly.  No term list is involved, so this
 is an independent reference for the term-list kernel in ``exactpoly``.
+
+:func:`full_bracket` is the other kind of reference: the R route's bracket
+computed the long way, from the full convolution psi_k * reflect(gp^{*l}),
+against which the route's cut to the knots below -1 is checked.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from splitmoments import exactpoly as ep
 from splitmoments.exactpoly import PiecewisePoly, from_global_pieces
+from splitmoments.testfn import gp_terms, psi_terms
 
 
 def _mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -76,3 +82,13 @@ def reference_convolve(p: PiecewisePoly, q: PiecewisePoly) -> PiecewisePoly:
                 coeffs[j] += weight * bj
         spans.append((lo, hi, coeffs))
     return from_global_pieces(spans)
+
+
+def full_bracket(tf, k: int, ell: int) -> Fraction:
+    """int rho(s) T_k(1 + s) ds for rho the density of l folded coordinates:
+    2^l (mass of psi_k * reflect(gp^{*l}) below 1) - phi(0)^(k+l) / 2, every
+    knot of the convolution built."""
+    conv = psi_terms(tf, k)
+    if ell:
+        conv = ep.term_convolve(conv, ep.term_reflect(gp_terms(tf, ell)))
+    return 2 ** ell * ep.term_mass_below(conv, 1) - tf.phi_zero() ** (k + ell) / 2

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -167,6 +168,21 @@ class TestVerify:
         gc.collect()
         held = {o.modulus for o in gc.get_objects() if isinstance(o, arith.DirichletCharacter)}
         assert len(held) <= 1, sorted(held)
+
+    def test_arith_retains_little_after_the_full_row(self, capsys):
+        # the Ramanujan row walks q up to 200; the unit and root tables it
+        # caches must not all stay behind (1.7 MB when each cache kept 256)
+        for cache in (arith._roots, arith._units, arith._twist):
+            cache.cache_clear()
+        tracemalloc.start()
+        try:
+            code, report = run_cli(["verify", "arith", "--qmax", "200"], capsys)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and report["passed"]
+        assert retained < 500_000, retained
 
     def test_arith_counts_failures(self, capsys, monkeypatch):
         # one Kloosterman case raises, one factorization case returns False

@@ -355,6 +355,29 @@ def test_term_mass_below_matches_definite_integral(p, q, data):
         assert ep.term_mass_below(terms, x) == ep.definite_integral(f, lo, x)
 
 
+@st.composite
+def term_lists(draw):
+    """Term lists with any int knots and coefficients, on a few units."""
+    ks = sorted(draw(st.lists(st.integers(-8, 8), min_size=1, max_size=5, unique=True)))
+    coeffs = st.lists(st.integers(-5, 5), min_size=1, max_size=3).map(tuple)
+    return ep.Terms(draw(st.sampled_from([F(1), F(1, 2), F(1, 3), F(2, 5)])),
+                    draw(st.sampled_from([F(1), F(-3, 7)])),
+                    tuple((k, draw(coeffs)) for k in ks))
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_lists(), term_lists(), st.data())
+def test_term_convolve_below_keeps_the_knots_below(tp, tq, data):
+    """The cut convolution is the full one's knots left of x, tuple for tuple,
+    whether x sits on the result's lattice or between its points."""
+    full = ep.term_convolve(tp, tq)
+    x = data.draw(st.one_of(st.integers(-18, 18).map(lambda j: j * full.unit), small_rational))
+    cut = ep.term_convolve(tp, tq, below=x)
+    assert (cut.unit, cut.scale) == (full.unit, full.scale)
+    assert cut.knots == tuple((k, cs) for k, cs in full.knots if k * full.unit < x)
+    assert ep.term_mass_below(cut, x) == ep.term_mass_below(full, x)
+
+
 def test_rejects_float_input():
     with pytest.raises(TypeError):
         ep.frac(0.5)

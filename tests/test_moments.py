@@ -8,7 +8,10 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from convolution_reference import full_bracket
 from oracle_reference import oracle_sigma_phi_sq, oracle_X_xi, t_transform_numeric
 from splitmoments import exactpoly as ep
 from splitmoments import moments as mo
@@ -99,6 +102,30 @@ class TestRMoment:
             mo.R_moment(HALF, 2, 3)
         with pytest.raises(DomainError):
             mo.R_moment(HALF, 2, 0)
+
+
+class TestBracketCut:
+    """Each R bracket is read from the knots of psi_k * gp^{*l} below -1 only;
+    it must equal the bracket built from every knot of psi_k * reflect(gp^{*l})."""
+
+    @pytest.mark.parametrize("sigma", [F(1, 2), F(1, 3), F(1, 5), F(1),  # -1 a knot
+                                       F(2, 5), F(3, 7), F(5, 8), F(4, 9)])
+    def test_equals_full_bracket(self, sigma):
+        tf = fejer(sigma)
+        tails = 0
+        for k in range(1, 9):
+            for ell in range(5):
+                assert mo._integral_against_T(tf, k, ell, 0) == full_bracket(tf, k, ell)
+                tails += (k + ell) * sigma > 1
+        assert tails  # some convolution reaches past the cut
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12).flatmap(
+               lambda q: st.builds(F, st.integers(1, q), st.just(q))),
+           st.integers(1, 8), st.integers(0, 4))
+    def test_equals_full_bracket_at_drawn_sigma(self, sigma, k, ell):
+        tf = fejer(sigma)
+        assert mo._integral_against_T(tf, k, ell, 0) == full_bracket(tf, k, ell)
 
 
 class TestSCorrection:
