@@ -23,7 +23,8 @@ constructions of the same function therefore compare equal structurally.
 The second representation is the *term list*, the truncated-power
 (one-sided) decomposition on a knot lattice.  A term list has a unit h > 0
 (the rational gcd of its knots) and one rational scale s, and holds for each
-integer knot k a tuple of ints c_j in the divided-power basis:
+integer knot k only its nonzero terms, int pairs (j, c_j) in increasing j, in
+the divided-power basis:
 
     p(x) = s * sum_k sum_j c_j * e_j(x/h - k),    e_j(t) = t_+^j / j!.
 
@@ -33,13 +34,13 @@ term by term and needs no factorial weights,
 
     e_m(x/h - a) * e_n(x/h - b) = h * e_{m+n+1}(x/h - a - b),
 
-so :func:`term_convolve` is an integer multiply-add whose scale is the
-product of the two scales times h; asked only for the knots below a point,
-it builds no pair whose knot sum lies at or past it.  Two lists on
-different units are first moved to the gcd unit; the self-convolution
-powers of one transform share its unit and never need this.  Because the
-terms of a compactly supported function telescope to zero past its last
-knot, reflection (:func:`term_reflect`) and the mass below a point
+so :func:`term_convolve` is an integer multiply-add over the stored terms,
+whose scale is the product of the two scales times h; asked only for the
+knots below a point, it builds no pair whose knot sum lies at or past it.
+Two lists on different units are first moved to the gcd unit; the
+self-convolution powers of one transform share its unit and never need this.
+Because the terms of a compactly supported function telescope to zero past
+its last knot, reflection (:func:`term_reflect`) and the mass below a point
 (:func:`term_mass_below`) also act on the terms directly, the latter summing
 ints over one common denominator.  Chains of these operations need no
 piecewise form and no ``Fraction`` arithmetic in between; :func:`convolve`
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, perm
 from typing import Iterable, NamedTuple, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
@@ -405,15 +406,16 @@ def integral(p: PiecewisePoly) -> Fraction:
 # ---------------------------------------------------------------------------
 
 class Terms(NamedTuple):
-    """scale * sum_k sum_j coeffs_k[j] * e_j(x/unit - k), e_j(t) = t_+^j / j!.
+    """scale * sum_k sum_j c_j * e_j(x/unit - k), e_j(t) = t_+^j / j!.
 
-    ``knots`` holds (k, coeffs_k) pairs in increasing k; every k and every
-    coefficient is an int.
+    ``knots`` holds (k, pairs_k) in increasing k, where ``pairs_k`` holds the
+    nonzero terms (j, c_j) of knot k in increasing j; every k, j and c_j is
+    an int.
     """
 
     unit: Fraction
     scale: Fraction
-    knots: tuple[tuple[int, tuple[int, ...]], ...]
+    knots: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
 
 _NO_TERMS = Terms(ONE, ONE, ())
@@ -428,6 +430,10 @@ def _rational_gcd(values: Iterable[Fraction]) -> Fraction:
                     lcm(*(v.denominator for v in nonzero)))
 
 
+def _top_degree(terms: Terms) -> int:
+    return max(pairs[-1][0] for _, pairs in terms.knots)
+
+
 def to_terms(p: PiecewisePoly) -> Terms:
     """Decompose as a sum of c * (x - xi)_+^j terms on the lattice of p's knots."""
     if p.is_zero():
@@ -440,11 +446,12 @@ def to_terms(p: PiecewisePoly) -> Terms:
             jumps.append((xi, delta))
     # c (x - k h)_+^j = c h^j j! e_j(x/h - k)
     unit = _rational_gcd(xi for xi, _ in jumps)
-    lattice = [(xi / unit, [c * unit**j * factorial(j) for j, c in enumerate(cs)])
+    lattice = [(xi / unit, [(j, c * unit**j * factorial(j)) for j, c in enumerate(cs) if c])
                for xi, cs in jumps]
-    scale = _rational_gcd(c for _, cs in lattice for c in cs)
+    scale = _rational_gcd(c for _, pairs in lattice for _, c in pairs)
     return Terms(unit, scale, tuple(
-        (k.numerator, tuple((c / scale).numerator for c in cs)) for k, cs in lattice))
+        (k.numerator, tuple((j, (c / scale).numerator) for j, c in pairs))
+        for k, pairs in lattice))
 
 
 def from_terms(terms: Terms) -> PiecewisePoly:
@@ -455,9 +462,10 @@ def from_terms(terms: Terms) -> PiecewisePoly:
     knots = [k * h for k, _ in terms.knots]
     pieces = []
     acc: tuple[Fraction, ...] = ()
-    for xi, (_, cs) in zip(knots, terms.knots):
+    for xi, (_, pairs) in zip(knots, terms.knots):
         # the jump at xi, in x - xi, brought back to x
-        jump = tuple(s * c / (h**j * factorial(j)) for j, c in enumerate(cs))
+        coeff = dict(pairs)
+        jump = [s * coeff.get(j, 0) / (h**j * factorial(j)) for j in range(pairs[-1][0] + 1)]
         acc = _padd(acc, _pshift(jump, -xi))
         pieces.append(acc)
     # past the final knot the accumulation must vanish (compact support)
@@ -475,9 +483,9 @@ def _on_unit(terms: Terms, unit: Fraction) -> Terms:
     r = (terms.unit / unit).numerator
     if r == 1:
         return terms
-    d = max(len(cs) for _, cs in terms.knots) - 1
+    d = _top_degree(terms)
     return Terms(unit, terms.scale / r**d, tuple(
-        (k * r, tuple(c * r ** (d - j) for j, c in enumerate(cs))) for k, cs in terms.knots))
+        (k * r, tuple((j, c * r ** (d - j)) for j, c in pairs)) for k, pairs in terms.knots))
 
 
 def term_convolve(tp: Terms, tq: Terms, below: RationalLike | None = None) -> Terms:
@@ -493,26 +501,25 @@ def term_convolve(tp: Terms, tq: Terms, below: RationalLike | None = None) -> Te
     if tp.unit != tq.unit:
         unit = _rational_gcd((tp.unit, tq.unit))
         tp, tq = _on_unit(tp, unit), _on_unit(tq, unit)
-    width = max(len(c) for _, c in tp.knots) + max(len(c) for _, c in tq.knots)
-    q_nonzero = [(kb, [(n + 1, b) for n, b in enumerate(cb) if b]) for kb, cb in tq.knots]
+    width = _top_degree(tp) + _top_degree(tq) + 1
     if below is not None:
         kbs = [kb for kb, _ in tq.knots]
         t = frac(below) / tp.unit
         cut = -(-t.numerator // t.denominator)  # ka + kb < cut  <=>  (ka + kb) * unit < x
-    out: dict[int, list[int]] = {}
-    for ka, ca in tp.knots:
-        pairs = q_nonzero if below is None else q_nonzero[:bisect_left(kbs, cut - ka)]
-        if not pairs:
+    out: dict[int, list[int]] = {}  # bucket[m + n] holds degree m + n + 1
+    for ka, pa in tp.knots:
+        qknots = tq.knots if below is None else tq.knots[:bisect_left(kbs, cut - ka)]
+        if not qknots:
             break  # ka increases, so no later ka has a pair below the cut
-        p_nonzero = [(m, a) for m, a in enumerate(ca) if a]
-        for kb, qb in pairs:
+        for kb, qb in qknots:
             bucket = out.get(ka + kb)
             if bucket is None:
                 bucket = out[ka + kb] = [0] * width
-            for m, a in p_nonzero:
-                for n1, b in qb:
-                    bucket[m + n1] += a * b
-    knots = tuple((k, c) for k, v in sorted(out.items()) if (c := _ptrim(v)))
+            for m, a in pa:
+                for n, b in qb:
+                    bucket[m + n] += a * b
+    knots = tuple((k, pairs) for k, v in sorted(out.items())
+                  if (pairs := tuple((j + 1, c) for j, c in enumerate(v) if c)))
     return Terms(tp.unit, tp.scale * tq.scale * tp.unit, knots)
 
 
@@ -524,31 +531,26 @@ def term_reflect(terms: Terms) -> Terms:
     term moves to knot -k with coefficient (-1)^(j+1) c_j.
     """
     return Terms(terms.unit, terms.scale, tuple(
-        (-k, tuple(c if j % 2 else -c for j, c in enumerate(cs)))
-        for k, cs in reversed(terms.knots)))
+        (-k, tuple((j, c if j % 2 else -c) for j, c in pairs))
+        for k, pairs in reversed(terms.knots)))
 
 
 def term_mass_below(terms: Terms, x: RationalLike) -> Fraction:
     """Integral over (-inf, x]: scale * unit * sum of c_j e_{j+1}(x/unit - k)
     over the knots k < x/unit.
 
-    With x/unit = P/Q every term is an integer over Q^d d!, d the largest
-    j + 1, so the sum stays in ints until the one division at the end.
+    With x/unit = P/Q and w = P - kQ, each term c_j w^(j+1) / (Q^(j+1) (j+1)!)
+    is c_j Q^(d-1-j) (d!/(j+1)!) w^(j+1) over Q^d d!, d the largest j + 1, so
+    the sum stays in ints until the one division at the end.
     """
     t = frac(x) / terms.unit
     P, Q = t.numerator, t.denominator
-    below = [(P - k * Q, cs) for k, cs in terms.knots if k * Q < P]
+    below = [(P - k * Q, pairs) for k, pairs in terms.knots if k * Q < P]
     if not below:
         return ZERO
-    d = max(len(cs) for _, cs in below)
-    # c_j w^(j+1) / (Q^(j+1) (j+1)!) = c_j w^(j+1) * weight[j] / (Q^d d!), w = P - kQ
-    weight = [Q ** (d - 1 - j) * (factorial(d) // factorial(j + 1)) for j in range(d)]
-    total = 0
-    for w, cs in below:
-        acc = 0
-        for j in range(len(cs) - 1, -1, -1):
-            acc = acc * w + cs[j] * weight[j]
-        total += acc * w
+    d = max(pairs[-1][0] for _, pairs in below) + 1
+    total = sum(c * Q ** (d - 1 - j) * perm(d, d - 1 - j) * w ** (j + 1)
+                for w, pairs in below for j, c in pairs)
     return terms.scale * terms.unit * Fraction(total, Q**d * factorial(d))
 
 

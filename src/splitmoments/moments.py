@@ -5,10 +5,10 @@ of the test function and ``sigma`` its support radius:
 
 - ``sigma_phi_sq``: the limiting variance  2 * int |y| fhat(y)^2 dy.
 - ``R_moment(m, i)``: the correction kernel
-  2^{m-1} (-1)^{m+1} sum_{l=0}^{i-1} (-1)^l C(m,l) [ -phi(0)^m / 2 + V(m,l) ]
-  where V(m,l) integrates the l-fold folded transform against T_{m-l}(1+s),
-  with T_k(A) = int phi^k(x) sin(2 pi x A)/(2 pi x) dx = int_0^A psi_k and
-  psi_k = fhat^{*k} the transform of phi^k (never an oscillatory integral).
+  2^{m-1} (-1)^m sum_{l=0}^{i-1} (-2)^l C(m,l) M(m-l, l), where M(k, l) is
+  the mass below -1 of psi_k * gp^{*l}, psi_k = fhat^{*k} the transform of
+  phi^k and gp the half of fhat on [0, sigma] (never an oscillatory
+  integral).
 - ``S_correction(n, a)``: sum_l n!/((n-2l)! l!) R(n-2l, a-2l) (sigma^2/2)^l.
 - ``predicted_centered_moment``: 1_{n even} (n-1)!! sigma_phi^n +- S(n, a).
 - ``X_xi(n, l)`` and ``Q_n_via_classes``: the independent route through the
@@ -26,13 +26,11 @@ piecewise intermediate.  The Q route (``X_xi``,
 ``Q_n_via_classes``) also chains term-list convolutions, but of term lists it
 rebuilds from ``fhat`` on every call, so it reads nothing from that cache; the
 two routes then differ in the formula they evaluate (sign-pattern classes
-against V brackets), not in the algebra beneath it.
+against tail masses), not in the algebra beneath it.
 
-fhat is even, so psi_k is, and each R bracket (the mass below 1 of
-psi_k * reflect(gp^{*l})) is its known total minus the mass below -1 of
-psi_k * gp^{*l}.  With sigma <= 2/n that is a thin tail, and the R route
-builds only the knots it reads there.  The Q route keeps full convolutions,
-so R == Q compares the cut computation against an uncut one.
+Each M(k, l) is a thin tail when sigma <= 2/n, and the R route builds only
+the knots it reads there.  The Q route keeps full convolutions, so R == Q
+compares the cut computation against an uncut one.
 """
 
 from __future__ import annotations
@@ -140,17 +138,27 @@ def mean_value(tf: TestFunction) -> Fraction:
 # ---------------------------------------------------------------------------
 # the folded-coordinate bracket
 #
-# V(m, l) and I(alpha, delta) integrate T_k(1 + s) against rho, the density of
-# a signed sum of folded coordinates |x_j|, each of density 2 gp.  Swapping
-# the order of integration turns int rho(s) F_k(1 + s) ds, with F_k the
-# cumulative of psi_k, into the mass of psi_k * reflect(rho) below 1, so each
-# bracket is one chain of term-list convolutions.
+# I(alpha, delta) integrates T_k(1 + s), T_k(A) = int_0^A psi_k, against rho,
+# the density of a signed sum of folded coordinates |x_j|, each of density
+# 2 gp.  Swapping the order of integration turns int rho(s) F_k(1 + s) ds,
+# F_k the cumulative of psi_k, into the mass of psi_k * reflect(rho) below 1,
+# one chain of term-list convolutions.
 #
-# With no negative part (every R bracket) that mass is the total minus the
-# mass above 1, which, psi_k being even, is the mass below -1 of
-# psi_k * gp^{*l}: a thin tail, whose knots alone are built.  The Q route
-# keeps full convolutions, so R == Q checks the cut against an uncut one.
+# With no negative part (the paper's bracket V(m, l) is I(l, 0) at n = m)
+# that mass is the total phi(0)^m minus the mass above 1, which, psi_k being
+# even, is 2^l M(m - l, l).  So V(m, l) = phi(0)^m / 2 - 2^l M(m - l, l), the
+# phi(0)^m / 2 cancels in every R bracket, and only the thin tails' knots are
+# built.  The Q route keeps full convolutions, so R == Q checks the cut.
 # ---------------------------------------------------------------------------
+
+def _tail_mass(tf: TestFunction, k: int, ell: int) -> Fraction:
+    """M(k, l): the mass below -1 of psi_k * gp^{*l} (psi_k itself for l = 0),
+    built only at the knots below -1."""
+    conv = psi_terms(tf, k)
+    if ell:
+        conv = ep.term_convolve(conv, gp_terms(tf, ell), below=-1)
+    return ep.term_mass_below(conv, -1)
+
 
 def _integral_against_T(tf: TestFunction, k: int, pos: int, neg: int) -> Fraction:
     """int rho(s) T_k(1 + s) ds for rho the density of `pos` folded
@@ -159,27 +167,16 @@ def _integral_against_T(tf: TestFunction, k: int, pos: int, neg: int) -> Fractio
     This is the mass of psi_k * reflect(rho) below 1 minus F_k(0) int rho,
     with F_k(0) = phi(0)^k / 2 (psi_k is even), int rho = phi(0)^(pos+neg)
     and reflect(rho) = 2^(pos+neg) reflect(gp^{*pos}) * gp^{*neg}.  With
-    neg = 0 and psi_k even this is phi(0)^(k+pos) / 2 - 2^pos times the mass
-    of psi_k * gp^{*pos} below -1, built only at the knots below -1.
+    neg = 0 and psi_k even this is phi(0)^(k+pos) / 2 - 2^pos M(k, pos).
     """
-    conv = psi_terms(tf, k)
     phi0 = tf.phi_zero()
     if not neg:
-        if pos:
-            conv = ep.term_convolve(conv, gp_terms(tf, pos), below=-1)
-        return phi0 ** (k + pos) / 2 - 2 ** pos * ep.term_mass_below(conv, -1)
+        return phi0 ** (k + pos) / 2 - 2 ** pos * _tail_mass(tf, k, pos)
+    conv = psi_terms(tf, k)
     if pos:
         conv = ep.term_convolve(conv, ep.term_reflect(gp_terms(tf, pos)))
     conv = ep.term_convolve(conv, gp_terms(tf, neg))
     return 2 ** (pos + neg) * ep.term_mass_below(conv, 1) - phi0 ** (k + pos + neg) / 2
-
-
-def _V(tf: TestFunction, m: int, ell: int) -> Fraction:
-    """V(m, l) = int_{R^l} prod fhat(x_j) T_{m-l}(1 + sum |x_j|) dx.
-
-    l = 0 degenerates to T_m(1) (the folded density is a unit point mass).
-    """
-    return _integral_against_T(tf, m - ell, ell, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +187,8 @@ def R_moment(tf: TestFunction, m: int, i: int) -> Fraction:
     """Exact R(m, i) correction kernel."""
     if i < 1 or i > m:
         raise DomainError(f"R_moment requires 1 <= i <= m, got m={m}, i={i}")
-    phi0_m = tf.phi_zero() ** m
-    total = Fraction(0)
-    for ell in range(i):
-        total += (-1) ** ell * comb(m, ell) * (-phi0_m / 2 + _V(tf, m, ell))
-    return Fraction(2) ** (m - 1) * (-1) ** (m + 1) * total
+    total = sum((-2) ** ell * comb(m, ell) * _tail_mass(tf, m - ell, ell) for ell in range(i))
+    return Fraction(2) ** (m - 1) * (-1) ** m * total
 
 
 def S_correction(tf: TestFunction, n: int, a: int) -> Fraction:

@@ -108,6 +108,8 @@ def fejer(sigma) -> TestFunction:
 
 def _power(powers: list, k: int):
     """Extend ``powers`` (first entry the base) by convolution up to the k-th."""
+    if k < 1:
+        raise DomainError("power must be >= 1")
     while len(powers) < k:
         powers.append(ep.term_convolve(powers[-1], powers[0]))
     return powers[k - 1]
@@ -132,6 +134,4 @@ def gp_terms(tf: TestFunction, ell: int):
 
 def phi_power_hat(tf: TestFunction, m: int) -> PiecewisePoly:
     """Transform of phi^m: the m-fold self-convolution of fhat."""
-    if m < 1:
-        raise DomainError("power must be >= 1")
     return ep.from_terms(psi_terms(tf, m))

@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 from . import moments as mo
 from .errors import DomainError
+from .exactpoly import frac
 from .testfn import TestFunction, fejer
 
 __all__ = [
@@ -45,11 +46,13 @@ class VanishingQuery:
             raise DomainError("order threshold r must be >= 1")
         if n % 2 != 0 or n < 2:
             raise DomainError("Markov argument needs an even moment order n >= 2")
-        sigma = Fraction(sigma)
+        sigma = frac(sigma)
         if sigma <= 0:
             raise DomainError("sigma must be positive")
         if sigma > Fraction(2, n):
             raise DomainError(f"sigma={sigma} exceeds 2/n={Fraction(2, n)}")
+        if sign not in ("plus", "minus"):
+            raise DomainError("sign must be 'plus' or 'minus'")
         self.r, self.n, self.sigma, self.sign = r, n, sigma, sign
 
 

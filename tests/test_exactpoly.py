@@ -303,14 +303,27 @@ def _knot_sums(p, q):
 NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
 
 
+def stored(terms):
+    """``terms``, after checking that it holds only nonzero int terms: knots
+    strictly increasing, and at each knot a nonempty run of (j, c) with
+    strictly increasing j >= 0 and c != 0."""
+    ks = [k for k, _ in terms.knots]
+    assert ks == sorted(set(ks))
+    for k, pairs in terms.knots:
+        js = [j for j, _ in pairs]
+        assert type(k) is int and pairs and js[0] >= 0 and js == sorted(set(js))
+        assert all(type(c) is int and c for _, c in pairs)
+    return terms
+
+
 def _check_against_reference(p, q, r, xs):
-    tp, tq, tr = (ep.to_terms(f) for f in (p, q, r))
-    pq = ep.from_terms(ep.term_convolve(tp, tq))
+    tp, tq, tr = (stored(ep.to_terms(f)) for f in (p, q, r))
+    pq = ep.from_terms(stored(ep.term_convolve(tp, tq)))
     assert pq == reference_convolve(p, q)
     for x in xs:
         assert ep.evaluate(pq, x) == convolve_at(p, q, x)
     # a chain of three, with no piecewise form between the two convolutions
-    chained = ep.term_convolve(ep.term_convolve(tp, tq), tr)
+    chained = stored(ep.term_convolve(ep.term_convolve(tp, tq), tr))
     assert ep.from_terms(chained) == reference_convolve(reference_convolve(p, q), r)
 
 
@@ -338,7 +351,7 @@ def test_term_convolve_across_lattices(p, q, r, data):
 @settings(max_examples=200, deadline=None)
 @given(piecewise_polys())
 def test_term_reflect_matches_reflect(p):
-    assert ep.from_terms(ep.term_reflect(ep.to_terms(p))) == ep.reflect(p)
+    assert ep.from_terms(stored(ep.term_reflect(stored(ep.to_terms(p))))) == ep.reflect(p)
 
 
 @settings(max_examples=200, deadline=None)
@@ -346,23 +359,26 @@ def test_term_reflect_matches_reflect(p):
 def test_term_mass_below_matches_definite_integral(p, q, data):
     x = data.draw(st.one_of(small_rational, st.sampled_from(_knot_sums(p, q))))
     conv = reference_convolve(p, q)
+    tconv = ep.term_convolve(ep.to_terms(p), ep.to_terms(q))
     for f, terms in (
         (p, ep.to_terms(p)),
-        (conv, ep.term_convolve(ep.to_terms(p), ep.to_terms(q))),
-        (ep.reflect(conv), ep.term_reflect(ep.term_convolve(ep.to_terms(p), ep.to_terms(q)))),
+        (conv, tconv),
+        (ep.reflect(conv), ep.term_reflect(tconv)),
     ):
+        stored(terms)
         lo = x if f.is_zero() else min(x, f.support[0])
         assert ep.term_mass_below(terms, x) == ep.definite_integral(f, lo, x)
 
 
 @st.composite
 def term_lists(draw):
-    """Term lists with any int knots and coefficients, on a few units."""
+    """Term lists with any int knots and nonzero int terms, on a few units."""
     ks = sorted(draw(st.lists(st.integers(-8, 8), min_size=1, max_size=5, unique=True)))
-    coeffs = st.lists(st.integers(-5, 5), min_size=1, max_size=3).map(tuple)
+    js = st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True).map(sorted)
+    coeff = st.integers(-5, 5).filter(bool)
     return ep.Terms(draw(st.sampled_from([F(1), F(1, 2), F(1, 3), F(2, 5)])),
                     draw(st.sampled_from([F(1), F(-3, 7)])),
-                    tuple((k, draw(coeffs)) for k in ks))
+                    tuple((k, tuple((j, draw(coeff)) for j in draw(js))) for k in ks))
 
 
 @settings(max_examples=300, deadline=None)
@@ -370,9 +386,9 @@ def term_lists(draw):
 def test_term_convolve_below_keeps_the_knots_below(tp, tq, data):
     """The cut convolution is the full one's knots left of x, tuple for tuple,
     whether x sits on the result's lattice or between its points."""
-    full = ep.term_convolve(tp, tq)
+    full = stored(ep.term_convolve(tp, tq))
     x = data.draw(st.one_of(st.integers(-18, 18).map(lambda j: j * full.unit), small_rational))
-    cut = ep.term_convolve(tp, tq, below=x)
+    cut = stored(ep.term_convolve(tp, tq, below=x))
     assert (cut.unit, cut.scale) == (full.unit, full.scale)
     assert cut.knots == tuple((k, cs) for k, cs in full.knots if k * full.unit < x)
     assert ep.term_mass_below(cut, x) == ep.term_mass_below(full, x)

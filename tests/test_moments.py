@@ -51,11 +51,12 @@ def bar_X_xi(tf, n, ell):
     """The two-sided indicator integral along both exact routes, which must agree.
 
     Route (a) expands it over sign patterns as 2^{l+1} sum_i C(n-l, i) X(xi_{i+l});
-    route (b) is the closed form phi(0)^n - 2 V(n, l).
+    route (b) is the closed form 2^{l+1} M(n-l, l), M the mass below -1 of
+    psi_{n-l} * gp^{*l}.
     """
     via_sum = 2 ** (ell + 1) * sum(math.comb(n - ell, i) * mo.X_xi(tf, n, i + ell)
                                    for i in range((n + 1) // 2 - ell))
-    via_closed = tf.phi_zero() ** n - 2 * mo._V(tf, n, ell)
+    via_closed = 2 ** (ell + 1) * mo._tail_mass(tf, n - ell, ell)
     if via_sum != via_closed:
         raise InvariantViolation(f"bar_X_xi({n}, {ell}): {via_sum} != {via_closed}")
     return via_sum

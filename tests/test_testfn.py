@@ -9,7 +9,8 @@ from scipy.integrate import quad
 from oracle_reference import phi_value_numeric
 from splitmoments import exactpoly as ep
 from splitmoments.errors import DomainError
-from splitmoments.testfn import fejer, phi_power_hat
+from splitmoments.moments import predicted_centered_moment
+from splitmoments.testfn import fejer, gp_terms, phi_power_hat, psi_terms
 
 
 class TestFejer:
@@ -84,6 +85,27 @@ class TestPhiPowerHat:
     def test_rejects_bad_power(self):
         with pytest.raises(DomainError):
             phi_power_hat(fejer(F(1, 2)), 0)
+
+    def test_term_caches_reject_powers_below_one(self):
+        tf = fejer(F(1, 2))
+        psi_terms(tf, 3)
+        gp_terms(tf, 2)
+        for power in (psi_terms, gp_terms):
+            for k in (0, -1):
+                with pytest.raises(DomainError):
+                    power(tf, k)
+
+    def test_fejer_psi_stores_one_term_per_knot(self):
+        """psi_k of the triangle is a sum of e_{2k-1} at knots -k..k; the
+        cache holds that one term per knot and no padding."""
+        tf = fejer(F(1, 10))
+        predicted_centered_moment(tf, 20, 10, "minus")
+        cached = tf._terms.psi
+        assert len(cached) == 20
+        for k, psi in enumerate(cached, start=1):
+            assert [kk for kk, _ in psi.knots] == list(range(-k, k + 1))
+            assert all(len(pairs) == 1 and pairs[0][0] == 2 * k - 1
+                       for _, pairs in psi.knots)
 
 
 class TestPhiValueNumeric:

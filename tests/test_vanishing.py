@@ -80,6 +80,18 @@ class TestValidation:
         with pytest.raises(DomainError):
             vb.VanishingQuery(r=5, n=4, sigma=F(3, 5), sign="minus")
 
+    def test_float_sigma_rejected(self):
+        with pytest.raises(TypeError, match="floats are rejected"):
+            vb.VanishingQuery(r=5, n=4, sigma=0.3, sign="minus")
+
+    def test_exact_sigma_forms_accepted(self):
+        for sigma in (F(3, 10), "3/10"):
+            assert vb.VanishingQuery(r=5, n=4, sigma=sigma, sign="minus").sigma == F(3, 10)
+
+    def test_unknown_sign_rejected_at_construction(self):
+        with pytest.raises(DomainError, match="sign"):
+            vb.VanishingQuery(r=5, n=4, sigma=F(1, 2), sign="sideways")
+
 
 class TestMonotonicity:
     def test_decreasing_in_r(self):
