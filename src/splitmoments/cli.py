@@ -350,12 +350,8 @@ def _cmd_rmt(cfg: RunConfig):
     tf = fejer(cfg.params["sigma"])
     K = rmt.fourier_cutoff(tf, M)
     rmt.check_resources(spec, K)
-    rmt.finite_mean(tf, M)  # refuses sigma > 1 before any draw
-    if all(tf.fhat_at(Fraction(k, M)) == 0 for k in range(1, K + 1)):
-        raise DomainError(
-            f"Z is constant on SO({M}) at sigma={tf.sigma}: fhat(k/{M}) = 0 for all k >= 1"
-        )
-    z_vals = rmt.z_values_for(tf, spec, rmt.sample_verblunsky(spec, K))
+    table = rmt.fourier_table(tf, M)  # refuses before any draw
+    z_vals = rmt.z_values_for(table, spec, rmt.sample_verblunsky(spec, K))
     if cfg.params["csv"]:
         import csv
 
@@ -365,7 +361,7 @@ def _cmd_rmt(cfg: RunConfig):
         for i, z in enumerate(z_vals):
             writer.writerow([i, repr(float(z))])
         _write(cfg.params["csv"], rows.getvalue())
-    results = rmt.moment_rows(tf, M, z_vals, cfg.params["nmax"])
+    results = rmt.moment_rows(tf, M, table, z_vals, cfg.params["nmax"])
     assumptions = [
         "n = 1 gated against the exact finite-M mean; n >= 2 centred on that mean and gated"
         " against the M -> infinity limits with finite-M allowance c/M, c = 2 (no finite-M"

@@ -166,17 +166,15 @@ def _integral_against_T(tf: TestFunction, k: int, pos: int, neg: int) -> Fractio
 
     This is the mass of psi_k * reflect(rho) below 1 minus F_k(0) int rho,
     with F_k(0) = phi(0)^k / 2 (psi_k is even), int rho = phi(0)^(pos+neg)
-    and reflect(rho) = 2^(pos+neg) reflect(gp^{*pos}) * gp^{*neg}.  With
-    neg = 0 and psi_k even this is phi(0)^(k+pos) / 2 - 2^pos M(k, pos).
+    and reflect(rho) = 2^(pos+neg) reflect(gp^{*pos}) * gp^{*neg}, built
+    from every knot (the R route reads the same bracket off ``_tail_mass``).
     """
-    phi0 = tf.phi_zero()
-    if not neg:
-        return phi0 ** (k + pos) / 2 - 2 ** pos * _tail_mass(tf, k, pos)
     conv = psi_terms(tf, k)
     if pos:
         conv = ep.term_convolve(conv, ep.term_reflect(gp_terms(tf, pos)))
-    conv = ep.term_convolve(conv, gp_terms(tf, neg))
-    return 2 ** (pos + neg) * ep.term_mass_below(conv, 1) - phi0 ** (k + pos + neg) / 2
+    if neg:
+        conv = ep.term_convolve(conv, gp_terms(tf, neg))
+    return 2 ** (pos + neg) * ep.term_mass_below(conv, 1) - tf.phi_zero() ** (k + pos + neg) / 2
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,9 @@ The statistic uses the finite Fourier sum
     F_M(theta) = (1/M) [ fhat(0) + 2 sum_{k=1}^{K} fhat(k/M) cos(k theta) ],
 
 with K = floor(sigma M) (``fourier_cutoff``); when sigma M is an integer the
-boundary term is included with weight fhat(sigma).  Z(U) sums F_M over all
-M angles, so it needs only the power traces Tr U^k for k <= K.
+boundary term is included with weight fhat(sigma).  ``fourier_table`` makes
+the one exact table of fhat(k/M), k <= K, that the weights and the finite-M
+mean read.  Z(U) sums F_M over all M angles: it needs only Tr U^k, k <= K.
 ``_block_traces`` takes them from the Szego recursion of the coefficients
 and Newton's identities, one block of ``_block_rows(K)`` samples at a time.
 The recursion carries one array, Phi*_k (Phi_k's coefficients reversed),
@@ -57,6 +58,7 @@ __all__ = [
     "eigenangles_dense",
     "collect_angle_samples",
     "fourier_cutoff",
+    "fourier_table",
     "check_resources",
     "sample_verblunsky",
     "z_values_for",
@@ -151,10 +153,15 @@ def fourier_cutoff(tf: TestFunction, M: int) -> int:
     return (tf.sigma.numerator * M) // tf.sigma.denominator
 
 
-def _fourier_coeffs(tf: TestFunction, M: int) -> np.ndarray:
-    """fhat(k/M) for k = 0..floor(sigma M), exact evaluations to double."""
-    return np.array([float(tf.fhat_at(Fraction(k, M)))
-                     for k in range(fourier_cutoff(tf, M) + 1)])
+def fourier_table(tf: TestFunction, M: int) -> tuple[Fraction, ...]:
+    """The exact fhat(k/M) for k = 0..K, refusing sigma > 1, fhat(1) != 0 and a constant Z."""
+    if tf.sigma > 1 or tf.fhat_at(1) != 0:
+        raise DomainError("finite-M mean requires sigma <= 1 and fhat(1) = 0")
+    table = tuple(tf.fhat_at(Fraction(k, M)) for k in range(fourier_cutoff(tf, M) + 1))
+    if not any(table[1:]):
+        raise DomainError(
+            f"Z is constant on SO({M}) at sigma={tf.sigma}: fhat(k/{M}) = 0 for all k >= 1")
+    return table
 
 
 def collect_angle_samples(spec: EnsembleSpec) -> list[EigenangleSample]:
@@ -319,11 +326,10 @@ def _block_traces(alpha: np.ndarray, M: int, K: int) -> np.ndarray:
     return traces.T
 
 
-def z_values_for(tf: TestFunction, spec: EnsembleSpec,
+def z_values_for(table: tuple[Fraction, ...], spec: EnsembleSpec,
                  blocks: Iterable[np.ndarray]) -> np.ndarray:
-    """Z per sample from the blocks of Verblunsky coefficients that
-    :func:`sample_verblunsky` yields (their values do not depend on the test
-    function).
+    """Z per sample, weighted by :func:`fourier_table`, from the blocks of
+    Verblunsky coefficients that :func:`sample_verblunsky` yields.
 
     The blocks must hold ``spec.samples`` rows in all, in blocks of any
     length.  Each block's traces are weighted and summed over k as soon as
@@ -332,10 +338,10 @@ def z_values_for(tf: TestFunction, spec: EnsembleSpec,
     time.  The sum runs elementwise in k order, so a sample's Z does not
     depend on its block.
     """
-    coeffs = _fourier_coeffs(tf, spec.M)
+    coeffs = np.array([float(c) for c in table])
     weights = 2 * coeffs
     weights[0] = coeffs[0]
-    K = len(coeffs) - 1
+    K = len(table) - 1
     z = np.empty(spec.samples)
     i0 = 0
     for alpha in blocks:
@@ -349,35 +355,34 @@ def z_values_for(tf: TestFunction, spec: EnsembleSpec,
     return z
 
 
-def finite_mean(tf: TestFunction, M: int) -> Fraction:
+def finite_mean(table: tuple[Fraction, ...], M: int) -> Fraction:
     """Exact E[Z] over SO(M): fhat(0) + (2/M) sum_{even k <= K} fhat(k/M).
 
     E Tr U^k is 1 for even k and 0 for odd k when 0 < k < M; the only other
-    term, k = M at sigma = 1, carries fhat(1), which must vanish.
+    term, k = M at sigma = 1, carries fhat(1), which ``fourier_table`` checks is 0.
     """
-    if tf.sigma > 1 or tf.fhat_at(1) != 0:
-        raise DomainError("finite-M mean requires sigma <= 1 and fhat(1) = 0")
-    K = fourier_cutoff(tf, M)
-    even = sum((tf.fhat_at(Fraction(k, M)) for k in range(2, K + 1, 2)), Fraction(0))
-    return tf.fhat_at(0) + Fraction(2, M) * even
+    return table[0] + Fraction(2, M) * sum(table[2::2], Fraction(0))
 
 
-def moment_rows(tf: TestFunction, M: int, z_vals: np.ndarray, n_max: int) -> list[dict]:
+def moment_rows(tf: TestFunction, M: int, table: tuple[Fraction, ...],
+                z_vals: np.ndarray, n_max: int) -> list[dict]:
     """The ``rmt`` report rows: E[Z], then E[(Z - m)^n] for 2 <= n <= n_max.
 
-    m is the exact finite-M mean (:func:`finite_mean`).  The mean is gated
-    against m with the floor 0.05, each centred moment against its
+    m is the exact finite-M mean of ``table`` (:func:`finite_mean`).  The mean
+    is gated against m with the floor 0.05, each centred moment against its
     M -> infinity prediction (sign + for even M, - for odd, at the minimal a)
     with the finite-M allowance 2/M; an order with sigma > 2/n has no
     prediction and no gate.  The standard error is the plain iid error of the
     sample mean of Z or (Z - m)^n (the estimator is linear, so this coincides
-    with its jackknife estimate), and ``z_score`` is measured from the centre
-    of the gate.
+    with its jackknife estimate; it needs two or more Z values), and
+    ``z_score`` is measured from the centre of the gate.
     """
-    centre = finite_mean(tf, M)
+    N = len(z_vals)
+    if N < 2:
+        raise DomainError(f"moment rows need at least 2 samples, got {N}")
+    centre = finite_mean(table, M)
     sign = "plus" if M % 2 == 0 else "minus"
     rows = []
-    N = len(z_vals)
     for n in range(1, n_max + 1):
         # np.mean and np.std(ddof=1), bit for bit, reduced in place in one
         # private array: Z itself for n = 1, (Z - m)^n after

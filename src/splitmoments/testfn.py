@@ -99,8 +99,8 @@ def fejer(sigma) -> TestFunction:
 
     def phi(x: float) -> float:
         t = math.pi * sf * x
-        # series around the removable singularity at 0
-        v = 1.0 - t * t / 3.0 if abs(t) < 1e-8 else math.sin(t) / t
+        # sin(t)/t by its series around the removable singularity at 0
+        v = 1.0 - t * t / 6.0 if abs(t) < 1e-8 else math.sin(t) / t
         return v * v
 
     return TestFunction(sigma=s, fhat=fhat, phi_at=phi, label=f"fejer:{s}")

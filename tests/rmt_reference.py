@@ -9,19 +9,17 @@ keeps the route it replaced, which computes the eigenvalues:
   dense symmetric eigensolver in stacks of ``_EIG_BATCH`` matrices;
 - ``chebyshev_traces``: Tr U^k = 2 sum_j T_k(x_j) + (M mod 2) by the
   Chebyshev recurrence;
-- ``z_from_cosines``: Z from the cosines with the package's Fourier weights.
+- ``z_from_cosines``: Z from the cosines, weighted by the package's exact
+  Fourier table.
 
-It takes the package's Verblunsky coefficients and Fourier weights
-(``_fourier_coeffs``) and shares nothing on the way from the coefficients
+It takes the package's Verblunsky coefficients and Fourier table
+(``rmt.fourier_table``) and shares nothing on the way from the coefficients
 to the traces.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from splitmoments import rmt
-from splitmoments.testfn import TestFunction
 
 _EIG_BATCH = 256  # Jacobi matrices per eigensolve call, bounding the (rows, n, n) stack
 
@@ -68,9 +66,10 @@ def chebyshev_traces(cosines: np.ndarray, M: int, K: int) -> np.ndarray:
     return out
 
 
-def z_from_cosines(tf: TestFunction, M: int, cosines) -> np.ndarray:
-    """Z per row of floor(M/2) cosines."""
-    coeffs = rmt._fourier_coeffs(tf, M)
+def z_from_cosines(table, M: int, cosines) -> np.ndarray:
+    """Z per row of floor(M/2) cosines, with the weights of the table
+    fhat(k/M), k = 0..K, that ``rmt.fourier_table`` makes."""
+    coeffs = np.array([float(c) for c in table])
     weights = 2 * coeffs
     weights[0] = coeffs[0]
     return chebyshev_traces(cosines, M, len(coeffs) - 1) @ weights / M

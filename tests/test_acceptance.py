@@ -175,8 +175,9 @@ def test_criterion_7_rmt_statistical_gate():
             rmt_collections[M] = (spec, list(rmt.sample_verblunsky(spec, K)))
         predictions = {100: F(325, 972), 101: F(323, 972)}
         for M, (spec, alpha) in rmt_collections.items():
-            z = rmt.z_values_for(t35, spec, alpha)
-            mean_row, var_row = rmt.moment_rows(t35, M, z, 2)
+            table = rmt.fourier_table(t35, M)
+            z = rmt.z_values_for(table, spec, alpha)
+            mean_row, var_row = rmt.moment_rows(t35, M, table, z, 2)
             assert mean_row["predicted"] == F(13, 6)
             mean_err = abs(mean_row["empirical"] - float(mean_row["predicted"]))
             assert mean_err <= max(4 * mean_row["stderr"], 0.05), (M, mean_err)
@@ -188,8 +189,9 @@ def test_criterion_7_rmt_statistical_gate():
         t14 = fejer(F(1, 4))
         gaussian = {2: F(1, 3), 3: F(0), 4: 3 * F(1, 3) ** 2}
         for M, (spec, alpha) in rmt_collections.items():
-            z = rmt.z_values_for(t14, spec, alpha)
-            for r in rmt.moment_rows(t14, M, z, 4)[1:]:
+            table = rmt.fourier_table(t14, M)
+            z = rmt.z_values_for(table, spec, alpha)
+            for r in rmt.moment_rows(t14, M, table, z, 4)[1:]:
                 n = r["n"]
                 assert r["predicted"] == gaussian[n], (M, n)
                 err = abs(r["empirical"] - float(r["predicted"]))

@@ -5,6 +5,7 @@ moment gates."""
 import hashlib
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -26,7 +27,7 @@ def draw(spec):
 def haar_z(tf, spec):
     """Z per sample, drawn in the blocks that ``rmt`` traces tf with."""
     K = rmt.fourier_cutoff(tf, spec.M)
-    return rmt.z_values_for(tf, spec, rmt.sample_verblunsky(spec, K))
+    return rmt.z_values_for(rmt.fourier_table(tf, spec.M), spec, rmt.sample_verblunsky(spec, K))
 
 
 class TestHaarSampling:
@@ -98,83 +99,105 @@ def half_cosines(sample):
     return np.cos(a[::2])
 
 
-def z_of(tf, M, cosines):
+def z_of(table, M, cosines):
     """Z through the reference route for rows of floor(M/2) cosines."""
-    return ref.z_from_cosines(tf, M, np.asarray(cosines))
+    return ref.z_from_cosines(table, M, np.asarray(cosines))
 
 
-def f_m(tf, M, theta):
+def f_m(table, M, theta):
     """F_M at each theta, M even: M/2 pairs (theta, -theta) have Z = M F_M(theta)."""
     thetas = np.atleast_1d(theta)
     cosines = np.repeat(np.cos(thetas)[:, None], M // 2, axis=1)
-    return z_of(tf, M, cosines) / M
+    return z_of(table, M, cosines) / M
 
 
-def z_direct(tf, M, thetas):
+def z_direct(table, M, thetas):
     """Z by np.cos over all M angles +-theta_j (and 0 for odd M)."""
-    coeffs = rmt._fourier_coeffs(tf, M)
+    coeffs = np.array([float(c) for c in table])
     k = np.arange(1, len(coeffs))
     angles = np.concatenate([thetas, -thetas, np.zeros((len(thetas), M % 2))], axis=1)
     f = coeffs[0] + 2 * np.cos(angles[:, :, None] * k) @ coeffs[1:]
     return f.sum(axis=1) / M
 
 
+# fhat(0), fhat(1/2) of fejer(1/2) at M = 2: Z is constant there, which
+# fourier_table refuses (the rmt cases of test_cli.py), so it is written out
+M2_HALF = (F(2), F(0))
+
+
 class TestFMValue:
     def test_periodicity(self):
-        tf = fejer(F(3, 5))
+        table = rmt.fourier_table(fejer(F(3, 5)), 10)
         for th in [0.3, 1.7, -2.0]:
-            assert f_m(tf, 10, th)[0] == pytest.approx(
-                f_m(tf, 10, th + 2 * math.pi)[0], abs=1e-12
+            assert f_m(table, 10, th)[0] == pytest.approx(
+                f_m(table, 10, th + 2 * math.pi)[0], abs=1e-12
             )
 
     def test_m2_value_at_zero(self):
         # (1/2)[fhat(0) + 2 fhat(1/2)] = (1/2)(2 + 0) = 1 for sigma = 1/2
-        assert f_m(fejer(F(1, 2)), 2, 0.0)[0] == pytest.approx(1.0)
+        assert M2_HALF == tuple(fejer(F(1, 2)).fhat_at(F(k, 2)) for k in (0, 1))
+        assert f_m(M2_HALF, 2, 0.0)[0] == pytest.approx(1.0)
 
     def test_mean_over_circle(self):
         # only the k=0 term survives: integral over [0, 2pi] is 2 pi fhat(0)/M
         tf = fejer(F(1, 2))
         M = 8
         th = np.linspace(0, 2 * math.pi, 20001)[:-1]
-        avg = float(np.mean(f_m(tf, M, th)))
+        avg = float(np.mean(f_m(rmt.fourier_table(tf, M), M, th)))
         assert avg == pytest.approx(float(tf.fhat_at(0)) / M, abs=1e-9)
 
     def test_boundary_term_weight(self):
         # sigma*M integer: k = sigma*M enters with weight fhat(sigma) = 0
         tf = fejer(F(1, 2))
-        coeffs = rmt._fourier_coeffs(tf, 4)
-        assert len(coeffs) == 3  # k = 0, 1, 2
-        assert coeffs[-1] == 0.0
+        table = rmt.fourier_table(tf, 4)
+        assert len(table) == 3  # k = 0, 1, 2
+        assert table[-1] == 0
+
+
+class TestFourierTable:
+    def test_one_table_per_rmt_run(self, monkeypatch, capsys):
+        # the weights, the finite-M mean and the report's centre all read one
+        # table of K + 1 = 61 values; fhat(1) and the M -> infinity mean
+        # (fhat(0)) are the only other evaluations
+        from splitmoments import cli
+        from splitmoments.testfn import TestFunction
+
+        calls = []
+        fhat_at = TestFunction.fhat_at
+        monkeypatch.setattr(TestFunction, "fhat_at",
+                            lambda tf, y: calls.append(y) or fhat_at(tf, y))
+        assert cli.main(["rmt", "--M", "100", "--sigma", "3/5", "--samples", "20",
+                         "--nmax", "2"]) in (0, 1)
+        assert 61 <= len(calls) <= 60 + 3, len(calls)
 
 
 class TestZValue:
     def test_identity_matrix(self):
-        tf = fejer(F(1, 2))
         s = rmt.eigenangles(np.eye(2))
-        assert z_of(tf, 2, [half_cosines(s)])[0] == pytest.approx(2.0)
+        assert z_of(M2_HALF, 2, [half_cosines(s)])[0] == pytest.approx(2.0)
 
     def test_conjugation_invariance(self):
-        tf = fejer(F(3, 5))
+        table = rmt.fourier_table(fejer(F(3, 5)), 8)
         rng = np.random.default_rng(6)
         U = rmt.sample_haar_so(8, rng)
         Q = rmt.sample_haar_so(8, rng)
         samples = [rmt.eigenangles(U), rmt.eigenangles(Q @ U @ Q.T)]
-        z1, z2 = z_of(tf, 8, [half_cosines(s) for s in samples])
+        z1, z2 = z_of(table, 8, [half_cosines(s) for s in samples])
         assert z1 == pytest.approx(z2, abs=1e-8)
 
     def test_real_valued(self):
-        tf = fejer(F(3, 5))
+        table = rmt.fourier_table(fejer(F(3, 5)), 10)
         rng = np.random.default_rng(7)
         U = rmt.sample_haar_so(10, rng)
-        z = z_of(tf, 10, [half_cosines(rmt.eigenangles(U))])
+        z = z_of(table, 10, [half_cosines(rmt.eigenangles(U))])
         assert z.dtype == np.float64 and z.shape == (1,)
 
     @pytest.mark.parametrize("M", [2, 3, 100, 101])
     def test_recurrence_matches_cos(self, M):
-        tf = fejer(F(3, 5))
+        table = rmt.fourier_table(fejer(F(3, 5)), M)
         thetas = np.random.default_rng(M).uniform(0, math.pi, size=(50, M // 2))
-        got = z_of(tf, M, np.cos(thetas))
-        assert np.max(np.abs(got - z_direct(tf, M, thetas))) < 1e-12
+        got = z_of(table, M, np.cos(thetas))
+        assert np.max(np.abs(got - z_direct(table, M, thetas))) < 1e-12
 
 
 class TestSzegoTraces:
@@ -197,11 +220,12 @@ class TestSzegoTraces:
         tf = fejer(F(3, 5))
         traces = rmt._block_traces(alpha, 21, 12)
         assert rmt._block_rows(12) == 512  # the block length sampled around
-        z = rmt.z_values_for(tf, spec, rmt.sample_verblunsky(spec, 12))
+        table = rmt.fourier_table(tf, 21)
+        z = rmt.z_values_for(table, spec, rmt.sample_verblunsky(spec, 12))
         for i, j in [(0, samples), (0, 1), (samples // 3, samples), (samples - 1, samples)]:
             assert np.array_equal(traces[i:j], rmt._block_traces(alpha[i:j], 21, 12)), (i, j)
             part = rmt.EnsembleSpec(M=21, samples=j - i, seed=3)
-            assert np.array_equal(z[i:j], rmt.z_values_for(tf, part, [alpha[i:j]])), (i, j)
+            assert np.array_equal(z[i:j], rmt.z_values_for(table, part, [alpha[i:j]])), (i, j)
 
     def test_traces_and_z_pinned(self):
         # sha256 over the bytes of the traces at every K <= 2M and of Z at five
@@ -214,7 +238,13 @@ class TestSzegoTraces:
             for K in range(1, 2 * M + 1):
                 digest.update(rmt._block_traces(alpha[:40], M, K).tobytes())
             for sigma in (F(1, 10), F(1, 4), F(1, 2), F(3, 5), F(1)):
-                z = haar_z(fejer(sigma), spec)
+                # the table written out, since fourier_table refuses a constant Z
+                tf = fejer(sigma)
+                K = rmt.fourier_cutoff(tf, M)
+                table = tuple(tf.fhat_at(F(k, M)) for k in range(K + 1))
+                if any(table[1:]):
+                    assert table == rmt.fourier_table(tf, M)
+                z = rmt.z_values_for(table, spec, rmt.sample_verblunsky(spec, K))
                 digest.update(z.tobytes())
         assert digest.hexdigest() == (
             "b13ea6980a133c9ed5510ce66acf5c0b0b36d25f91796737142a476449fc3913")
@@ -227,12 +257,13 @@ class TestSzegoTraces:
         # budget set to the traced peak of z_values_for, it refuses the run
         tf = fejer(sigma)
         K = rmt.fourier_cutoff(tf, M)
+        table = rmt.fourier_table(tf, M)
         spec = rmt.EnsembleSpec(M=M, samples=samples, seed=1)
         warm = rmt.EnsembleSpec(M=M, samples=3, seed=1)
-        rmt.z_values_for(tf, warm, rmt.sample_verblunsky(warm, K))  # warm the caches
+        rmt.z_values_for(table, warm, rmt.sample_verblunsky(warm, K))  # warm the caches
         tracemalloc.start()
         try:
-            rmt.z_values_for(tf, spec, rmt.sample_verblunsky(spec, K))
+            rmt.z_values_for(table, spec, rmt.sample_verblunsky(spec, K))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -244,7 +275,7 @@ class TestSzegoTraces:
         spec = rmt.EnsembleSpec(M=21, samples=600, seed=3)
         alpha = draw(spec)
         with pytest.raises(InvariantViolation, match="599 rows"):
-            rmt.z_values_for(fejer(F(3, 5)), spec, [alpha[:599]])
+            rmt.z_values_for(rmt.fourier_table(fejer(F(3, 5)), 21), spec, [alpha[:599]])
 
     def test_holds_one_block_of_traces(self):
         # the coefficients are drawn and Z is contracted block by block: the
@@ -288,9 +319,9 @@ class TestSamplerAgainstReference:
         dense = np.array([half_cosines(s) for s in rmt.collect_angle_samples(dense_spec)])
         assert fast.shape == dense.shape == (2000, M // 2)
         assert stats.ks_2samp(fast.ravel(), dense.ravel()).pvalue > 0.01
-        tf = fejer(F(3, 5))
-        z = rmt.z_values_for(tf, spec, [alpha])
-        assert stats.ks_2samp(z, z_of(tf, M, dense)).pvalue > 0.01
+        table = rmt.fourier_table(fejer(F(3, 5)), M)
+        z = rmt.z_values_for(table, spec, [alpha])
+        assert stats.ks_2samp(z, z_of(table, M, dense)).pvalue > 0.01
 
     @pytest.mark.parametrize("M", [10, 11])
     def test_pooled_power_traces(self, M):
@@ -303,19 +334,19 @@ class TestSamplerAgainstReference:
             col = traces[:, k]
             err = abs(col.mean() - (1 - k % 2))
             assert err <= 4 * col.std(ddof=1) / np.sqrt(len(col)), (k, err)
-        tf = fejer(F(1, 2))
-        z = rmt.z_values_for(tf, spec, [alpha])
-        err = abs(z.mean() - float(rmt.finite_mean(tf, M)))
+        table = rmt.fourier_table(fejer(F(1, 2)), M)
+        z = rmt.z_values_for(table, spec, [alpha])
+        err = abs(z.mean() - float(rmt.finite_mean(table, M)))
         assert err <= 4 * z.std(ddof=1) / np.sqrt(len(z))
 
     def test_finite_mean_exact(self):
         tf = fejer(F(3, 5))
-        assert rmt.finite_mean(tf, 100) == F(43, 20)
-        assert rmt.finite_mean(tf, 101) == F(21935, 10201)
+        assert rmt.finite_mean(rmt.fourier_table(tf, 100), 100) == F(43, 20)
+        assert rmt.finite_mean(rmt.fourier_table(tf, 101), 101) == F(21935, 10201)
 
     def test_finite_mean_domain(self):
-        with pytest.raises(DomainError):
-            rmt.finite_mean(fejer(F(3, 2)), 10)
+        with pytest.raises(DomainError, match="sigma <= 1"):
+            rmt.fourier_table(fejer(F(3, 2)), 10)
 
 
 class TestReproducibility:
@@ -373,8 +404,9 @@ class TestMomentEstimation:
         tf = fejer(F(3, 5))
         spec = rmt.EnsembleSpec(M=40, samples=4000, seed=11)
         zv = haar_z(tf, spec)
-        mean_row, var_row = rmt.moment_rows(tf, spec.M, zv, 2)
-        assert abs(mean_row["empirical"] - float(rmt.finite_mean(tf, spec.M))) <= max(
+        table = rmt.fourier_table(tf, spec.M)
+        mean_row, var_row = rmt.moment_rows(tf, spec.M, table, zv, 2)
+        assert abs(mean_row["empirical"] - float(rmt.finite_mean(table, spec.M))) <= max(
             4 * mean_row["stderr"], 2.0 / spec.M
         )
         assert abs(var_row["empirical"] - float(var_row["predicted"])) <= max(
@@ -388,7 +420,7 @@ class TestMomentEstimation:
         spec = rmt.EnsembleSpec(M=48, samples=400, seed=13)
         zv = haar_z(tf, spec)
         gauss = {2: 1 / 3, 3: 0.0}
-        for r in rmt.moment_rows(tf, spec.M, zv, 3)[1:]:
+        for r in rmt.moment_rows(tf, spec.M, rmt.fourier_table(tf, spec.M), zv, 3)[1:]:
             assert float(r["predicted"]) == pytest.approx(gauss[r["n"]], abs=1e-12)
             assert abs(r["empirical"] - gauss[r["n"]]) <= max(4 * r["stderr"], 2.0 / spec.M)
 
@@ -396,7 +428,7 @@ class TestMomentEstimation:
         tf = fejer(F(3, 5))  # 2/n < sigma for n >= 4
         spec = rmt.EnsembleSpec(M=12, samples=200, seed=3)
         zv = haar_z(tf, spec)
-        by_n = {r["n"]: r for r in rmt.moment_rows(tf, spec.M, zv, 4)}
+        by_n = {r["n"]: r for r in rmt.moment_rows(tf, spec.M, rmt.fourier_table(tf, 12), zv, 4)}
         assert by_n[2]["supported"] and by_n[3]["supported"]
         assert not by_n[4]["supported"]
         assert by_n[4]["predicted"] is None and by_n[4]["gate"] is None
@@ -407,11 +439,12 @@ class TestMomentEstimation:
         # every row reduces its one private array in place; that is np.mean
         # and np.std(ddof=1) bit for bit, at every length
         tf = fejer(F(1, 2))
-        centre = float(rmt.finite_mean(tf, 10))
+        table = rmt.fourier_table(tf, 10)
+        centre = float(rmt.finite_mean(table, 10))
         rng = np.random.default_rng(0)
         for N in [*range(2, 300), 511, 512, 513, 2000, 20000, 100003]:
             z = rng.normal(2.0, 0.7, N)
-            for row in rmt.moment_rows(tf, 10, z, 4):
+            for row in rmt.moment_rows(tf, 10, table, z, 4):
                 powers = z if row["n"] == 1 else (z - centre) ** row["n"]
                 assert row["empirical"] == float(np.mean(powers)), (N, row["n"])
                 assert row["stderr"] == float(np.std(powers, ddof=1) / np.sqrt(N)), (N, row["n"])
@@ -421,19 +454,29 @@ class TestMomentEstimation:
         # array at a time (a copy of Z for n = 1, then the powers), not two
         N = 200_000
         tf = fejer(F(1, 2))
+        table = rmt.fourier_table(tf, 10)
         z = np.random.default_rng(1).normal(2.0, 0.7, N)
-        rmt.moment_rows(tf, 10, z[:10], 4)  # warm the exact predictions
+        rmt.moment_rows(tf, 10, table, z[:10], 4)  # warm the exact predictions
         tracemalloc.start()
         try:
-            rmt.moment_rows(tf, 10, z, 4)
+            rmt.moment_rows(tf, 10, table, z, 4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 8 * N, peak
 
     def test_stderr_positive_invariant(self):
+        tf = fejer(F(1, 2))
         with pytest.raises(InvariantViolation):
-            rmt.moment_rows(fejer(F(1, 2)), 10, np.full(5, 2.0), 2)
+            rmt.moment_rows(tf, 10, rmt.fourier_table(tf, 10), np.full(5, 2.0), 2)
+
+    def test_one_sample_refused(self):
+        # one Z has no standard error: refused before any 0/0
+        tf = fejer(F(1, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="at least 2 samples"):
+                rmt.moment_rows(tf, 10, rmt.fourier_table(tf, 10), np.array([2.0]), 2)
 
     def test_mean_bias_shrinks_with_M(self):
         # |bias(large M)| <= |bias(small M)| + 2 * combined stderr, averaged
@@ -446,7 +489,7 @@ class TestMomentEstimation:
             for seed in (1, 2):
                 spec = rmt.EnsembleSpec(M=M, samples=1500, seed=seed)
                 zv = haar_z(tf, spec)
-                rep = rmt.moment_rows(tf, M, zv, 1)[0]
+                rep = rmt.moment_rows(tf, M, rmt.fourier_table(tf, M), zv, 1)[0]
                 bs.append(rep["empirical"] - float(rep["predicted"]))
                 es.append(rep["stderr"])
             biases[M] = float(np.mean(bs))

@@ -14,7 +14,8 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 KEEP = {
     "exactpoly.PiecewisePoly.degree": "bench/trace_child.py reads each traced convolve "
                                       "result's degree with it",
-    "moments.I_integral": "the only exact caller of _integral_against_T's neg branch",
+    "moments.I_integral": "the only caller of _integral_against_T, the full-convolution "
+                          "I(alpha, delta) that the tests check the recursions on",
     "quadrature.oracle_I_integral": "the only caller of _folded's neg branch",
 }
 
@@ -105,10 +106,11 @@ MONTE_CARLO = ("sample_verblunsky", "_block_traces", "z_values_for")
 def test_monte_carlo_shares_nothing_with_the_exact_route():
     """The Monte Carlo path, and every ``rmt`` function it calls, names nothing
     that ``rmt`` imports from ``moments`` or ``exactpoly`` and imports neither,
-    so its agreement with the exact moments means something."""
+    so its agreement with the exact moments means something.  It reads the
+    Fourier weights as numbers: it names neither ``fhat_at`` nor ``TestFunction``."""
     tree = _trees()["rmt"]
     modules = ("moments", "exactpoly")
-    exact = set(modules)
+    exact = set(modules) | {"fhat_at", "TestFunction"}
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             whole = isinstance(node, ast.ImportFrom) and (node.module or "").endswith(modules)
