@@ -20,7 +20,7 @@ from splitmoments.exactpoly import PiecewisePoly, from_global_pieces
 from splitmoments.testfn import gp_terms, psi_terms
 
 
-def _mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
     for i, ca in enumerate(a):
         for j, cb in enumerate(b):
@@ -32,12 +32,12 @@ def _affine(c, alpha: Fraction, beta: Fraction) -> list[Fraction]:
     """Coefficients in y of c(alpha + beta*y), c ascending in its variable."""
     out = [Fraction(0)]
     for coef in reversed(c):  # Horner with polynomial arithmetic
-        out = _mul(out, [alpha, beta])
+        out = poly_mul(out, [alpha, beta])
         out[0] += coef
     return out
 
 
-def _integral(c: list[Fraction], lo: Fraction, hi: Fraction) -> Fraction:
+def poly_integral(c: list[Fraction], lo: Fraction, hi: Fraction) -> Fraction:
     return sum((cj * (hi ** (j + 1) - lo ** (j + 1)) / (j + 1) for j, cj in enumerate(c)),
                Fraction(0))
 
@@ -53,7 +53,7 @@ def convolve_at(p: PiecewisePoly, q: PiecewisePoly, x) -> Fraction:
             lo, hi = max(a0, x - b1), min(a1, x - b0)
             if lo < hi:
                 q_in_y = _affine(qc, x, Fraction(-1))  # q_j(x - y)
-                total += _integral(_mul(list(pc), q_in_y), lo, hi)
+                total += poly_integral(poly_mul(list(pc), q_in_y), lo, hi)
     return total
 
 
@@ -75,7 +75,7 @@ def reference_convolve(p: PiecewisePoly, q: PiecewisePoly) -> PiecewisePoly:
             basis, denom = [Fraction(1)], Fraction(1)
             for m, xm in enumerate(xs):
                 if m != k:
-                    basis = _mul(basis, [-xm, Fraction(1)])
+                    basis = poly_mul(basis, [-xm, Fraction(1)])
                     denom *= xk - xm
             weight = convolve_at(p, q, xk) / denom
             for j, bj in enumerate(basis):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convolution_reference import full_bracket
+from convolution_reference import full_bracket, poly_integral, poly_mul
 from oracle_reference import oracle_sigma_phi_sq, oracle_X_xi, t_transform_numeric
 from splitmoments import exactpoly as ep
 from splitmoments import moments as mo
@@ -37,6 +37,19 @@ DEG16 = testfn.TestFunction(
     phi_at=None,
     label="deg16",
 )
+
+
+@st.composite
+def even_fhat(draw):
+    """(sigma, pieces on [0, sigma]) of a random even piecewise-polynomial fhat:
+    rational knots, degree <= 3, support inside [-sigma, sigma]."""
+    sigma = draw(st.builds(F, st.integers(1, 6), st.integers(1, 6)))
+    inner = draw(st.lists(st.builds(F, st.integers(1, 11), st.just(12)),
+                          max_size=3, unique=True))
+    cuts = [F(0)] + sorted(sigma * t for t in inner) + [sigma]
+    coef = st.builds(F, st.integers(-4, 4), st.integers(1, 4))
+    return sigma, [(lo, hi, [draw(coef) for _ in range(draw(st.integers(1, 4)))])
+                   for lo, hi in zip(cuts, cuts[1:])]
 
 
 def sine_transform(tf, k, A):
@@ -69,6 +82,20 @@ class TestSigmaPhiSq:
     def test_sigma_independence(self):
         assert mo.sigma_phi_sq(fejer(F(1, 5))) == F(1, 3)
         assert mo.sigma_phi_sq(fejer(2)) == F(1, 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(even_fhat())
+    def test_equals_piecewise_integral(self, drawn):
+        """4 sum of int y p(y)^2 over the drawn pieces p on [0, sigma], in the
+        Fraction helpers of the convolution reference."""
+        sigma, half = drawn
+        fhat = ep.from_global_pieces(
+            [(-hi, -lo, [-c if j % 2 else c for j, c in enumerate(cs)])
+             for lo, hi, cs in reversed(half)] + half)
+        tf = testfn.TestFunction(sigma=sigma, fhat=fhat, phi_at=None, label="drawn")
+        exact = 4 * sum((poly_integral(poly_mul([F(0), F(1)], poly_mul(cs, cs)), lo, hi)
+                         for lo, hi, cs in half), F(0))
+        assert mo.sigma_phi_sq(tf) == exact
 
 
 class TestSineTransform:
