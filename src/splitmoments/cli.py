@@ -70,7 +70,9 @@ def parse_rational(text: str) -> Fraction:
         )
     try:
         return Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:
+        raise UsageError(f"zero denominator in {token!r}") from None
+    except ValueError as exc:
         raise UsageError(f"malformed rational {token!r}: {exc}") from exc
 
 

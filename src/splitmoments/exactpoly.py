@@ -68,7 +68,6 @@ __all__ = [
     "integral",
     "reflect",
     "restrict",
-    "multiply_by_monomial",
     "to_terms",
     "from_terms",
     "term_convolve",
@@ -331,13 +330,6 @@ def restrict(p: PiecewisePoly, lo: RationalLike, hi: RationalLike) -> PiecewiseP
         return PiecewisePoly.zero()
     cuts = [lo] + [b for b in p.breakpoints if lo < b < hi] + [hi]
     return _mk(cuts, (_piece_at(p, a) for a in cuts[:-1]))
-
-
-def multiply_by_monomial(p: PiecewisePoly, k: int) -> PiecewisePoly:
-    """x -> x^k * p(x) for k >= 0."""
-    if k < 0:
-        raise ValueError("monomial power must be >= 0")
-    return _mk(p.breakpoints, ((ZERO,) * k + piece for piece in p.pieces))
 
 
 # ---------------------------------------------------------------------------

@@ -113,19 +113,9 @@ def _check_support(tf: TestFunction, n: int, a: int) -> None:
 # ---------------------------------------------------------------------------
 
 def sigma_phi_sq(tf: TestFunction) -> Fraction:
-    """2 * int |y| fhat(y)^2 dy, exactly (= 4 int_0^sigma y fhat^2 by evenness).
-
-    Computed once per TestFunction and kept in its term cache.
-    """
-    cache = tf._terms
-    if cache.var is None:
-        sq = ep.multiply(tf.fhat, tf.fhat)
-        if sq.is_zero():
-            cache.var = Fraction(0)
-        else:
-            pos = ep.multiply_by_monomial(ep.restrict(sq, 0, tf.sigma + 1), 1)
-            cache.var = 4 * ep.integral(pos)
-    return cache.var
+    """2 * int |y| fhat(y)^2 dy, exactly: 4 int_0^sigma y fhat(y)^2 dy by evenness."""
+    y = ep.from_global_pieces([(0, tf.sigma, [0, 1])])
+    return 4 * ep.integral(ep.multiply(ep.multiply(tf.fhat, tf.fhat), y))
 
 
 def mean_value(tf: TestFunction) -> Fraction:

@@ -11,10 +11,10 @@ on Python floats.  The catalog ships the Fejer family
 whose transform is the unit-mass triangle.  Any other even function with a
 piecewise-polynomial transform can be registered through the same type.
 
-Each TestFunction carries one :class:`PowerTerms` cache holding the term
-lists (see :mod:`exactpoly`) of the self-convolution powers that the exact
-moment kernels consume: psi_k = fhat^{*k} and gp^{*l}, gp being fhat on
-[0, sigma], and the variance sigma_phi^2 once it has been computed.
+Each TestFunction keeps two lists of term lists (see :mod:`exactpoly`), the
+self-convolution powers that the exact moment kernels consume: psi_k =
+fhat^{*k} and gp^{*l}, gp being fhat on [0, sigma].  :func:`psi_terms` and
+:func:`gp_terms` extend them on demand.
 """
 
 from __future__ import annotations
@@ -30,28 +30,14 @@ from .errors import DomainError
 __all__ = ["TestFunction", "fejer", "phi_power_hat", "psi_terms", "gp_terms"]
 
 
-class PowerTerms:
-    """Term lists of self-convolution powers, extended on demand.
-
-    ``psi[k-1]`` holds fhat^{*k} and ``gp[l-1]`` holds gp^{*l}; ``var`` holds
-    sigma_phi^2 (see :func:`moments.sigma_phi_sq`).
-    """
-
-    __slots__ = ("psi", "gp", "var")
-
-    def __init__(self):
-        self.psi: list = []
-        self.gp: list = []
-        self.var: Fraction | None = None
-
-
 class TestFunction:
     """Even Schwartz test function with exact compactly supported transform.
 
-    Equality is identity; each test function keeps its own :class:`PowerTerms`.
+    Equality is identity.  ``_psi[k-1]`` holds the term list of fhat^{*k} and
+    ``_gp[l-1]`` that of gp^{*l}, each list filled by its accessor.
     """
 
-    __slots__ = ("sigma", "fhat", "phi_at", "label", "_terms", "_phi0")
+    __slots__ = ("sigma", "fhat", "phi_at", "label", "_psi", "_gp", "_phi0")
 
     def __init__(self, sigma: Fraction, fhat: PiecewisePoly,
                  phi_at: Callable[[float], float] | None, label: str):
@@ -64,7 +50,8 @@ class TestFunction:
         if supp is not None and (supp[0] < -self.sigma or supp[1] > self.sigma):
             raise DomainError("fhat must vanish outside [-sigma, sigma]")
         self.fhat, self.phi_at, self.label = fhat, phi_at, label
-        self._terms = PowerTerms()
+        self._psi: list = []
+        self._gp: list = []
         # Fourier inversion at 0: phi(0) = integral of fhat
         self._phi0 = ep.integral(fhat)
         if phi_at is not None:
@@ -117,9 +104,9 @@ def _power(powers: list, k: int):
 
 def psi_terms(tf: TestFunction, k: int):
     """Term list of psi_k = fhat^{*k}, the transform of phi^k (k >= 1), cached."""
-    if not tf._terms.psi:
-        tf._terms.psi.append(ep.to_terms(tf.fhat))
-    return _power(tf._terms.psi, k)
+    if not tf._psi:
+        tf._psi.append(ep.to_terms(tf.fhat))
+    return _power(tf._psi, k)
 
 
 def gp_terms(tf: TestFunction, ell: int):
@@ -127,9 +114,9 @@ def gp_terms(tf: TestFunction, ell: int):
 
     The folded coordinate |x| has density 2 gp; gp itself has mass phi(0)/2.
     """
-    if not tf._terms.gp:
-        tf._terms.gp.append(ep.to_terms(ep.restrict(tf.fhat, 0, tf.sigma + 1)))
-    return _power(tf._terms.gp, ell)
+    if not tf._gp:
+        tf._gp.append(ep.to_terms(ep.restrict(tf.fhat, 0, tf.sigma + 1)))
+    return _power(tf._gp, ell)
 
 
 def phi_power_hat(tf: TestFunction, m: int) -> PiecewisePoly:

@@ -507,6 +507,13 @@ class TestBadInput:
         err = assert_usage_error(["verify", "combinat", "--n", n, "--a", a], capsys)
         assert err.strip().endswith(f"a={a} outside 1..ceil(n/2)={bound}")
 
+    def test_zero_denominator_named(self, capsys, tmp_path):
+        err = assert_usage_error(["moment", "--sigma", "1/0", "--n", "2"], capsys)
+        assert err.strip().endswith("bad value for sigma: zero denominator in '1/0'")
+        cfg_file = write_config(tmp_path, "moment", sigma="3/0", n=2)
+        err = assert_usage_error(["--config", cfg_file], capsys)
+        assert err.strip().endswith(":2: bad value for sigma: zero denominator in '3/0'")
+
     def test_float_sigma_still_needs_exactness(self, capsys):
         err = assert_usage_error(["moment", "--sigma", "0.5", "--n", "2"], capsys)
         assert "bad value for sigma: exactness required" in err

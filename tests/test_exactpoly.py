@@ -106,11 +106,8 @@ class TestCalculus:
     def test_sigma_sq_integrand(self):
         # 2 int |y| fhat^2 = 1/3 for the Fejer triangle, any sigma
         t = triangle_fhat(F(1, 2))
-        sq = ep.multiply(t, t)
-        pos = ep.multiply_by_monomial(ep.restrict(sq, 0, 1), 1)
-        neg = ep.multiply_by_monomial(ep.restrict(sq, -1, 0), 1)
-        total = 2 * (ep.integral(pos) - ep.integral(neg))
-        assert total == F(1, 3)
+        abs_y = ep.from_global_pieces([(-1, 0, [0, -1]), (0, 1, [0, 1])])
+        assert 2 * ep.integral(ep.multiply(ep.multiply(t, t), abs_y)) == F(1, 3)
 
     def test_antiderivative_normalization(self):
         # cumulative is the antiderivative that vanishes left of the support
@@ -124,12 +121,6 @@ class TestCalculus:
         w = ep.cumulative(t, 0, 4)
         assert ep.evaluate(w, 0) == F(1, 2)
         assert ep.evaluate(w, 3) == 1
-
-    def test_monomial_multiplication(self):
-        b = box(1, 2)
-        m = ep.multiply_by_monomial(b, 2)
-        assert ep.evaluate(m, F(3, 2)) == F(9, 4)
-        assert ep.integral(m) == F(7, 3)  # int_1^2 x^2
 
 
 class TestCanonicalForms:
@@ -235,14 +226,6 @@ def test_reflect_pointwise(p):
     # at a breakpoint the two sides take the pieces on opposite sides of it
     for y in _probe_points(p) - set(p.breakpoints):
         assert ep.evaluate(r, -y) == ep.evaluate(p, y)
-
-
-@settings(max_examples=200, deadline=None)
-@given(piecewise_polys(), st.integers(0, 3))
-def test_multiply_by_monomial_pointwise(p, k):
-    m = ep.multiply_by_monomial(p, k)
-    for x in _probe_points(p):
-        assert ep.evaluate(m, x) == x**k * ep.evaluate(p, x)
 
 
 @settings(max_examples=100, deadline=None)

@@ -74,6 +74,14 @@ def test_every_definition_is_reached_traced_or_kept():
     assert sorted(set(KEEP) - unused) == []  # a referenced name needs no entry
 
 
+def test_every_traced_layer_resolves():
+    """Each name the benchmark tracer patches is a callable of its module, so a
+    change to src/ that would break ``bench/run.py --trace 1`` fails here."""
+    assert [f"{module.__name__}.{name}"
+            for module, names in load_bench("trace_child").LAYERS.items() for name in names
+            if not callable(getattr(module, name, None))] == []
+
+
 def test_every_export_resolves():
     modules = [importlib.import_module(f"splitmoments.{stem}") for stem in _trees()]
     assert [f"{m.__name__}.{name}" for m in modules for name in getattr(m, "__all__", [])

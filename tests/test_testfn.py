@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from oracle_reference import phi_value_numeric
 from splitmoments import exactpoly as ep
 from splitmoments.errors import DomainError
-from splitmoments.moments import predicted_centered_moment
+from splitmoments.moments import predicted_centered_moment, sigma_phi_sq
 from splitmoments.testfn import fejer, gp_terms, phi_power_hat, psi_terms
 
 
@@ -100,7 +100,7 @@ class TestPhiPowerHat:
         cache holds that one term per knot and no padding."""
         tf = fejer(F(1, 10))
         predicted_centered_moment(tf, 20, 10, "minus")
-        cached = tf._terms.psi
+        cached = tf._psi
         assert len(cached) == 20
         for k, psi in enumerate(cached, start=1):
             assert [kk for kk, _ in psi.knots] == list(range(-k, k + 1))
@@ -136,9 +136,7 @@ class TestParsevalConsistency:
     def test_exact_vs_numeric_weighted_square(self):
         # 2 int |y| fhat^2 agrees between the exact route and quadrature
         tf = fejer(F(3, 5))
-        sq = ep.multiply(tf.fhat, tf.fhat)
-        pos = ep.multiply_by_monomial(ep.restrict(sq, 0, 1), 1)
-        exact = 4 * ep.integral(pos)
+        exact = sigma_phi_sq(tf)
         num, _ = quad(
             lambda y: 2 * abs(y) * float(tf.fhat_at(F(y))) ** 2,
             -float(tf.sigma),
