@@ -134,6 +134,13 @@ class TestEnumeration:
         with pytest.raises(ResourceLimitError):
             sop.sum_TA_all(9, 2)
 
+    def test_compositions_pinned(self):
+        # every n <= 10 and every parts in {None, -1, ..., n + 1}, order included
+        listed = [(n, parts, list(sop.compositions(n, parts)))
+                  for n in range(11) for parts in [None, *range(-1, n + 2)]]
+        assert hashlib.sha256(repr(listed).encode()).hexdigest() == (
+            "4648edc47bc71f62e5b43898be13000cac2c0046be05e7790af0160178525728")
+
 
 class TestTupleFeasible:
     def test_single_small_subset_feasible(self):

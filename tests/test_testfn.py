@@ -1,5 +1,6 @@
 """Test-function catalog: Fejer family and transform powers."""
 
+import hashlib
 import math
 from fractions import Fraction as F
 
@@ -106,6 +107,21 @@ class TestPhiPowerHat:
             assert [kk for kk, _ in psi.knots] == list(range(-k, k + 1))
             assert all(len(pairs) == 1 and pairs[0][0] == 2 * k - 1
                        for _, pairs in psi.knots)
+
+    @pytest.mark.parametrize("sigma, digest", [
+        (F(1, 2), "5d7a2e7c6aa92c013972256ea02282bd29114214e89d1a3ddb6d4db59f4fab03"),
+        (F(1, 3), "e0d193839ecbe74eced77a98587782906971983e0f75e10f0b2d30eee3c84352"),
+        (F(3, 5), "7171beefa4a56bbf72b04a3cdc64fc255d7fd713b949633153b9f539277c9253"),
+    ])
+    def test_power_term_lists_pinned(self, sigma, digest):
+        """psi_m (m <= 6), gp^{*l} (l <= 4) and the piecewise psi_m, pinned by
+        the sha256 of their repr: the Taylor shifts in and out of the term
+        lists and the constructor's canonical form stay bit for bit."""
+        tf = fejer(sigma)
+        powers = ([psi_terms(tf, m) for m in range(1, 7)],
+                  [gp_terms(tf, ell) for ell in range(1, 5)],
+                  [phi_power_hat(tf, m) for m in range(1, 7)])
+        assert hashlib.sha256(repr(powers).encode()).hexdigest() == digest
 
 
 class TestPhiValueNumeric:
