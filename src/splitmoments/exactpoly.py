@@ -11,11 +11,13 @@ carries transforms, their halves and squares, and small polynomials: low
 degrees, for which coefficients in a local variable ``x - b_i`` would save no
 coefficient growth.  In x, equal adjacent pieces have equal tuples, and
 restriction, reflection, products and integrals need no change of variable;
-the Taylor shift (``_pshift``) is used only where a jump is moved to its knot
-(:func:`to_terms`) and back to x (:func:`from_terms`).
+the Taylor shift (``_pshift``, binomials from ``math.comb``) is used only
+where a jump is moved to its knot (:func:`to_terms`) and back to x
+(:func:`from_terms`).
 
 All piecewise coefficients are :class:`fractions.Fraction`, so every
-operation here is exact.  Construction always canonicalizes: zero tails of
+operation here is exact.  Every operation builds its result with the
+:class:`PiecewisePoly` constructor, which always canonicalizes: zero tails of
 coefficient tuples are trimmed, adjacent pieces describing the same
 polynomial are merged, and leading/trailing zero pieces are dropped.  Two
 constructions of the same function therefore compare equal structurally.
@@ -51,7 +53,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import factorial, gcd, lcm, perm
+from itertools import pairwise, zip_longest
+from math import comb, factorial, gcd, lcm, perm
 from typing import Iterable, NamedTuple, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
@@ -102,17 +105,10 @@ def _ptrim(c: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 
 def _padd(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, cb in enumerate(b):
-        out[i] += cb
-    return _ptrim(out)
+    return _ptrim([ca + cb for ca, cb in zip_longest(a, b, fillvalue=ZERO)])
 
 
 def _pmul(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    if not a or not b:
-        return ()
     out = [ZERO] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca == 0:
@@ -130,26 +126,14 @@ def _peval(a: Sequence[Fraction], x: Fraction) -> Fraction:
 
 
 def _pshift(a: Sequence[Fraction], s: Fraction) -> tuple[Fraction, ...]:
-    """Coefficients of p(t + s) given coefficients of p(t) (Taylor shift)."""
-    if s == 0 or not a:
-        return _ptrim(a)
-    n = len(a)
-    out = [ZERO] * n
-    spow: list[Fraction] = [ONE]
-    for _ in range(1, n):
-        spow.append(spow[-1] * s)
-    binom_row = [1]
+    """Coefficients of p(t + s) given coefficients of p(t) (Taylor shift):
+    a_k t^k adds a_k C(k, j) s^(k-j) to the t^j coefficient, j <= k."""
+    spow = [s**i for i in range(len(a))]
+    out = [ZERO] * len(a)
     for k, c in enumerate(a):
-        if k > 0:
-            binom_row = (
-                [1]
-                + [binom_row[j - 1] + binom_row[j] for j in range(1, k)]
-                + [1]
-            )
-        if c == 0:
-            continue
-        for j in range(k + 1):
-            out[j] += c * binom_row[j] * spow[k - j]
+        if c:
+            for j in range(k + 1):
+                out[j] += c * comb(k, j) * spow[k - j]
     return _ptrim(out)
 
 
@@ -241,10 +225,6 @@ def _canonical(
     return tuple(bl), tuple(pl)
 
 
-def _mk(breaks: Iterable[Fraction], pieces: Iterable[Sequence[Fraction]]) -> PiecewisePoly:
-    return PiecewisePoly(tuple(breaks), tuple(tuple(p) for p in pieces))
-
-
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
@@ -272,7 +252,7 @@ def from_global_pieces(
             breaks.append(lo)
         pieces.append(cs)
         breaks.append(hi)
-    return _mk(breaks, pieces)
+    return PiecewisePoly(breaks, pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +284,15 @@ def _piece_at(p: PiecewisePoly, x: Fraction) -> tuple[Fraction, ...]:
 
 def multiply(p: PiecewisePoly, q: PiecewisePoly) -> PiecewisePoly:
     """Exact pointwise product; support is contained in the intersection."""
-    if p.is_zero() or q.is_zero():
-        return PiecewisePoly.zero()
     cuts = sorted(set(p.breakpoints) | set(q.breakpoints))
-    return _mk(cuts, (_pmul(_piece_at(p, lo), _piece_at(q, lo)) for lo in cuts[:-1]))
+    return PiecewisePoly(cuts, (_pmul(_piece_at(p, lo), _piece_at(q, lo)) for lo in cuts[:-1]))
 
 
 def reflect(p: PiecewisePoly) -> PiecewisePoly:
     """x -> p(-x): the pieces in reverse order, odd coefficients negated."""
-    return _mk((-b for b in reversed(p.breakpoints)),
-               (tuple(-c if j % 2 else c for j, c in enumerate(piece))
-                for piece in reversed(p.pieces)))
+    return PiecewisePoly((-b for b in reversed(p.breakpoints)),
+                         (tuple(-c if j % 2 else c for j, c in enumerate(piece))
+                          for piece in reversed(p.pieces)))
 
 
 def restrict(p: PiecewisePoly, lo: RationalLike, hi: RationalLike) -> PiecewisePoly:
@@ -329,7 +307,7 @@ def restrict(p: PiecewisePoly, lo: RationalLike, hi: RationalLike) -> PiecewiseP
     if not lo < hi:
         return PiecewisePoly.zero()
     cuts = [lo] + [b for b in p.breakpoints if lo < b < hi] + [hi]
-    return _mk(cuts, (_piece_at(p, a) for a in cuts[:-1]))
+    return PiecewisePoly(cuts, (_piece_at(p, a) for a in cuts[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +337,7 @@ def cumulative(p: PiecewisePoly, lo: RationalLike, hi: RationalLike) -> Piecewis
     if hi > b[-1]:
         pieces.append((acc,))
         breaks.append(hi)
-    return restrict(_mk(breaks, pieces), lo, hi)
+    return restrict(PiecewisePoly(breaks, pieces), lo, hi)
 
 
 def definite_integral(p: PiecewisePoly, lo: RationalLike, hi: RationalLike) -> Fraction:
@@ -367,30 +345,18 @@ def definite_integral(p: PiecewisePoly, lo: RationalLike, hi: RationalLike) -> F
     lo, hi = frac(lo), frac(hi)
     if lo > hi:
         raise ValueError("definite_integral requires lo <= hi")
-    if p.is_zero():
-        return ZERO
-    lo = max(lo, p.breakpoints[0])
-    hi = min(hi, p.breakpoints[-1])
-    if lo >= hi:
-        return ZERO
     total = ZERO
-    b = p.breakpoints
-    i = bisect_right(b, lo) - 1
-    while i < len(p.pieces) and b[i] < hi:
-        a0 = max(lo, b[i])
-        a1 = min(hi, b[i + 1])
+    for (b0, b1), piece in zip(pairwise(p.breakpoints), p.pieces):
+        a0, a1 = max(lo, b0), min(hi, b1)
         if a0 < a1:
-            integ = _pintegrate(p.pieces[i])
+            integ = _pintegrate(piece)
             total += _peval(integ, a1) - _peval(integ, a0)
-        i += 1
     return total
 
 
 def integral(p: PiecewisePoly) -> Fraction:
     """Total integral over the real line."""
-    if p.is_zero():
-        return ZERO
-    return definite_integral(p, p.breakpoints[0], p.breakpoints[-1])
+    return definite_integral(p, *(p.support or (ZERO, ZERO)))
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +429,7 @@ def from_terms(terms: Terms) -> PiecewisePoly:
     # past the final knot the accumulation must vanish (compact support)
     if pieces.pop():
         raise AssertionError("truncated-power sum does not telescope to zero")
-    return _mk(knots, pieces)
+    return PiecewisePoly(knots, pieces)
 
 
 def _on_unit(terms: Terms, unit: Fraction) -> Terms:

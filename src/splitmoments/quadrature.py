@@ -36,7 +36,7 @@ import math
 from bisect import bisect_right
 from itertools import chain
 from math import comb, fsum
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import DomainError, ResourceLimitError
 from .testfn import TestFunction
@@ -155,6 +155,13 @@ def _F(pieces: list[_Piece], xi: float) -> complex:
     return total
 
 
+def _phi(tf: TestFunction) -> Callable[[float], float]:
+    """The test function's float evaluator, the oracle's only reading of phi."""
+    if tf.phi_at is None:
+        raise DomainError(f"the quadrature oracle needs phi_at; {tf.label} has none")
+    return tf.phi_at
+
+
 def _t_kernel(tf: TestFunction, k: int, freq: float, fold: int,
               v: float) -> Iterator[tuple[list[float], list[float]]]:
     """Nodes xi and weights g(xi) = phi^k(xi) w / (2 pi xi) of the rule for T_k.
@@ -167,9 +174,7 @@ def _t_kernel(tf: TestFunction, k: int, freq: float, fold: int,
     count is checked at once; the rule then yields one panel's (xi, g) lists
     at a time, as they are drawn.
     """
-    phi = tf.phi_at
-    if phi is None:
-        raise DomainError(f"the quadrature oracle needs phi_at; {tf.label} has none")
+    phi = _phi(tf)
     s = float(tf.sigma)
     p = 2 * k + fold
     c = (math.pi * s) ** (-2 * k) * (v / math.pi) ** fold / (math.pi * p)
@@ -218,7 +223,7 @@ def oracle_R_moment(tf: TestFunction, m: int, i: int) -> float:
     """R(m, i) from the definitional formula: folded integrals V(m, l), l < i."""
     if i < 1 or i > m:
         raise DomainError("oracle_R_moment requires 1 <= i <= m")
-    phi0_m = float(tf.phi_zero()) ** m
+    phi0_m = _phi(tf)(0.0) ** m
     total = 0.0
     for ell in range(i):
         v = _folded(tf, m - ell, ell, 0)

@@ -1,7 +1,8 @@
 """Brute-force combinatorics behind the cumulant expansion.
 
 A *system of parameters* S is a composition lambda_1..lambda_m of n, with
-partial sums p_1 < .. < p_m = n, and a sign vector eps in {+-1}^n.  It
+partial sums p_1 < .. < p_m = n (``compositions`` draws p_1..p_{m-1} from
+1..n-1 with ``itertools.combinations``), and a sign vector eps in {+-1}^n.  It
 carries the weight
 
     A(S) = (-1)^{m+1}/m * n!/(lambda_1! ... lambda_m!)
@@ -36,7 +37,7 @@ identities, lives in ``tests/oracle_reference.py``.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, combinations, permutations
+from itertools import accumulate, combinations, pairwise, permutations
 from math import factorial, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
@@ -57,22 +58,15 @@ ENUMERATION_CAP = 8
 
 
 def compositions(n: int, parts: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Compositions of n (into `parts` parts if given), lexicographic."""
-    if n == 0 and parts in (0, None):
-        yield ()
+    """Compositions of n (into `parts` parts if given), lexicographic: the
+    partial sums come in lexicographic order, and so do the parts."""
+    if n < 1:  # only 0 has a composition: the empty one, with no parts
+        if n == 0 and parts in (0, None):
+            yield ()
         return
-    if parts is None:
-        for m in range(1, n + 1):
-            yield from compositions(n, m)
-        return
-    if parts < 1 or n < parts:
-        return
-    if parts == 1:
-        yield (n,)
-        return
-    for first in range(1, n - parts + 2):
-        for rest in compositions(n - first, parts - 1):
-            yield (first,) + rest
+    for m in range(1, n + 1) if parts is None else [parts] if parts > 0 else []:
+        for cuts in combinations(range(1, n), m - 1):
+            yield tuple(b - a for a, b in pairwise((0, *cuts, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +221,6 @@ def exp_neg_coeff(n: int) -> Fraction:
     """
     if n < 0:
         raise DomainError("n must be >= 0")
-    if n == 0:
-        return Fraction(1)  # empty composition, empty product
     total = sum((-1) ** len(lam) * (factorial(n) // prod(factorial(l) for l in lam))
                 for lam in compositions(n))
     return Fraction(total, factorial(n))

@@ -518,6 +518,20 @@ class TestBadInput:
         err = assert_usage_error(["moment", "--sigma", "0.5", "--n", "2"], capsys)
         assert "bad value for sigma: exactness required" in err
 
+    @pytest.mark.parametrize("args", [
+        ["moment", "--sigma", "1/2", "--n", ""],
+        ["moment", "--sigma", "1/2", "--n", "4", "--a", "q"],
+        ["rmt", "--M", "100", "--sigma", "3/5", "--samples", "1e3"],
+        ["vanish", "--r", "5", "--n", "x", "--sigma", "1/2"],
+        ["moment", "--sigma", "", "--n", "2"],
+        ["moment", "--sigma", "abc", "--n", "2"],
+    ], ids=["n-empty", "a-word", "samples-float", "vanish-n-word", "sigma-empty", "sigma-word"])
+    def test_malformed_number_names_the_expected_form(self, args, capsys):
+        # the message says what to write, not which Python constructor refused it
+        err = assert_usage_error(args, capsys)
+        assert "expected an integer" in err
+        assert not any(word in err for word in ("int()", "literal", "Fraction")), err
+
     @pytest.mark.parametrize("args", [["-h"], ["moment", "-h"], ["verify", "arith", "--help"]])
     def test_help_exits_zero(self, args, capsys):
         with pytest.raises(SystemExit) as exc:
