@@ -394,8 +394,6 @@ def _top_degree(terms: Terms) -> int:
 
 def to_terms(p: PiecewisePoly) -> Terms:
     """Decompose as a sum of c * (x - xi)_+^j terms on the lattice of p's knots."""
-    if p.is_zero():
-        return _NO_TERMS
     # the jump of the pieces at each knot xi, re-expanded in x - xi
     jumps: list[tuple[Fraction, tuple[Fraction, ...]]] = []
     for xi, left, right in zip(p.breakpoints, ((),) + p.pieces, p.pieces + ((),)):

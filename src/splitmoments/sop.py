@@ -60,13 +60,14 @@ ENUMERATION_CAP = 8
 def compositions(n: int, parts: int | None = None) -> Iterator[tuple[int, ...]]:
     """Compositions of n (into `parts` parts if given), lexicographic: the
     partial sums come in lexicographic order, and so do the parts."""
-    if n < 1:  # only 0 has a composition: the empty one, with no parts
-        if n == 0 and parts in (0, None):
+    if n < 1 or parts is not None and parts < 1:
+        if n == 0 and parts in (0, None):  # the empty composition, with no parts
             yield ()
         return
-    for m in range(1, n + 1) if parts is None else [parts] if parts > 0 else []:
+    for m in range(1, n + 1) if parts is None else (parts,):
         for cuts in combinations(range(1, n), m - 1):
-            yield tuple(b - a for a, b in pairwise((0, *cuts, n)))
+            # from a list: tuple(generator) resizes, and resized tuples fill the free lists
+            yield tuple([b - a for a, b in pairwise((0, *cuts, n))])
 
 
 # ---------------------------------------------------------------------------

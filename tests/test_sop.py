@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction as F
 from math import comb
 
@@ -140,6 +141,21 @@ class TestEnumeration:
                   for n in range(11) for parts in [None, *range(-1, n + 2)]]
         assert hashlib.sha256(repr(listed).encode()).hexdigest() == (
             "4648edc47bc71f62e5b43898be13000cac2c0046be05e7790af0160178525728")
+
+    def test_streamed_compositions_retain_no_memory(self):
+        # every n <= 14, one at a time; tuples built by tuple(generator) are
+        # resized, and about 0.9 MB of them would stay in CPython's free lists
+        for _ in sop.compositions(12):
+            pass
+        tracemalloc.start()
+        try:
+            for n in range(1, 15):
+                for _ in sop.compositions(n):
+                    pass
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 64_000, retained
 
 
 class TestTupleFeasible:
