@@ -144,7 +144,8 @@ class TestEnumeration:
 
     def test_streamed_compositions_retain_no_memory(self):
         # every n <= 14, one at a time; tuples built by tuple(generator) are
-        # resized, and about 0.9 MB of them would stay in CPython's free lists
+        # resized, and about 0.9 MB of them would stay in CPython's free lists;
+        # a first pass, untraced, settles what the interpreter keeps anyway
         for _ in sop.compositions(12):
             pass
         tracemalloc.start()
