@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitmoments import arith
-from splitmoments.errors import DomainError
+from splitmoments.errors import DomainError, InvariantViolation
 
 
 def e(x):
@@ -147,6 +147,14 @@ class TestGaussSums:
                     continue
                 for n in range(0, 51):
                     arith.gauss_sum(chi, n)  # raises on violation
+
+    def test_primitive_bound_raises(self):
+        # the principal character mod 5, marked primitive, sums to phi(5) = 4 at
+        # n = 5: above sqrt(5) but below 2 sqrt(5), so a looser bound lets it pass
+        chi0 = next(c for c in arith.enumerate_characters(5) if c.is_principal)
+        chi = chi0._replace(is_principal=False, primitive=True)
+        with pytest.raises(InvariantViolation):
+            arith.gauss_sum(chi, 5)
 
     def test_imprimitive_counterexample_documented(self):
         # the naive sqrt(q) bound fails for imprimitive characters: the

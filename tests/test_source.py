@@ -4,6 +4,9 @@ import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
+from mutants import MUTANTS, source
 from test_cli import load_bench
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -86,6 +89,13 @@ def test_every_export_resolves():
     modules = [importlib.import_module(f"splitmoments.{stem}") for stem in _trees()]
     assert [f"{m.__name__}.{name}" for m in modules for name in getattr(m, "__all__", [])
             if not hasattr(m, name)] == []
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: f"{m.file}:{m.checks}")
+def test_every_mutant_applies_once(mutant):
+    """Each mutant of ``tests/mutants.py`` edits exactly one place, so moving
+    the code it mutates fails here until the mutant follows."""
+    assert source(mutant).read_text().count(mutant.old) == 1
 
 
 def test_float_oracle_shares_nothing_with_the_exact_route():
