@@ -13,20 +13,17 @@ of the test function and ``sigma`` its support radius:
 - ``predicted_centered_moment``: 1_{n even} (n-1)!! sigma_phi^n +- S(n, a).
 - ``X_xi(n, l)`` and ``Q_n_via_classes``: the independent route through the
   indicator integrals over [0, inf)^n, which must agree exactly with R.
-- ``I_integral(n, alpha, delta)``: the signed-fold variant obeying the two
-  recursions that collapse it to I(omega, 0).
 
 The mean of the statistic is ``mean_value`` = fhat(0) + (1/2) int_{-1}^{1} fhat.
 
 The two exact routes share no convolution code above :mod:`exactpoly`.  The
-R route (``R_moment``, ``S_correction``, ``predicted_centered_moment``,
-``I_integral``) works on the term lists cached per test function
-(:func:`testfn.psi_terms`, :func:`testfn.gp_terms`) and never builds a
-piecewise intermediate.  The Q route (``X_xi``,
-``Q_n_via_classes``) also chains term-list convolutions, but of term lists it
-rebuilds from ``fhat`` on every call, so it reads nothing from that cache; the
-two routes then differ in the formula they evaluate (sign-pattern classes
-against tail masses), not in the algebra beneath it.
+R route (``R_moment``, ``S_correction``, ``predicted_centered_moment``)
+works on the term lists cached per test function (:func:`testfn.psi_terms`,
+:func:`testfn.gp_terms`) and never builds a piecewise intermediate.  The Q
+route (``X_xi``, ``Q_n_via_classes``) also chains term-list convolutions, but
+of term lists it rebuilds from ``fhat`` on every call, so it reads nothing
+from that cache; the two routes then differ in the formula they evaluate
+(sign-pattern classes against tail masses), not in the algebra beneath it.
 
 Each M(k, l) is a thin tail when sigma <= 2/n, and the R route builds only
 the knots it reads there.  The Q route keeps full convolutions, so R == Q
@@ -51,7 +48,6 @@ __all__ = [
     "S_correction",
     "predicted_centered_moment",
     "mean_value",
-    "I_integral",
     "X_xi",
     "Q_n_via_classes",
     "minimal_a",
@@ -128,17 +124,15 @@ def mean_value(tf: TestFunction) -> Fraction:
 # ---------------------------------------------------------------------------
 # the folded-coordinate bracket
 #
-# I(alpha, delta) integrates T_k(1 + s), T_k(A) = int_0^A psi_k, against rho,
-# the density of a signed sum of folded coordinates |x_j|, each of density
-# 2 gp.  Swapping the order of integration turns int rho(s) F_k(1 + s) ds,
-# F_k the cumulative of psi_k, into the mass of psi_k * reflect(rho) below 1,
-# one chain of term-list convolutions.
-#
-# With no negative part (the paper's bracket V(m, l) is I(l, 0) at n = m)
-# that mass is the total phi(0)^m minus the mass above 1, which, psi_k being
-# even, is 2^l M(m - l, l).  So V(m, l) = phi(0)^m / 2 - 2^l M(m - l, l), the
-# phi(0)^m / 2 cancels in every R bracket, and only the thin tails' knots are
-# built.  The Q route keeps full convolutions, so R == Q checks the cut.
+# The paper's bracket V(m, l) integrates T_k(1 + s), k = m - l and
+# T_k(A) = int_0^A psi_k, against rho, the density of a sum of l folded
+# coordinates |x_j|, each of density 2 gp.  Swapping the order of integration
+# turns int rho(s) F_k(1 + s) ds, F_k the cumulative of psi_k, into the mass
+# of psi_k * reflect(rho) below 1.  That mass is the total phi(0)^m minus the
+# mass above 1, which, psi_k being even, is 2^l M(k, l).  So
+# V(m, l) = phi(0)^m / 2 - 2^l M(k, l), the phi(0)^m / 2 cancels in every R
+# bracket, and only the thin tails' knots are built.  The Q route keeps full
+# convolutions, so R == Q checks the cut.
 # ---------------------------------------------------------------------------
 
 def _tail_mass(tf: TestFunction, k: int, ell: int) -> Fraction:
@@ -148,23 +142,6 @@ def _tail_mass(tf: TestFunction, k: int, ell: int) -> Fraction:
     if ell:
         conv = ep.term_convolve(conv, gp_terms(tf, ell), below=-1)
     return ep.term_mass_below(conv, -1)
-
-
-def _integral_against_T(tf: TestFunction, k: int, pos: int, neg: int) -> Fraction:
-    """int rho(s) T_k(1 + s) ds for rho the density of `pos` folded
-    coordinates minus `neg` (a unit point mass at 0 when both are 0).
-
-    This is the mass of psi_k * reflect(rho) below 1 minus F_k(0) int rho,
-    with F_k(0) = phi(0)^k / 2 (psi_k is even), int rho = phi(0)^(pos+neg)
-    and reflect(rho) = 2^(pos+neg) reflect(gp^{*pos}) * gp^{*neg}, built
-    from every knot (the R route reads the same bracket off ``_tail_mass``).
-    """
-    conv = psi_terms(tf, k)
-    if pos:
-        conv = ep.term_convolve(conv, ep.term_reflect(gp_terms(tf, pos)))
-    if neg:
-        conv = ep.term_convolve(conv, gp_terms(tf, neg))
-    return 2 ** (pos + neg) * ep.term_mass_below(conv, 1) - tf.phi_zero() ** (k + pos + neg) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -240,15 +217,3 @@ def Q_n_via_classes(tf: TestFunction, n: int, a: int) -> Fraction:
         total += (-1) ** ell * comb(n, ell) * X_xi(tf, n, ell)
     return Fraction(2) ** (n - 1) * (-1) ** n * total
 
-
-# ---------------------------------------------------------------------------
-# signed-fold integrals I(alpha, delta)
-# ---------------------------------------------------------------------------
-
-def I_integral(tf: TestFunction, n: int, alpha: int, delta: int) -> Fraction:
-    """I(alpha, delta): T_{n-alpha-delta} against the signed folded density."""
-    if alpha < 0 or delta < 0:
-        raise DomainError("alpha, delta must be >= 0")
-    if alpha + delta >= n:
-        raise DomainError("I_integral requires alpha + delta < n")
-    return _integral_against_T(tf, n - alpha - delta, alpha, delta)

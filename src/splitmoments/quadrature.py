@@ -13,10 +13,10 @@ on the pieces of ``tf.fhat``, whose coefficients are in y.
   its degree, integration by parts gives a finite sum over the derivatives
   at the two ends when omega L >= max(1, d); below that (where the sum
   would cancel) the piece's one GL panel is used instead.
-- R(m, i) and I(alpha, delta): the folded integrals
-  int_{[0,sigma]^d} prod 2 fhat(x_j) T_k(1 + sum s_j x_j) dx, with
+- R(m, i): the folded integrals
+  int_{[0,sigma]^d} prod 2 fhat(x_j) T_k(1 + sum x_j) dx, with
   T_k(A) = int phi^k(x) sin(2 pi x A)/(2 pi x) dx, factorise in Fourier
-  space into 2 sum g(xi) Im[e^{2 pi i xi} F(xi)^pos conj(F(xi))^neg] with
+  space into 2 sum g(xi) Im[e^{2 pi i xi} F(xi)^d] with
   g(xi) = phi^k(xi) w / (2 pi xi); depth 0 is F^0 = 1, that is T_k(1).  The
   xi panels run out to a cutoff chosen from the envelope
   phi(x)^k <= (pi sigma x)^{-2k}.
@@ -25,8 +25,8 @@ Target absolute error is 1e-8.  The T_k rule's panel count grows like
 1/sigma; above ``_MAX_PANELS`` it raises ResourceLimitError before building
 a node.  The rule streams into one correctly rounded ``fsum`` a 16-node
 panel at a time, so memory does not grow with the panel count.  The tests
-reuse this rule for float references of phi(x), T_k(A) and sigma_phi^2
-(``tests/oracle_reference.py``).
+reuse this rule for float references of phi(x), T_k(A), sigma_phi^2 and the
+signed-fold integrals I(alpha, delta) (``tests/oracle_reference.py``).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Callable, Iterator, NamedTuple
 from .errors import DomainError, ResourceLimitError
 from .testfn import TestFunction
 
-__all__ = ["oracle_R_moment", "oracle_I_integral"]
+__all__ = ["oracle_R_moment"]
 
 _TARGET = 1e-8
 # Panel cap of the streamed T_k rule, a bound on time only: 130853 panels
@@ -192,30 +192,27 @@ def _t_kernel(tf: TestFunction, k: int, freq: float, fold: int,
     return map(panel, range(panels))
 
 
-def _folded(tf: TestFunction, k: int, pos: int, neg: int) -> float:
-    """int over [0,sigma]^(pos+neg) of prod 2 fhat(x_j) * T_k(1 + sum s_j x_j).
+def _folded(tf: TestFunction, k: int, pos: int) -> float:
+    """int over [0,sigma]^pos of prod 2 fhat(x_j) * T_k(1 + sum x_j).
 
-    The first ``pos`` signs s_j are +1 and the last ``neg`` are -1.  Summing
-    T_k's rule under the integral gives
-    2 sum g(xi) Im[e^{2 pi i xi} F(xi)^pos conj(F(xi))^neg].  By parts,
-    |F(xi)| <= v / (pi xi), v being the end values of fhat on [0, sigma]
-    plus its variation there; v is read off the pieces' GL nodes and doubled
-    for margin, and shortens T_k's rule when pos + neg > 0.
+    Summing T_k's rule under the integral gives
+    2 sum g(xi) Im[e^{2 pi i xi} F(xi)^pos].  By parts, |F(xi)| <= v / (pi xi),
+    v being the end values of fhat on [0, sigma] plus its variation there; v
+    is read off the pieces' GL nodes and doubled for margin, and shortens
+    T_k's rule when pos > 0.
     """
-    fold = pos + neg
     pieces = _pieces(tf)
     f = [a for p in pieces for a in p.f]
     v = 2.0 * (abs(f[0]) + abs(f[-1]) + fsum(abs(b - a) for a, b in zip(f, f[1:])))
 
     def terms(panel: tuple[list[float], list[float]]) -> list[float]:
         xi, g = panel
-        if not fold:
+        if not pos:
             return [w * cmath.exp(2j * math.pi * x).imag for x, w in zip(xi, g)]
-        fx = [_F(pieces, x) for x in xi]
-        return [w * (cmath.exp(2j * math.pi * x) * (F**pos * F.conjugate() ** neg)).imag
-                for x, w, F in zip(xi, g, fx)]
+        return [w * (cmath.exp(2j * math.pi * x) * _F(pieces, x) ** pos).imag
+                for x, w in zip(xi, g)]
 
-    rule = _t_kernel(tf, k, 1.0 + max(pos, neg) * float(tf.sigma), fold, v)
+    rule = _t_kernel(tf, k, 1.0 + pos * float(tf.sigma), pos, v)
     return 2.0 * fsum(chain.from_iterable(map(terms, rule)))
 
 
@@ -226,12 +223,7 @@ def oracle_R_moment(tf: TestFunction, m: int, i: int) -> float:
     phi0_m = _phi(tf)(0.0) ** m
     total = 0.0
     for ell in range(i):
-        v = _folded(tf, m - ell, ell, 0)
+        v = _folded(tf, m - ell, ell)
         total += (-1) ** ell * comb(m, ell) * (-phi0_m / 2 + v)
     return 2.0 ** (m - 1) * (-1) ** (m + 1) * total
 
-
-def oracle_I_integral(tf: TestFunction, n: int, alpha: int, delta: int) -> float:
-    if alpha < 0 or delta < 0 or alpha + delta >= n:
-        raise DomainError("oracle_I_integral requires alpha, delta >= 0, alpha+delta < n")
-    return _folded(tf, n - alpha - delta, alpha, delta)

@@ -8,7 +8,9 @@ is an independent reference for the term-list kernel in ``exactpoly``.
 
 :func:`full_bracket` is the other kind of reference: the R route's bracket
 computed the long way, from the full convolution psi_k * reflect(gp^{*l}),
-against which the route's cut to the knots below -1 is checked.
+against which the route's cut to the knots below -1 is checked.  Its signed
+form gives the paper's signed-fold integrals :func:`I_integral`, on which the
+tests check the two recursions that collapse I(alpha, delta) to I(omega, 0).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from splitmoments import exactpoly as ep
+from splitmoments.errors import DomainError
 from splitmoments.exactpoly import PiecewisePoly, from_global_pieces
 from splitmoments.testfn import gp_terms, psi_terms
 
@@ -84,11 +87,27 @@ def reference_convolve(p: PiecewisePoly, q: PiecewisePoly) -> PiecewisePoly:
     return from_global_pieces(spans)
 
 
-def full_bracket(tf, k: int, ell: int) -> Fraction:
-    """int rho(s) T_k(1 + s) ds for rho the density of l folded coordinates:
-    2^l (mass of psi_k * reflect(gp^{*l}) below 1) - phi(0)^(k+l) / 2, every
-    knot of the convolution built."""
+def full_bracket(tf, k: int, pos: int, neg: int = 0) -> Fraction:
+    """int rho(s) T_k(1 + s) ds for rho the density of ``pos`` folded
+    coordinates minus ``neg`` (a unit point mass at 0 when both are 0).
+
+    This is the mass of psi_k * reflect(rho) below 1 minus F_k(0) int rho,
+    with F_k(0) = phi(0)^k / 2 (psi_k is even), int rho = phi(0)^(pos+neg)
+    and reflect(rho) = 2^(pos+neg) reflect(gp^{*pos}) * gp^{*neg}, every knot
+    of the convolution built.
+    """
     conv = psi_terms(tf, k)
-    if ell:
-        conv = ep.term_convolve(conv, ep.term_reflect(gp_terms(tf, ell)))
-    return 2 ** ell * ep.term_mass_below(conv, 1) - tf.phi_zero() ** (k + ell) / 2
+    if pos:
+        conv = ep.term_convolve(conv, ep.term_reflect(gp_terms(tf, pos)))
+    if neg:
+        conv = ep.term_convolve(conv, gp_terms(tf, neg))
+    return 2 ** (pos + neg) * ep.term_mass_below(conv, 1) - tf.phi_zero() ** (k + pos + neg) / 2
+
+
+def I_integral(tf, n: int, alpha: int, delta: int) -> Fraction:
+    """I(alpha, delta): T_{n-alpha-delta} against the signed folded density."""
+    if alpha < 0 or delta < 0:
+        raise DomainError("alpha, delta must be >= 0")
+    if alpha + delta >= n:
+        raise DomainError("I_integral requires alpha + delta < n")
+    return full_bracket(tf, n - alpha - delta, alpha, delta)

@@ -62,10 +62,6 @@ MUTANTS = [
 ]
 
 
-def source(mutant: Mutant) -> Path:
-    return SRC / "splitmoments" / mutant.file
-
-
 def run(mutant: Mutant) -> int:
     """pytest's exit status on the mutant's tests, run against a mutated copy."""
     with tempfile.TemporaryDirectory() as tmp:

@@ -10,18 +10,22 @@ quadrature oracle:
 
 ``_fhat_np`` evaluates fhat elementwise on a numpy array for both.
 
-Three Python-float references run on the package oracle's own private rule
+Four Python-float references run on the package oracle's own private rule
 (``splitmoments.quadrature``: its Gauss-Legendre panels, F(xi) and T_k
 kernel), so they check that rule rather than stand apart from it:
 ``t_transform_numeric`` (T_k(A) on the T_k panels), ``phi_value_numeric``
-(phi(x) = Re F(x), fhat being even) and ``oracle_sigma_phi_sq``
+(phi(x) = Re F(x), fhat being even), ``oracle_sigma_phi_sq``
 (4 int_0^sigma y fhat(y)^2 dy, one panel per piece of fhat, which raises
-ToleranceError past degree 15).
+ToleranceError past degree 15) and ``oracle_I_integral`` (the signed-fold
+integral I(alpha, delta), the oracle's folded integral with ``delta``
+coordinates entering negatively).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+from itertools import chain
 from math import factorial, fsum
 
 import numpy as np
@@ -187,3 +191,31 @@ def oracle_sigma_phi_sq(tf: TestFunction) -> float:
             f"of degree {degree}"
         )
     return 2.0 * fsum(y * f * fw for p in _pieces(tf) for y, f, fw in zip(p.y, p.f, p.fw))
+
+
+def oracle_I_integral(tf: TestFunction, n: int, alpha: int, delta: int) -> float:
+    """I(alpha, delta): int over [0,sigma]^(alpha+delta) of prod 2 fhat(x_j) *
+    T_k(1 + sum s_j x_j), k = n - alpha - delta, the first ``alpha`` signs s_j
+    +1 and the last ``delta`` -1.
+
+    The package oracle's folded integral with a signed fold:
+    2 sum g(xi) Im[e^{2 pi i xi} F(xi)^alpha conj(F(xi))^delta] on T_k's
+    rule, shortened by the same bound v on |F(xi)| pi xi.
+    """
+    if alpha < 0 or delta < 0 or alpha + delta >= n:
+        raise DomainError("oracle_I_integral requires alpha, delta >= 0, alpha+delta < n")
+    fold = alpha + delta
+    pieces = _pieces(tf)
+    f = [a for p in pieces for a in p.f]
+    v = 2.0 * (abs(f[0]) + abs(f[-1]) + fsum(abs(b - a) for a, b in zip(f, f[1:])))
+
+    def terms(panel: tuple[list[float], list[float]]) -> list[float]:
+        xi, g = panel
+        if not fold:
+            return [w * cmath.exp(2j * math.pi * x).imag for x, w in zip(xi, g)]
+        fx = [_F(pieces, x) for x in xi]
+        return [w * (cmath.exp(2j * math.pi * x) * (F**alpha * F.conjugate() ** delta)).imag
+                for x, w, F in zip(xi, g, fx)]
+
+    rule = _t_kernel(tf, n - fold, 1.0 + max(alpha, delta) * float(tf.sigma), fold, v)
+    return 2.0 * fsum(chain.from_iterable(map(terms, rule)))

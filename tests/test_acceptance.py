@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import combinat_reference as cr
+from convolution_reference import I_integral
 from oracle_reference import oracle_Qn_mc, oracle_sigma_phi_sq, oracle_X_xi
 from splitmoments import arith, linfeas, moments as mo, quadrature as qd, rmt, sop
 from splitmoments import vanishing as vb
@@ -276,8 +277,8 @@ def test_criterion_9_invariant_sweeps():
             tf = tfs[sigma]
             alpha = rng.randint(0, n - 2)
             delta = rng.randint(1, n - 1 - alpha)
-            lhs = mo.I_integral(tf, n, alpha, delta)
-            rhs = 2 * mo.I_integral(tf, n, alpha, delta - 1) - mo.I_integral(
+            lhs = I_integral(tf, n, alpha, delta)
+            rhs = 2 * I_integral(tf, n, alpha, delta - 1) - I_integral(
                 tf, n, alpha + 1, delta - 1
             )
             assert lhs == rhs, (sigma, n, alpha, delta)

