@@ -200,7 +200,7 @@ def oracle_I_integral(tf: TestFunction, n: int, alpha: int, delta: int) -> float
 
     The package oracle's folded integral with a signed fold:
     2 sum g(xi) Im[e^{2 pi i xi} F(xi)^alpha conj(F(xi))^delta] on T_k's
-    rule, shortened by the same bound v on |F(xi)| pi xi.
+    rule, which the same bound |F(xi)| <= v / (pi xi) shortens.
     """
     if alpha < 0 or delta < 0 or alpha + delta >= n:
         raise DomainError("oracle_I_integral requires alpha, delta >= 0, alpha+delta < n")
