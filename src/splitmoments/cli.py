@@ -22,9 +22,10 @@ command does not take and a required key left unset are usage errors, and
 
 Every run emits a JSON report {command, params, results, assumptions, timing,
 passed} embedding the fully resolved configuration; exact rationals are
-serialized as "p/q" strings next to a 15-significant-digit decimal.  Exit
-status: 0 all checks passed, 1 a verification failed, 2 usage error, 141
-(128 + SIGPIPE) stdout closed before the report was written.
+serialized as "p/q" strings next to a 15-significant-digit decimal, and a
+non-finite float is refused.  Exit status: 0 all checks passed, 1 a
+verification failed, 2 usage error, 141 (128 + SIGPIPE) stdout closed before
+the report was written.
 
 Importing this module loads ``errors`` and the standard library only; each
 command imports the package modules it runs when it runs, so a process pays
@@ -227,16 +228,12 @@ def _exact(x: Fraction) -> dict[str, str]:
     }
 
 
-def _jsonable(obj):
+def _encode(obj):  # the report values that json does not know
     if isinstance(obj, Fraction):
         return _exact(obj)
     if isinstance(obj, Path):
         return str(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write(path: Path, text: str) -> None:
@@ -248,7 +245,7 @@ def _write(path: Path, text: str) -> None:
 
 
 def _emit(report: dict, json_path: Path | None) -> None:
-    text = json.dumps(_jsonable(report), indent=2)
+    text = json.dumps(report, indent=2, default=_encode, allow_nan=False)
     if json_path:
         _write(json_path, text + "\n")
     print(text, flush=True)
@@ -303,8 +300,8 @@ def _cmd_crosscheck(cfg: RunConfig):
         entry = {
             "n": n,
             "a": a,
-            "R_moment": _exact(r_val),
-            "Q_via_classes": _exact(q_val),
+            "R_moment": r_val,
+            "Q_via_classes": q_val,
             "exact_paths_equal": r_val == q_val,
         }
         if n <= 4:
@@ -338,10 +335,10 @@ def _cmd_vanish(cfg: RunConfig):
             "n": q.n,
             "sigma": str(q.sigma),
             "sign": q.sign,
-            "bound": _exact(res.bound),
-            "threshold": _exact(res.threshold),
-            "moment": _exact(res.moment),
-            "prior_bounds": {k: _exact(v) for k, v in vb.PRIOR_BOUNDS.items()},
+            "bound": res.bound,
+            "threshold": res.threshold,
+            "moment": res.moment,
+            "prior_bounds": vb.PRIOR_BOUNDS,
         }
     ]
     return results, vb.assumptions_for(q), True
@@ -405,14 +402,14 @@ def _cmd_verify_combinat(cfg: RunConfig):
         if not good:
             counterexamples.append({"lemma": "one-class coefficient", "f": f, "got": str(got)})
         results.append(
-            {"lemma": "one-class coefficient", "f": f, "value": _exact(got), "passed": good}
+            {"lemma": "one-class coefficient", "f": f, "value": got, "passed": good}
         )
     f0 = table.get(sop.one_class(n, 0), Fraction(0))
     results.append(
         {
             "lemma": "one-class f=0 (reported, not asserted)",
             "f": 0,
-            "value": _exact(f0),
+            "value": f0,
             "matches_extension": f0 == 2 * (-1) ** (n + 1),
         }
     )
@@ -499,7 +496,7 @@ def _cmd_verify_all(cfg: RunConfig):
     for command, given in suites:
         r, notes, good = _RUNNERS[command](resolve(command, given))
         if command == "vanish":
-            good = r[0]["bound"]["exact"] == "496/65625"
+            good = r[0]["bound"] == Fraction(496, 65625)
         results.append({"suite": command.removeprefix("verify-"), "passed": good, "results": r})
         assumptions.extend(notes)
         ok &= good

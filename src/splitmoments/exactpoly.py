@@ -10,7 +10,7 @@ Every deep convolution runs on term lists (below), so the piecewise form only
 carries transforms, their halves and squares, and small polynomials: low
 degrees, for which coefficients in a local variable ``x - b_i`` would save no
 coefficient growth.  In x, equal adjacent pieces have equal tuples, and
-restriction, reflection, products and integrals need no change of variable;
+restriction, products and integrals need no change of variable;
 the Taylor shift (``_pshift``, binomials from ``math.comb``) is used only
 where a jump is moved to its knot (:func:`to_terms`) and back to x
 (:func:`from_terms`).
@@ -69,7 +69,6 @@ __all__ = [
     "cumulative",
     "definite_integral",
     "integral",
-    "reflect",
     "restrict",
     "to_terms",
     "from_terms",
@@ -286,13 +285,6 @@ def multiply(p: PiecewisePoly, q: PiecewisePoly) -> PiecewisePoly:
     """Exact pointwise product; support is contained in the intersection."""
     cuts = sorted(set(p.breakpoints) | set(q.breakpoints))
     return PiecewisePoly(cuts, (_pmul(_piece_at(p, lo), _piece_at(q, lo)) for lo in cuts[:-1]))
-
-
-def reflect(p: PiecewisePoly) -> PiecewisePoly:
-    """x -> p(-x): the pieces in reverse order, odd coefficients negated."""
-    return PiecewisePoly((-b for b in reversed(p.breakpoints)),
-                         (tuple(-c if j % 2 else c for j, c in enumerate(piece))
-                          for piece in reversed(p.pieces)))
 
 
 def restrict(p: PiecewisePoly, lo: RationalLike, hi: RationalLike) -> PiecewisePoly:

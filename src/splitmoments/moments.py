@@ -115,10 +115,10 @@ def sigma_phi_sq(tf: TestFunction) -> Fraction:
 
 
 def mean_value(tf: TestFunction) -> Fraction:
-    """fhat(0) + (1/2) int_{-1}^{1} fhat(y) dy (requires sigma <= 1)."""
+    """fhat(0) + (1/2) int_{-1}^{1} fhat(y) dy = fhat(0) + phi(0)/2 (sigma <= 1)."""
     if tf.sigma > 1:
         raise DomainError("mean_value requires sigma <= 1")
-    return tf.fhat_at(0) + Fraction(1, 2) * ep.definite_integral(tf.fhat, -1, 1)
+    return tf.fhat_at(0) + tf.phi_zero() / 2
 
 
 # ---------------------------------------------------------------------------

@@ -375,7 +375,8 @@ def moment_rows(tf: TestFunction, M: int, table: tuple[Fraction, ...],
     prediction and no gate.  The standard error is the plain iid error of the
     sample mean of Z or (Z - m)^n (the estimator is linear, so this coincides
     with its jackknife estimate; it needs two or more Z values), and
-    ``z_score`` is measured from the centre of the gate.
+    ``z_score`` is measured from the centre of the gate.  A row whose mean or
+    standard error overflows a float is refused (DomainError naming n).
     """
     N = len(z_vals)
     if N < 2:
@@ -385,18 +386,21 @@ def moment_rows(tf: TestFunction, M: int, table: tuple[Fraction, ...],
     rows = []
     for n in range(1, n_max + 1):
         # np.mean and np.std(ddof=1), bit for bit, reduced in place in one
-        # private array: Z itself for n = 1, (Z - m)^n after
-        if n == 1:
-            values = z_vals.copy()
-        else:
-            values = z_vals - float(centre)
-            values **= n
-        mean = np.add.reduce(values) / N
-        empirical = float(mean)
-        values -= mean
-        np.multiply(values, values, out=values)
-        stderr = float(np.sqrt(np.add.reduce(values) / (N - 1)) / np.sqrt(N))
+        # private array: Z itself for n = 1, (Z - m)^n after (overflow refused)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if n == 1:
+                values = z_vals.copy()
+            else:
+                values = z_vals - float(centre)
+                values **= n
+            mean = np.add.reduce(values) / N
+            empirical = float(mean)
+            values -= mean
+            np.multiply(values, values, out=values)
+            stderr = float(np.sqrt(np.add.reduce(values) / (N - 1)) / np.sqrt(N))
         del values  # before the next row makes its own
+        if not (np.isfinite(empirical) and np.isfinite(stderr)):
+            raise DomainError(f"the n={n} moment of Z overflows a float; lower nmax")
         if not stderr > 0:
             raise InvariantViolation(f"stderr of the n={n} row is {stderr}, not positive")
         supported = tf.sigma <= Fraction(2, n)

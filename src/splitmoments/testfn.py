@@ -11,10 +11,11 @@ on Python floats.  The catalog ships the Fejer family
 whose transform is the unit-mass triangle.  Any other even function with a
 piecewise-polynomial transform can be registered through the same type.
 
-Each TestFunction keeps two lists of term lists (see :mod:`exactpoly`), the
+Each TestFunction keeps two tuples of term lists (see :mod:`exactpoly`), the
 self-convolution powers that the exact moment kernels consume: psi_k =
-fhat^{*k} and gp^{*l}, gp being fhat on [0, sigma].  :func:`psi_terms` and
-:func:`gp_terms` extend them on demand.
+fhat^{*k} and gp^{*l}, gp being fhat on [0, sigma].  The constructor builds
+psi_1 and reads evenness and phi(0) off it; :func:`psi_terms` and
+:func:`gp_terms` extend the tuples on demand.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ class TestFunction:
     """Even Schwartz test function with exact compactly supported transform.
 
     Equality is identity.  ``_psi[k-1]`` holds the term list of fhat^{*k} and
-    ``_gp[l-1]`` that of gp^{*l}, each list filled by its accessor.
+    ``_gp[l-1]`` that of gp^{*l}, each tuple replaced whole by its accessor
+    (so threads never see one half-filled).
     """
 
     __slots__ = ("sigma", "fhat", "phi_at", "label", "_psi", "_gp", "_phi0")
@@ -44,16 +46,16 @@ class TestFunction:
         self.sigma = frac(sigma)
         if self.sigma <= 0:
             raise DomainError("sigma must be positive")
-        if ep.reflect(fhat) != fhat:
+        psi1 = ep.to_terms(fhat)
+        if ep.term_reflect(psi1) != psi1:
             raise DomainError("fhat must be even")
         supp = fhat.support
         if supp is not None and (supp[0] < -self.sigma or supp[1] > self.sigma):
             raise DomainError("fhat must vanish outside [-sigma, sigma]")
         self.fhat, self.phi_at, self.label = fhat, phi_at, label
-        self._psi: list = []
-        self._gp: list = []
-        # Fourier inversion at 0: phi(0) = integral of fhat
-        self._phi0 = ep.integral(fhat)
+        self._psi, self._gp = (psi1,), ()
+        # Fourier inversion at 0: phi(0) = integral of fhat, all of it below sigma
+        self._phi0 = ep.term_mass_below(psi1, self.sigma)
         if phi_at is not None:
             if abs(phi_at(0.0) - float(self.phi_zero())) > 1e-10:
                 raise DomainError("phi_at(0) must equal the integral of fhat")
@@ -93,20 +95,19 @@ def fejer(sigma) -> TestFunction:
     return TestFunction(sigma=s, fhat=fhat, phi_at=phi, label=f"fejer:{s}")
 
 
-def _power(powers: list, k: int):
-    """Extend ``powers`` (first entry the base) by convolution up to the k-th."""
+def _power(powers: tuple, k: int) -> tuple:
+    """``powers`` (first entry the base) extended by convolution to k entries."""
     if k < 1:
         raise DomainError("power must be >= 1")
     while len(powers) < k:
-        powers.append(ep.term_convolve(powers[-1], powers[0]))
-    return powers[k - 1]
+        powers += (ep.term_convolve(powers[-1], powers[0]),)
+    return powers
 
 
 def psi_terms(tf: TestFunction, k: int):
     """Term list of psi_k = fhat^{*k}, the transform of phi^k (k >= 1), cached."""
-    if not tf._psi:
-        tf._psi.append(ep.to_terms(tf.fhat))
-    return _power(tf._psi, k)
+    tf._psi = powers = _power(tf._psi, k)
+    return powers[k - 1]
 
 
 def gp_terms(tf: TestFunction, ell: int):
@@ -114,9 +115,9 @@ def gp_terms(tf: TestFunction, ell: int):
 
     The folded coordinate |x| has density 2 gp; gp itself has mass phi(0)/2.
     """
-    if not tf._gp:
-        tf._gp.append(ep.to_terms(ep.restrict(tf.fhat, 0, tf.sigma + 1)))
-    return _power(tf._gp, ell)
+    base = tf._gp or (ep.to_terms(ep.restrict(tf.fhat, 0, tf.sigma + 1)),)
+    tf._gp = powers = _power(base, ell)
+    return powers[ell - 1]
 
 
 def phi_power_hat(tf: TestFunction, m: int) -> PiecewisePoly:

@@ -57,9 +57,8 @@ class VanishingQuery:
 
 
 def vanishing_threshold(tf: TestFunction, r: int) -> Fraction:
-    """r phi(0) - fhat(0) - phi(0)/2, exactly."""
-    phi0 = tf.phi_zero()
-    return r * phi0 - tf.fhat_at(0) - phi0 / 2
+    """r phi(0) minus the mean fhat(0) + phi(0)/2, exactly."""
+    return r * tf.phi_zero() - mo.mean_value(tf)
 
 
 class VanishingResult(NamedTuple):

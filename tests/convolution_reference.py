@@ -4,7 +4,8 @@
 [b0, b1), of the integral of p_i(y) q_j(x - y) over the y in
 [a0, a1) ∩ (x - b1, x - b0].  Both factors are expanded as polynomials in y
 and their product is integrated exactly.  No term list is involved, so this
-is an independent reference for the term-list kernel in ``exactpoly``.
+is an independent reference for the term-list kernel in ``exactpoly``, and
+:func:`reflect`, which acts on the pieces, one for ``term_reflect``.
 
 :func:`full_bracket` is the other kind of reference: the R route's bracket
 computed the long way, from the full convolution psi_k * reflect(gp^{*l}),
@@ -21,6 +22,13 @@ from splitmoments import exactpoly as ep
 from splitmoments.errors import DomainError
 from splitmoments.exactpoly import PiecewisePoly, from_global_pieces
 from splitmoments.testfn import gp_terms, psi_terms
+
+
+def reflect(p: PiecewisePoly) -> PiecewisePoly:
+    """x -> p(-x): the pieces in reverse order, odd coefficients negated."""
+    return PiecewisePoly((-b for b in reversed(p.breakpoints)),
+                         (tuple(-c if j % 2 else c for j, c in enumerate(piece))
+                          for piece in reversed(p.pieces)))
 
 
 def poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:

@@ -50,6 +50,21 @@ MUTANTS = [
     Mutant("exactpoly.py", "cut = -(-t.numerator // t.denominator)",
            "cut = -(-t.numerator // t.denominator) - 1", LEDGER,
            "term_convolve's cut, one lattice step down"),
+    Mutant("exactpoly.py", "tp.scale * tq.scale * tp.unit", "tp.scale * tq.scale", LEDGER,
+           "the unit h in term_convolve's scale (e_m * e_n = h e_{m+n+1})"),
+    Mutant("exactpoly.py", "tuple((j + 1, c) for j, c in enumerate(v) if c)",
+           "tuple((j + 1, c) for j, c in enumerate(v))",
+           ("tests/test_testfn.py::TestPhiPowerHat::test_power_term_lists_pinned",),
+           "term_convolve keeping only the nonzero terms of a knot"),
+    Mutant("moments.py", "tf.fhat_at(0) + tf.phi_zero() / 2", "tf.fhat_at(0) + tf.phi_zero()",
+           LEDGER, "the mean fhat(0) + phi(0)/2"),
+    Mutant("sop.py", "2 * (-1) ** (len(lam) + 1)", "(-1) ** (len(lam) + 1)",
+           ("tests/test_sop.py",), "sum_TA_all's doubling for the pair of masks eps, -eps"),
+    Mutant("rmt.py", "if not (np.isfinite(empirical) and np.isfinite(stderr)):",
+           "if not np.isfinite(empirical):",
+           ("tests/test_rmt.py::TestMomentEstimation::test_overflowing_row_refused",
+            "tests/test_cli.py::TestRmtCommand::test_overflowing_order_refused"),
+           "the refusal of a moment row that overflows a float"),
     Mutant("rmt.py", "target, floor = predicted, 2.0 / M",
            "target, floor = predicted, 4.0 / M", REPORTS,
            "the rmt gate's finite-M floor 2/M"),

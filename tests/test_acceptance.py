@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import combinat_reference as cr
-from convolution_reference import I_integral
+from convolution_reference import I_integral, reflect
 from oracle_reference import oracle_Qn_mc, oracle_sigma_phi_sq, oracle_X_xi
 from splitmoments import arith, linfeas, moments as mo, quadrature as qd, rmt, sop
 from splitmoments import vanishing as vb
@@ -243,7 +243,7 @@ def test_criterion_9_invariant_sweeps():
         for _ in range(200):
             s = rng.choice(sigmas)
             tf = tfs[s]
-            assert ep.reflect(tf.fhat) == tf.fhat
+            assert reflect(tf.fhat) == tf.fhat
             assert tf.fhat.support == (-s, s)
             m1, m2 = rng.randint(1, 3), rng.randint(1, 3)
             lhs = tfm.phi_power_hat(tf, m1 + m2)

@@ -252,6 +252,15 @@ class TestRmtCommand:
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("nmax", [600, 1100])
+    def test_overflowing_order_refused(self, nmax, capsys):
+        """At the default seed 42 (Z - m)^n overflows a float from n = 528 on: the run
+        exits 2 with one line naming the order, with no traceback and no
+        Infinity in a report."""
+        err = assert_usage_error(["rmt", "--M", "100", "--parity", "even", "--sigma", "3/5",
+                                  "--samples", "2000", "--nmax", str(nmax)], capsys)
+        assert "n=528 moment" in err
+
     def test_mean_gated_on_finite_M_mean(self, capsys):
         code, report = run_cli(
             ["rmt", "--M", "100", "--samples", "50", "--sigma", "3/5", "--nmax", "2", "--seed", "3"],

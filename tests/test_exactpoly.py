@@ -6,7 +6,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from convolution_reference import convolve_at, reference_convolve
+from convolution_reference import convolve_at, reference_convolve, reflect
 from splitmoments import exactpoly as ep
 from splitmoments.testfn import fejer
 
@@ -48,7 +48,7 @@ class TestPointwiseAlgebra:
 
     def test_reflect_even(self):
         t = triangle_fhat(F(3, 5))
-        assert ep.reflect(t) == t
+        assert reflect(t) == t
 
     def test_restrict_half_of_triangle(self):
         t = triangle_fhat(1)
@@ -216,13 +216,13 @@ def test_multiply_pointwise(p, q):
 @settings(max_examples=100, deadline=None)
 @given(piecewise_polys())
 def test_reflect_involution(p):
-    assert ep.reflect(ep.reflect(p)) == p
+    assert reflect(reflect(p)) == p
 
 
 @settings(max_examples=200, deadline=None)
 @given(piecewise_polys())
 def test_reflect_pointwise(p):
-    r = ep.reflect(p)
+    r = reflect(p)
     # at a breakpoint the two sides take the pieces on opposite sides of it
     for y in _probe_points(p) - set(p.breakpoints):
         assert ep.evaluate(r, -y) == ep.evaluate(p, y)
@@ -334,7 +334,7 @@ def test_term_convolve_across_lattices(p, q, r, data):
 @settings(max_examples=200, deadline=None)
 @given(piecewise_polys())
 def test_term_reflect_matches_reflect(p):
-    assert ep.from_terms(stored(ep.term_reflect(stored(ep.to_terms(p))))) == ep.reflect(p)
+    assert ep.from_terms(stored(ep.term_reflect(stored(ep.to_terms(p))))) == reflect(p)
 
 
 @settings(max_examples=200, deadline=None)
@@ -346,7 +346,7 @@ def test_term_mass_below_matches_definite_integral(p, q, data):
     for f, terms in (
         (p, ep.to_terms(p)),
         (conv, tconv),
-        (ep.reflect(conv), ep.term_reflect(tconv)),
+        (reflect(conv), ep.term_reflect(tconv)),
     ):
         stored(terms)
         lo = x if f.is_zero() else min(x, f.support[0])

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convolution_reference import I_integral, full_bracket, poly_integral, poly_mul
+from convolution_reference import I_integral, full_bracket, poly_integral, poly_mul, reflect
 from oracle_reference import (oracle_I_integral, oracle_sigma_phi_sq, oracle_X_xi,
                               t_transform_numeric)
 from splitmoments import exactpoly as ep
@@ -313,7 +313,7 @@ class TestXXi:
             gp = ep.restrict(tf.fhat, 0, tf.sigma + 1)
             for n in range(1, 8):
                 for ell in range(n + 1):
-                    h = reduce(ep.convolve, [gp] * (n - ell) + [ep.reflect(gp)] * ell)
+                    h = reduce(ep.convolve, [gp] * (n - ell) + [reflect(gp)] * ell)
                     top = h.support[1] if not h.is_zero() else 0
                     ref = ep.definite_integral(h, 1, top) if top > 1 else 0
                     assert mo.X_xi(tf, n, ell) == ref, (s, n, ell)

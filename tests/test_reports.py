@@ -1,7 +1,8 @@
 """The canonical CLI reports, pinned by digest.
 
-Each op runs in-process; its JSON report, ``timing`` dropped, is dumped with
-sorted keys and hashed.  An exact value, a report field or an ``rmt`` gate
+Each op runs in-process; its JSON report, which must hold no ``Infinity`` or
+``NaN`` (RFC 8259 allows neither), is dumped with sorted keys, ``timing``
+dropped, and hashed.  An exact value, a report field or an ``rmt`` gate
 (its width in standard errors, or its finite-M floor 2/M) that changes moves
 the digest.  At M = 100 and M = 101 four standard errors exceed 4/M, so the
 floor never binds there; at M = 20 it binds for n = 2 and 3.  A change that
@@ -38,10 +39,14 @@ DIGESTS = {
 }
 
 
+def _no_constants(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 @pytest.mark.parametrize("op", list(DIGESTS))
 def test_report_digest_pinned(op, capsys):
     assert cli.main(op.split()) == 0
-    report = json.loads(capsys.readouterr().out)
+    report = json.loads(capsys.readouterr().out, parse_constant=_no_constants)
     del report["timing"]
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
     assert digest == DIGESTS[op]

@@ -470,6 +470,16 @@ class TestMomentEstimation:
         with pytest.raises(InvariantViolation):
             rmt.moment_rows(tf, 10, rmt.fourier_table(tf, 10), np.full(5, 2.0), 2)
 
+    def test_overflowing_row_refused(self):
+        # (Z - m)^2 fits a float here but its squared deviations do not: the
+        # n = 2 row is refused by order, silently (no numpy warning)
+        tf = fejer(F(1, 2))
+        z = np.array([1e100, -1e100, 2e100])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="n=2 moment"):
+                rmt.moment_rows(tf, 10, rmt.fourier_table(tf, 10), z, 2)
+
     def test_one_sample_refused(self):
         # one Z has no standard error: refused before any 0/0
         tf = fejer(F(1, 2))

@@ -2,11 +2,13 @@
 
 import hashlib
 import math
+import threading
 from fractions import Fraction as F
 
 import pytest
 from scipy.integrate import quad
 
+from convolution_reference import reflect
 from oracle_reference import phi_value_numeric
 from splitmoments import exactpoly as ep
 from splitmoments.errors import DomainError
@@ -33,7 +35,7 @@ class TestFejer:
 
     def test_evenness_and_support(self):
         tf = fejer(F(3, 5))
-        assert ep.reflect(tf.fhat) == tf.fhat
+        assert reflect(tf.fhat) == tf.fhat
         assert tf.fhat.support == (-F(3, 5), F(3, 5))
 
     def test_phi_zero_equals_transform_mass(self):
@@ -95,6 +97,38 @@ class TestPhiPowerHat:
             for k in (0, -1):
                 with pytest.raises(DomainError):
                     power(tf, k)
+
+    @pytest.mark.parametrize("power", [psi_terms, gp_terms])
+    def test_power_list_shared_across_threads(self, power, monkeypatch):
+        """Two threads that each build the second power before either stores
+        it still get the third power, and the cache they leave is still the
+        list of powers."""
+        expected = [power(fejer(F(1, 7)), k) for k in (1, 2, 3, 4)]
+        tf = fejer(F(1, 7))
+        convolve, met = ep.term_convolve, threading.local()
+        barrier = threading.Barrier(2, timeout=10)
+
+        def convolve_then_meet(*args, **kwargs):
+            out = convolve(*args, **kwargs)
+            if not getattr(met, "done", False):
+                met.done = True
+                barrier.wait()  # both threads hold power 2; neither has stored it
+            return out
+
+        monkeypatch.setattr(ep, "term_convolve", convolve_then_meet)
+        got = [None, None]
+
+        def build(i):
+            got[i] = power(tf, 3)
+
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert got == [expected[2]] * 2
+        monkeypatch.undo()
+        assert [power(tf, k) for k in (1, 2, 3, 4)] == expected
 
     def test_fejer_psi_stores_one_term_per_knot(self):
         """psi_k of the triangle is a sum of e_{2k-1} at knots -k..k; the
