@@ -2,18 +2,18 @@
 
 A function is represented by breakpoints ``b_0 < b_1 < ... < b_k`` and ``k``
 coefficient tuples.  Piece ``i`` lives on the half-open interval
-``[b_i, b_{i+1})`` and its coefficients are in the global variable ``x``
-(ascending degree).  The function is identically zero outside ``[b_0, b_k]``;
-evaluation at the final right endpoint returns the limit from the left.
+``[b_i, b_{i+1})``, a rule coded once, in ``_piece_at``; its coefficients are
+in the global variable ``x`` (ascending degree).  The function is zero outside
+``[b_0, b_k]``; evaluation at ``b_k`` returns the limit from the left.
 
 Every deep convolution runs on term lists (below), so the piecewise form only
 carries transforms, their halves and squares, and small polynomials: low
 degrees, for which coefficients in a local variable ``x - b_i`` would save no
 coefficient growth.  In x, equal adjacent pieces have equal tuples, and
-restriction, products and integrals need no change of variable;
-the Taylor shift (``_pshift``, binomials from ``math.comb``) is used only
-where a jump is moved to its knot (:func:`to_terms`) and back to x
-(:func:`from_terms`).
+products (restriction is the product with an indicator) and integrals need
+no change of variable; the Taylor shift (``_pshift``, binomials from
+``math.comb``) is used only where a jump is moved to its knot
+(:func:`to_terms`) and back to x (:func:`from_terms`).
 
 All piecewise coefficients are :class:`fractions.Fraction`, so every
 operation here is exact.  Every operation builds its result with the
@@ -160,8 +160,7 @@ class PiecewisePoly:
         breaks = tuple(frac(b) for b in breakpoints)
         pieces = tuple(_ptrim(tuple(frac(c) for c in p)) for p in pieces)
         if len(breaks) != (len(pieces) + 1 if pieces else 0):
-            if not (len(breaks) == 0 and len(pieces) == 0):
-                raise ValueError("breakpoints/pieces length mismatch")
+            raise ValueError("breakpoints/pieces length mismatch")
         for lo, hi in zip(breaks, breaks[1:]):
             if not lo < hi:
                 raise ValueError("breakpoints must be strictly increasing")
@@ -261,13 +260,8 @@ def from_global_pieces(
 def evaluate(p: PiecewisePoly, x: RationalLike) -> Fraction:
     """Value at x; left-closed/right-open pieces, left limit at the far end."""
     x = frac(x)
-    if not p.pieces:
-        return ZERO
-    b = p.breakpoints
-    if x < b[0] or x > b[-1]:
-        return ZERO
-    i = len(b) - 2 if x == b[-1] else bisect_right(b, x) - 1
-    return _peval(p.pieces[i], x)
+    piece = p.pieces[-1] if p.pieces and x == p.breakpoints[-1] else _piece_at(p, x)
+    return _peval(piece, x)
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +286,7 @@ def restrict(p: PiecewisePoly, lo: RationalLike, hi: RationalLike) -> PiecewiseP
     lo, hi = frac(lo), frac(hi)
     if not lo < hi:
         raise ValueError("restrict requires lo < hi")
-    if p.is_zero():
-        return p
-    lo = max(lo, p.breakpoints[0])
-    hi = min(hi, p.breakpoints[-1])
-    if not lo < hi:
-        return PiecewisePoly.zero()
-    cuts = [lo] + [b for b in p.breakpoints if lo < b < hi] + [hi]
-    return PiecewisePoly(cuts, (_piece_at(p, a) for a in cuts[:-1]))
+    return multiply(p, PiecewisePoly((lo, hi), ((ONE,),)))
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,8 @@ MUTANTS = [
            'gaussian - s if sign == "plus" else gaussian + s', LEDGER,
            "the sign of S in the predicted moment"),
     Mutant("moments.py", "(-2) ** ell * comb(m, ell)", "(-2) ** ell * comb(m, ell + 1)",
-           LEDGER, "R(m, i)'s binomial C(m, l)"),
+           (*LEDGER, "tests/test_moments.py::TestQnCrossPath::test_equality_on_random_transforms"),
+           "R(m, i)'s binomial C(m, l)"),
     # One step up instead is an equivalent mutant: the extra knots it builds
     # lie at or above the cut, where term_mass_below never reads.
     Mutant("exactpoly.py", "cut = -(-t.numerator // t.denominator)",
@@ -56,6 +57,19 @@ MUTANTS = [
            "tuple((j + 1, c) for j, c in enumerate(v))",
            ("tests/test_testfn.py::TestPhiPowerHat::test_power_term_lists_pinned",),
            "term_convolve keeping only the nonzero terms of a knot"),
+    # The ledger misses this one: gp is restricted to [0, sigma + 1), so the
+    # wider window changes nothing there.
+    Mutant("exactpoly.py", "PiecewisePoly((lo, hi), ((ONE,),))",
+           "PiecewisePoly((lo, hi + 1), ((ONE,),))",
+           ("tests/test_exactpoly.py::TestPointwiseAlgebra::test_restrict_creates_jump",),
+           "restrict's indicator of [lo, hi)"),
+    Mutant("exactpoly.py", 'if not lo < hi:\n        raise ValueError("restrict requires',
+           'if lo > hi:\n        raise ValueError("restrict requires',
+           ("tests/test_exactpoly.py::test_refuses_malformed_pieces_and_windows",),
+           "restrict's refusal of an empty window"),
+    Mutant("exactpoly.py", "piece = p.pieces[-1] if", "piece = () if",
+           ("tests/test_exactpoly.py::TestEvaluate::test_right_endpoint_left_limit",),
+           "evaluate's left limit at the far end"),
     Mutant("moments.py", "tf.fhat_at(0) + tf.phi_zero() / 2", "tf.fhat_at(0) + tf.phi_zero()",
            LEDGER, "the mean fhat(0) + phi(0)/2"),
     Mutant("sop.py", "2 * (-1) ** (len(lam) + 1)", "(-1) ** (len(lam) + 1)",

@@ -380,3 +380,28 @@ def test_term_convolve_below_keeps_the_knots_below(tp, tq, data):
 def test_rejects_float_input():
     with pytest.raises(TypeError):
         ep.frac(0.5)
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: ep.PiecewisePoly((0, 1), ()), "length mismatch", id="breaks-only"),
+    pytest.param(lambda: ep.PiecewisePoly((), [(1,)]), "length mismatch", id="pieces-only"),
+    pytest.param(lambda: ep.PiecewisePoly((0, 1, 2), [(1,)]), "length mismatch",
+                 id="one-break-extra"),
+    pytest.param(lambda: ep.PiecewisePoly((0, 0), [(1,)]), "strictly increasing",
+                 id="repeated-break"),
+    pytest.param(lambda: ep.from_global_pieces([(0, 2, [1]), (1, 3, [1])]), "overlapping",
+                 id="overlapping-spans"),
+    pytest.param(lambda: ep.restrict(box(0, 2), 1, 1), "restrict requires lo < hi",
+                 id="restrict-empty"),
+    pytest.param(lambda: ep.restrict(box(0, 2), 1, 0), "restrict requires lo < hi",
+                 id="restrict-reversed"),
+    pytest.param(lambda: ep.definite_integral(box(0, 2), 1, 0),
+                 "definite_integral requires lo <= hi", id="integral-reversed"),
+    pytest.param(lambda: ep.cumulative(box(0, 2), 1, 1), "cumulative requires lo < hi",
+                 id="cumulative-empty"),
+])
+def test_refuses_malformed_pieces_and_windows(build, message):
+    """Each refusal names its own rule, so a weakened check that fails later,
+    in another constructor, does not pass for it."""
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -53,6 +53,15 @@ def even_fhat(draw):
                    for lo, hi in zip(cuts, cuts[1:])]
 
 
+def drawn_test_function(sigma, half):
+    """The even test function whose fhat is the drawn half on [0, sigma],
+    reflected to [-sigma, 0]."""
+    fhat = ep.from_global_pieces(
+        [(-hi, -lo, [-c if j % 2 else c for j, c in enumerate(cs)])
+         for lo, hi, cs in reversed(half)] + half)
+    return testfn.TestFunction(sigma=sigma, fhat=fhat, phi_at=None, label="drawn")
+
+
 def sine_transform(tf, k, A):
     """T_k(A) = int_0^A psi_k(u) du with psi_k the transform of phi^k."""
     if A < 0 or k < 1:
@@ -90,10 +99,7 @@ class TestSigmaPhiSq:
         """4 sum of int y p(y)^2 over the drawn pieces p on [0, sigma], in the
         Fraction helpers of the convolution reference."""
         sigma, half = drawn
-        fhat = ep.from_global_pieces(
-            [(-hi, -lo, [-c if j % 2 else c for j, c in enumerate(cs)])
-             for lo, hi, cs in reversed(half)] + half)
-        tf = testfn.TestFunction(sigma=sigma, fhat=fhat, phi_at=None, label="drawn")
+        tf = drawn_test_function(sigma, half)
         exact = 4 * sum((poly_integral(poly_mul([F(0), F(1)], poly_mul(cs, cs)), lo, hi)
                          for lo, hi, cs in half), F(0))
         assert mo.sigma_phi_sq(tf) == exact
@@ -351,6 +357,17 @@ class TestQnCrossPath:
                 assert q == mo.R_moment(tf, n, a), (s, n, a)
                 values.add(q)
             assert len(values) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(even_fhat())
+    def test_equality_on_random_transforms(self, drawn):
+        """R == Q at n <= 4 and every valid a >= 1 on random even fhat, whose
+        inner knots and pieces of degree up to 3 Fejer never has."""
+        tf = drawn_test_function(*drawn)
+        for n in range(1, 5):
+            for a in mo.valid_a_range(tf, n):
+                if a >= 1:
+                    assert mo.R_moment(tf, n, a) == mo.Q_n_via_classes(tf, n, a), (n, a)
 
     def test_equality_on_r19_kernels(self):
         # every R(m, i) in S(20, 10) at sigma = 1/10, the moment behind the

@@ -12,11 +12,25 @@ from test_cli import load_bench
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "splitmoments"
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = (*FUNCTIONS, ast.ClassDef)
 
 # definitions that nothing in src/ refers to and that stay, each with its reason
 KEEP = {
     "exactpoly.PiecewisePoly.degree": "bench/trace_child.py reads each traced convolve "
                                       "result's degree with it",
+    "errors.ToleranceError": "only tests/oracle_reference.py raises it; ROADMAP item 6 "
+                             "has the oracle raise it when its error estimate fails",
+}
+
+# definitions that only the benchmark tracer reaches: the names of
+# bench/trace_child.LAYERS that nothing in src/ calls, and what only they use
+TRACER_ONLY = {
+    "exactpoly.convolve", "exactpoly.cumulative", "exactpoly.from_terms",
+    "exactpoly.PiecewisePoly.zero", "exactpoly.PiecewisePoly.is_zero",
+    "testfn.phi_power_hat", "vanishing.vanishing_bound",
+    "rmt.sample_haar_so", "rmt.eigenangles", "rmt.eigenangles_dense",
+    "rmt.collect_angle_samples", "rmt.EigenangleSample",
+    "rmt.EigenangleSample.check_odd_parity",
 }
 
 
@@ -25,18 +39,19 @@ def _trees() -> dict[str, ast.Module]:
 
 
 def _definitions(tree: ast.Module):
-    """(qualified name, node) of module-level functions and non-dunder methods."""
+    """(qualified name, node) of module-level functions and classes, and of
+    the classes' non-dunder methods."""
     for node in tree.body:
-        if isinstance(node, FUNCTIONS):
+        if isinstance(node, DEFINITIONS):
             yield node.name, node
-        elif isinstance(node, ast.ClassDef):
+        if isinstance(node, ast.ClassDef):
             yield from ((f"{node.name}.{item.name}", item) for item in node.body
                         if isinstance(item, FUNCTIONS) and not item.name.startswith("__"))
 
 
 def _references(node: ast.AST, inside: frozenset = frozenset()):
     """(name, ids of the enclosing defs) of every Name, Attribute and import alias."""
-    if isinstance(node, FUNCTIONS):
+    if isinstance(node, DEFINITIONS):
         inside = inside | {id(node)}
     if isinstance(node, ast.Name):
         yield node.id, inside
@@ -48,30 +63,60 @@ def _references(node: ast.AST, inside: frozenset = frozenset()):
         yield from _references(child, inside)
 
 
-def unreferenced() -> set[str]:
-    """Definitions in src/ that nothing else in src/ refers to by name.
+def _referrers() -> dict[str, tuple[ast.AST, list[frozenset]]]:
+    """Each definition in src/, by qualified name: its node and the ids of the
+    defs enclosing each reference to its name.
 
-    A string (an ``__all__`` entry) is no reference, and neither is a
-    reference from inside the definition itself (recursion).
+    A string (an ``__all__`` entry) is no reference.
     """
     trees = _trees()
     refs: dict[str, list[frozenset]] = {}
     for tree in trees.values():
         for name, inside in _references(tree):
             refs.setdefault(name, []).append(inside)
-    return {f"{stem}.{qualname}" for stem, tree in trees.items()
-            for qualname, node in _definitions(tree)
-            if all(id(node) in inside for inside in refs.get(node.name, []))}
+    return {f"{stem}.{qualname}": (node, refs.get(node.name, []))
+            for stem, tree in trees.items() for qualname, node in _definitions(tree)}
+
+
+def _referenced_only_from(node: ast.AST, refs: list[frozenset], ids: set[int]) -> bool:
+    """Every reference lies in the definition itself (recursion) or in a def of ``ids``."""
+    return all(id(node) in inside or inside & ids for inside in refs)
+
+
+def unreferenced() -> set[str]:
+    """Definitions in src/ that nothing else in src/ refers to by name."""
+    return {name for name, (node, refs) in _referrers().items()
+            if _referenced_only_from(node, refs, set())}
+
+
+def traced() -> set[str]:
+    return {f"{module.__name__.rsplit('.', 1)[1]}.{name}"
+            for module, names in load_bench("trace_child").LAYERS.items() for name in names}
 
 
 def test_every_definition_is_reached_traced_or_kept():
     """src/ holds what a command runs, what the benchmark tracer patches
     (bench/trace_child.LAYERS) and the KEEP list; nothing else."""
-    traced = {f"{module.__name__.rsplit('.', 1)[1]}.{name}"
-              for module, names in load_bench("trace_child").LAYERS.items() for name in names}
-    unused = unreferenced() - traced
+    unused = unreferenced() - traced()
     assert sorted(unused - set(KEEP)) == []
     assert sorted(set(KEEP) - unused) == []  # a referenced name needs no entry
+
+
+def test_tracer_only_definitions_pinned():
+    """The fixpoint of "referenced only from the traced names that nothing
+    calls, or from each other" is TRACER_ONLY, so code that only the tracer
+    reaches fails here instead of hiding behind LAYERS (ROADMAP item 1 moves
+    these names out of src/)."""
+    defs = _referrers()
+    only = unreferenced() & traced()
+    while True:
+        ids = {id(defs[name][0]) for name in only}
+        grown = only | {name for name, (node, refs) in defs.items()
+                        if refs and _referenced_only_from(node, refs, ids)}
+        if grown == only:
+            break
+        only = grown
+    assert sorted(only) == sorted(TRACER_ONLY)
 
 
 def test_every_traced_layer_resolves():
