@@ -1,82 +1,49 @@
 """Exact linear feasibility over the rationals by Fourier-Motzkin elimination.
 
-Constraints are ``coeffs . y <= rhs`` or ``coeffs . y < rhs`` with Fraction
-entries; strictness survives combination (a combined constraint is strict if
-either parent is).  After all variables are eliminated the surviving constant
-constraints decide feasibility exactly.  Intended for the small systems that
-arise from indicator tuples (n <= 10 variables, a handful of strict rows), so
-no effort is spent fighting the worst-case blowup beyond normalization and
-deduplication.  The tests check its verdicts against a one-sided search of
-the box vertices (``tests/combinat_reference.py``).
+A row ``Constraint(coeffs, rhs, strict)`` reads ``coeffs . y <= rhs``, or ``< rhs``
+when strict.  Rows are plain tuples scaled to Fraction entries with largest
+|coefficient| 1, so equal rows are equal tuples and a set deduplicates them.
+Eliminating a variable keeps the rows free of it and adds every lower x upper
+combination, strict if either parent is; the constant rows left at the end decide
+feasibility exactly.  Meant for the small systems of indicator tuples (n <= 10).
+The tests check verdicts from both sides: a search of the box vertices
+(``tests/combinat_reference.py``) confirms feasible ones, and beside it a float
+linear program (``tests/test_sop.py``) checks infeasible ones too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 __all__ = ["Constraint", "feasible"]
 
 
-class Constraint:
+class Constraint(NamedTuple):
     """coeffs . y  (<= or <)  rhs."""
 
-    __slots__ = ("coeffs", "rhs", "strict")
+    coeffs: Sequence[Fraction]
+    rhs: Fraction
+    strict: bool = False
 
-    def __init__(self, coeffs: Sequence[Fraction], rhs: Fraction, strict: bool = False):
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
-        self.rhs = Fraction(rhs)
-        self.strict = bool(strict)
 
-    def normalized(self) -> "Constraint":
-        scale = max((abs(c) for c in self.coeffs if c != 0), default=Fraction(0))
-        if scale == 0:
-            return self
-        return Constraint(
-            [c / scale for c in self.coeffs], self.rhs / scale, self.strict
-        )
-
-    def key(self):
-        return (self.coeffs, self.rhs, self.strict)
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        op = "<" if self.strict else "<="
-        return f"Constraint({self.coeffs} {op} {self.rhs})"
+def _normalized(c: Constraint) -> Constraint:
+    """c divided by its largest |coefficient| (by 1 for a constant row)."""
+    scale = Fraction(max(map(abs, c.coeffs), default=0) or 1)
+    return Constraint(tuple(x / scale for x in c.coeffs), c.rhs / scale, c.strict)
 
 
 def feasible(constraints: Iterable[Constraint], n_vars: int) -> bool:
     """True iff some rational point satisfies every constraint."""
-    rows = [c.normalized() for c in constraints]
-    for var in range(n_vars):
-        lowers = []  # -y_var <= ...  (coeff < 0)
-        uppers = []  # +y_var <= ...  (coeff > 0)
-        keep = []
-        for c in rows:
-            a = c.coeffs[var]
-            if a > 0:
-                uppers.append(c)
-            elif a < 0:
-                lowers.append(c)
-            else:
-                keep.append(c)
-        new_rows = keep
-        seen = {c.key() for c in keep}
-        for lo, up in product(lowers, uppers):
-            al, au = lo.coeffs[var], up.coeffs[var]
-            # eliminate: au * lo - al * up has zero coefficient at var
-            coeffs = tuple(
-                au * cl - al * cu for cl, cu in zip(lo.coeffs, up.coeffs)
-            )
-            comb = Constraint(
-                coeffs, au * lo.rhs - al * up.rhs, lo.strict or up.strict
-            ).normalized()
-            if comb.key() not in seen:
-                seen.add(comb.key())
-                new_rows.append(comb)
-        rows = new_rows
-    for c in rows:
-        if c.rhs < 0 or (c.strict and c.rhs <= 0):
-            return False
-    return True
-
+    rows = {_normalized(c) for c in constraints}
+    for v in range(n_vars):
+        lowers = [c for c in rows if c.coeffs[v] < 0]  # -y_v <= ...
+        uppers = [c for c in rows if c.coeffs[v] > 0]  # +y_v <= ...
+        rows = {c for c in rows if c.coeffs[v] == 0} | {  # up[v] * lo - lo[v] * up
+            _normalized(Constraint(
+                tuple(up.coeffs[v] * x - lo.coeffs[v] * y
+                      for x, y in zip(lo.coeffs, up.coeffs)),
+                up.coeffs[v] * lo.rhs - lo.coeffs[v] * up.rhs, lo.strict or up.strict))
+            for lo, up in product(lowers, uppers)}
+    return all(c.rhs > 0 if c.strict else c.rhs >= 0 for c in rows)

@@ -137,21 +137,13 @@ def tuple_feasible(subsets: Iterable[Iterable[int]], n: int, a: int) -> bool:
     """
     if a >= n:
         raise DomainError("tuple_feasible requires a < n")
-    hi = Fraction(1, n - a)
-    rows = []
-    for i in range(n):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(-1)
-        rows.append(Constraint(e, Fraction(0)))  # -y_i <= 0
-        e2 = [Fraction(0)] * n
-        e2[i] = Fraction(1)
-        rows.append(Constraint(e2, hi))  # y_i <= 1/(n-a)
-    for I in subsets:
-        Iset = set(I)
-        coeffs = [Fraction(1) if (i + 1) in Iset else Fraction(-1) for i in range(n)]
-        rows.append(Constraint(coeffs, Fraction(-1), strict=True))
-        # sum_{i notin I} y_i - sum_{i in I} y_i > 1  <=>  -that < -1
-    return feasible(rows, n)
+    # -y_i <= 0 and y_i <= 1/(n-a)
+    box = [Constraint(tuple(s if j == i else 0 for j in range(n)), bound)
+           for i in range(n) for s, bound in ((-1, 0), (1, Fraction(1, n - a)))]
+    # sum_{i notin I} y_i - sum_{i in I} y_i > 1  <=>  -that < -1
+    sums = [Constraint(tuple(1 if i + 1 in I else -1 for i in range(n)), -1, strict=True)
+            for I in map(set, subsets)]
+    return feasible(box + sums, n)
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,16 @@ MUTANTS = [
            LEDGER, "the mean fhat(0) + phi(0)/2"),
     Mutant("sop.py", "2 * (-1) ** (len(lam) + 1)", "(-1) ** (len(lam) + 1)",
            ("tests/test_sop.py",), "sum_TA_all's doubling for the pair of masks eps, -eps"),
+    # Scaling by the smallest |coefficient| instead is an equivalent mutant: any
+    # positive scale gives the same verdict.
+    Mutant("linfeas.py", "lo.strict or up.strict", "lo.strict and up.strict",
+           ("tests/test_sop.py",), "a combined row is strict if either parent is"),
+    Mutant("linfeas.py", "c.rhs > 0 if c.strict", "c.rhs >= 0 if c.strict",
+           ("tests/test_sop.py",), "a constant strict row needs rhs > 0"),
+    Mutant("linfeas.py", "scale = Fraction(max(map(abs, c.coeffs), default=0) or 1)",
+           "scale = max(map(abs, c.coeffs), default=0) or 1",
+           ("tests/test_sop.py::TestFeasibilityEngine::test_normalized_rows_hold_fractions",),
+           "_normalized's Fraction scale, which keeps int rows exact"),
     Mutant("rmt.py", "if not (np.isfinite(empirical) and np.isfinite(stderr)):",
            "if not np.isfinite(empirical):",
            ("tests/test_rmt.py::TestMomentEstimation::test_overflowing_row_refused",

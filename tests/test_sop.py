@@ -15,7 +15,7 @@ import combinat_reference as cr
 from oracle_reference import oracle_Qn_mc
 from splitmoments import sop
 from splitmoments.errors import DomainError, ResourceLimitError
-from splitmoments.linfeas import Constraint, feasible
+from splitmoments.linfeas import Constraint, _normalized, feasible
 from splitmoments.moments import R_moment
 from splitmoments.testfn import fejer
 
@@ -199,6 +199,31 @@ class TestTupleFeasible:
             if witness is not None:
                 assert sop.tuple_feasible(subsets, n, a)
 
+    def test_agrees_with_linear_program(self):
+        # both sides: feasible iff t* = max t subject to s_I . y >= t on the box
+        # exceeds 1, with s_I . y = sum_{i notin I} y_i - sum_{i in I} y_i; a float
+        # solver cannot decide t* within 1e-9 of 1, so those systems are skipped
+        from scipy.optimize import linprog
+
+        rng = random.Random(35)
+        verdicts = []
+        for _ in range(300):
+            n = rng.randint(2, 7)
+            a = rng.randint(1, n - 1)
+            subsets = [frozenset(rng.sample(range(1, n + 1), rng.randint(0, n // 2)))
+                       for _ in range(rng.randint(1, 3))]
+            # variables (y_1..y_n, t): minimize -t subject to t - s_I . y <= 0
+            rows = [[1 if i + 1 in I else -1 for i in range(n)] + [1] for I in subsets]
+            res = linprog([0] * n + [-1], A_ub=rows, b_ub=[0] * len(rows),
+                          bounds=[(0, 1 / (n - a))] * n + [(None, None)])
+            assert res.status == 0, res.message
+            t_star = -res.fun
+            if abs(t_star - 1) > 1e-9:
+                verdicts.append(sop.tuple_feasible(subsets, n, a))
+                assert verdicts[-1] == (t_star > 1), (n, a, subsets, t_star)
+        # 151 feasible and 72 infeasible verdicts checked, 77 systems skipped
+        assert verdicts.count(True) >= 100 and verdicts.count(False) >= 50
+
 
 class TestClassCanonical:
     def test_disjoint_singletons_same_class(self):
@@ -351,6 +376,35 @@ class TestFeasibilityEngine:
             Constraint([F(0), F(-1)], F(0)),
         ]
         assert not feasible(rows, 2)
+
+    # the three systems above, written in ints: (coeffs, rhs, strict) rows, the
+    # number of variables and the verdict
+    INT_SYSTEMS = {
+        "strict_contradiction": ([((1,), 0, False), ((-1,), 0, True)], 1, False),
+        "open_interval": ([((-1,), 0, True), ((1,), 1, True)], 1, True),
+        "two_var_chain": ([((-1, -1), -1, True), ((2, 0), 1, False), ((0, 2), 1, False),
+                           ((-1, 0), 0, False), ((0, -1), 0, False)], 2, False),
+    }
+
+    @pytest.mark.parametrize("name", INT_SYSTEMS)
+    def test_int_rows_match_their_fraction_copy(self, name):
+        rows, n_vars, verdict = self.INT_SYSTEMS[name]
+        ints = [Constraint(*row) for row in rows]
+        fractions = [Constraint(tuple(map(F, c)), F(rhs), strict) for c, rhs, strict in rows]
+        assert feasible(ints, n_vars) is feasible(fractions, n_vars) is verdict
+
+    def test_normalized_rows_hold_fractions(self, monkeypatch):
+        # an int scale would turn x / scale into a float
+        built = []
+        monkeypatch.setattr(sop, "feasible", lambda rows, n: built.extend(rows) or True)
+        sop.tuple_feasible([{1}, {2, 3}], 5, 2)
+        assert all(type(x) is int for c in built for x in c.coeffs)
+        written = [Constraint(*row) for system, _, _ in self.INT_SYSTEMS.values()
+                   for row in system]
+        for c in (*written, *built, Constraint((0, 0), -1)):  # and a constant row
+            normal = _normalized(c)
+            assert all(type(x) is F for x in (*normal.coeffs, normal.rhs)), c
+            assert max(map(abs, normal.coeffs)) in (0, 1)
 
 
 class TestQnMonteCarloOracle:
