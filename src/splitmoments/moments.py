@@ -8,7 +8,8 @@ of the test function and ``sigma`` its support radius:
   2^{m-1} (-1)^m sum_{l=0}^{i-1} (-2)^l C(m,l) M(m-l, l), where M(k, l) is
   the mass below -1 of psi_k * gp^{*l}, psi_k = fhat^{*k} the transform of
   phi^k and gp the half of fhat on [0, sigma] (never an oscillatory
-  integral).
+  integral); inside sigma <= 1/(m - i), the only window it accepts, that is
+  2^{m-1} (-1)^m times the mass below -1 of g^{*m}, g the signed fold.
 - ``S_correction(n, a)``: sum_l n!/((n-2l)! l!) R(n-2l, a-2l) (sigma^2/2)^l.
 - ``predicted_centered_moment``: 1_{n even} (n-1)!! sigma_phi^n +- S(n, a).
 - ``X_xi(n, l)`` and ``Q_n_via_classes``: the independent route through the
@@ -16,18 +17,15 @@ of the test function and ``sigma`` its support radius:
 
 The mean of the statistic is ``mean_value`` = fhat(0) + (1/2) int_{-1}^{1} fhat.
 
-The two exact routes share no convolution code above :mod:`exactpoly`.  The
-R route (``R_moment``, ``S_correction``, ``predicted_centered_moment``)
-works on the term lists cached per test function (:func:`testfn.psi_terms`,
-:func:`testfn.gp_terms`) and never builds a piecewise intermediate.  The Q
-route (``X_xi``, ``Q_n_via_classes``) also chains term-list convolutions, but
-of term lists it rebuilds from ``fhat`` on every call, so it reads nothing
-from that cache; the two routes then differ in the formula they evaluate
-(sign-pattern classes against tail masses), not in the algebra beneath it.
-
-Each M(k, l) is a thin tail when sigma <= 2/n, and the R route builds only
-the knots it reads there.  The Q route keeps full convolutions, so R == Q
-compares the cut computation against an uncut one.
+The two exact routes share no convolution code above :mod:`exactpoly`, and
+neither keeps a cache: both build their term lists from ``fhat`` on every
+call.  The R route (``R_moment``, ``S_correction``,
+``predicted_centered_moment``) sums the pairs (k, l) in one chain, the powers
+of the signed fold g = fhat - 2 gp (see the section below), and reads only
+the knots that the mass below -1 of its top member needs.  The Q route
+(``X_xi``, ``Q_n_via_classes``) keeps full convolutions of gp and its
+reflection and evaluates sign-pattern classes, so R == Q checks the binomial
+collapse and the moving cut together.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from typing import Literal
 
 from . import exactpoly as ep
 from .errors import DomainError
-from .testfn import TestFunction, gp_terms, psi_terms
+from .testfn import TestFunction
 
 __all__ = [
     "Sign",
@@ -122,38 +120,41 @@ def mean_value(tf: TestFunction) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# the folded-coordinate bracket
+# the R / S closed forms: one chain of the signed fold
 #
 # The paper's bracket V(m, l) integrates T_k(1 + s), k = m - l and
-# T_k(A) = int_0^A psi_k, against rho, the density of a sum of l folded
-# coordinates |x_j|, each of density 2 gp.  Swapping the order of integration
-# turns int rho(s) F_k(1 + s) ds, F_k the cumulative of psi_k, into the mass
-# of psi_k * reflect(rho) below 1.  That mass is the total phi(0)^m minus the
-# mass above 1, which, psi_k being even, is 2^l M(k, l).  So
-# V(m, l) = phi(0)^m / 2 - 2^l M(k, l), the phi(0)^m / 2 cancels in every R
-# bracket, and only the thin tails' knots are built.  The Q route keeps full
-# convolutions, so R == Q checks the cut.
+# T_k(A) = int_0^A psi_k, against the density of a sum of l folded
+# coordinates |x_j|, each of density 2 gp.  Swapping the order of
+# integration, and psi_k being even, V(m, l) = phi(0)^m / 2 - 2^l M(k, l),
+# and the phi(0)^m / 2 cancels in every R bracket.  By the binomial theorem
+# sum_l (-2)^l C(m, l) psi_{m-l} * gp^{*l} = g^{*m}, g = fhat - 2 gp the
+# signed fold: fhat on [-sigma, 0), -fhat on [0, sigma).  For l >= i the
+# mass M(m - l, l) vanishes once (m - i) sigma <= 1, so inside that window
+# R(m, i) = 2^{m-1} (-1)^m times the mass of g^{*m} below -1, whatever i.
+# Member m of the chain g, g^{*2}, .., g^{*n} is built only below
+# -1 + (n - m) sigma, all that the mass of g^{*n} below -1 reads.
 # ---------------------------------------------------------------------------
 
-def _tail_mass(tf: TestFunction, k: int, ell: int) -> Fraction:
-    """M(k, l): the mass below -1 of psi_k * gp^{*l} (psi_k itself for l = 0),
-    built only at the knots below -1."""
-    conv = psi_terms(tf, k)
-    if ell:
-        conv = ep.term_convolve(conv, gp_terms(tf, ell), below=-1)
-    return ep.term_mass_below(conv, -1)
+def _fold_kernels(tf: TestFunction, n: int, orders) -> dict[int, Fraction]:
+    """R(m, .) at each m of ``orders`` (all <= n), from one chain of the fold."""
+    sign = ep.from_global_pieces([(-tf.sigma, 0, [1]), (0, tf.sigma, [-1])])
+    g = cur = ep.to_terms(ep.multiply(tf.fhat, sign))
+    kernels = {}
+    for m in range(1, n + 1):
+        if m > 1:
+            cur = ep.term_convolve(cur, g, below=-1 + (n - m) * tf.sigma)
+        if m in orders:
+            kernels[m] = Fraction(2) ** (m - 1) * (-1) ** m * ep.term_mass_below(cur, -1)
+    return kernels
 
-
-# ---------------------------------------------------------------------------
-# the R / S closed forms
-# ---------------------------------------------------------------------------
 
 def R_moment(tf: TestFunction, m: int, i: int) -> Fraction:
-    """Exact R(m, i) correction kernel."""
+    """Exact R(m, i) correction kernel, for sigma <= 1/(m - i)."""
     if i < 1 or i > m:
         raise DomainError(f"R_moment requires 1 <= i <= m, got m={m}, i={i}")
-    total = sum((-2) ** ell * comb(m, ell) * _tail_mass(tf, m - ell, ell) for ell in range(i))
-    return Fraction(2) ** (m - 1) * (-1) ** m * total
+    if (m - i) * tf.sigma > 1:
+        raise DomainError(f"R_moment({m}, {i}) requires sigma <= 1/(m-i), got {tf.sigma}")
+    return _fold_kernels(tf, m, (m,))[m]
 
 
 def S_correction(tf: TestFunction, n: int, a: int) -> Fraction:
@@ -164,10 +165,12 @@ def S_correction(tf: TestFunction, n: int, a: int) -> Fraction:
     if a <= 0:
         return Fraction(0)
     var = sigma_phi_sq(tf)
+    ells = range((a - 1) // 2 + 1)
+    kernels = _fold_kernels(tf, n, {n - 2 * ell for ell in ells})
     total = Fraction(0)
-    for ell in range((a - 1) // 2 + 1):
+    for ell in ells:
         coeff = Fraction(factorial(n), factorial(n - 2 * ell) * factorial(ell))
-        total += coeff * R_moment(tf, n - 2 * ell, a - 2 * ell) * (var / 2) ** ell
+        total += coeff * kernels[n - 2 * ell] * (var / 2) ** ell
     return total
 
 

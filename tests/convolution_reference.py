@@ -7,21 +7,30 @@ and their product is integrated exactly.  No term list is involved, so this
 is an independent reference for the term-list kernel in ``exactpoly``, and
 :func:`reflect`, which acts on the pieces, one for ``term_reflect``.
 
+:func:`psi_terms` and :func:`gp_terms` give the term lists of the powers
+psi_k = fhat^{*k} and gp^{*l}, gp = fhat on [0, sigma], memoized per base.
+:func:`pair_sum_R` and :func:`pair_sum_S` are the R route summed pair by pair,
+2^{m-1} (-1)^m sum_{l<i} (-2)^l C(m, l) M(m-l, l), each :func:`tail_mass`
+M(k, l) the mass below -1 of psi_k * gp^{*l}, built only at the knots below
+-1: the reference for ``moments``' single chain of the signed fold.
+
 :func:`full_bracket` is the other kind of reference: the R route's bracket
 computed the long way, from the full convolution psi_k * reflect(gp^{*l}),
-against which the route's cut to the knots below -1 is checked.  Its signed
-form gives the paper's signed-fold integrals :func:`I_integral`, on which the
+against which the cut to the knots below -1 is checked.  Its signed form
+gives the paper's signed-fold integrals :func:`I_integral`, on which the
 tests check the two recursions that collapse I(alpha, delta) to I(omega, 0).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from math import comb, factorial
 
 from splitmoments import exactpoly as ep
 from splitmoments.errors import DomainError
 from splitmoments.exactpoly import PiecewisePoly, from_global_pieces
-from splitmoments.testfn import gp_terms, psi_terms
+from splitmoments.moments import sigma_phi_sq
 
 
 def reflect(p: PiecewisePoly) -> PiecewisePoly:
@@ -93,6 +102,51 @@ def reference_convolve(p: PiecewisePoly, q: PiecewisePoly) -> PiecewisePoly:
                 coeffs[j] += weight * bj
         spans.append((lo, hi, coeffs))
     return from_global_pieces(spans)
+
+
+@cache
+def _power(base, k: int):
+    """base^{*k} for a term list ``base`` (k >= 1), memoized on the terms."""
+    if k < 1:
+        raise DomainError("power must be >= 1")
+    return base if k == 1 else ep.term_convolve(_power(base, k - 1), base)
+
+
+def psi_terms(tf, k: int):
+    """Term list of psi_k = fhat^{*k}, the transform of phi^k (k >= 1)."""
+    return _power(ep.to_terms(tf.fhat), k)
+
+
+def gp_terms(tf, ell: int):
+    """Term list of gp^{*l} with gp = fhat on [0, sigma] (l >= 1).
+
+    The folded coordinate |x| has density 2 gp; gp itself has mass phi(0)/2.
+    """
+    return _power(ep.to_terms(ep.restrict(tf.fhat, 0, tf.sigma + 1)), ell)
+
+
+def tail_mass(tf, k: int, ell: int) -> Fraction:
+    """M(k, l): the mass below -1 of psi_k * gp^{*l} (psi_k itself for l = 0),
+    built only at the knots below -1."""
+    conv = psi_terms(tf, k)
+    if ell:
+        conv = ep.term_convolve(conv, gp_terms(tf, ell), below=-1)
+    return ep.term_mass_below(conv, -1)
+
+
+def pair_sum_R(tf, m: int, i: int) -> Fraction:
+    """R(m, i) = 2^{m-1} (-1)^m sum_{l<i} (-2)^l C(m, l) M(m-l, l), at any sigma."""
+    total = sum((-2) ** ell * comb(m, ell) * tail_mass(tf, m - ell, ell) for ell in range(i))
+    return Fraction(2) ** (m - 1) * (-1) ** m * total
+
+
+def pair_sum_S(tf, n: int, a: int) -> Fraction:
+    """S(n, a) = sum_l n!/((n-2l)! l!) R(n-2l, a-2l) (sigma_phi^2/2)^l from
+    :func:`pair_sum_R`; the empty sum (a <= 0) is zero."""
+    var = sigma_phi_sq(tf)
+    return sum((Fraction(factorial(n), factorial(n - 2 * ell) * factorial(ell))
+                * pair_sum_R(tf, n - 2 * ell, a - 2 * ell) * (var / 2) ** ell
+                for ell in range((a - 1) // 2 + 1)), Fraction(0))
 
 
 def full_bracket(tf, k: int, pos: int, neg: int = 0) -> Fraction:

@@ -43,9 +43,14 @@ MUTANTS = [
     Mutant("moments.py", 'gaussian + s if sign == "plus" else gaussian - s',
            'gaussian - s if sign == "plus" else gaussian + s', LEDGER,
            "the sign of S in the predicted moment"),
-    Mutant("moments.py", "(-2) ** ell * comb(m, ell)", "(-2) ** ell * comb(m, ell + 1)",
-           (*LEDGER, "tests/test_moments.py::TestQnCrossPath::test_equality_on_random_transforms"),
-           "R(m, i)'s binomial C(m, l)"),
+    Mutant("moments.py", "(-1) ** ell * comb(n, ell)", "(-1) ** ell * comb(n, ell + 1)",
+           ("tests/test_moments.py::TestQnCrossPath",), "Q_n's binomial C(n, l)"),
+    Mutant("moments.py", "(0, tf.sigma, [-1])", "(0, tf.sigma, [1])",
+           (*LEDGER, "tests/test_moments.py::TestChainAgainstPairSum"),
+           "the signed fold's sign on [0, sigma)"),
+    Mutant("moments.py", "below=-1 + (n - m) * tf.sigma", "below=-1 + (n - m - 1) * tf.sigma",
+           (*LEDGER, "tests/test_moments.py::TestChainAgainstPairSum"),
+           "the chain's cut at -1 + (n - m) sigma, one sigma lower"),
     # One step up instead is an equivalent mutant: the extra knots it builds
     # lie at or above the cut, where term_mass_below never reads.
     Mutant("exactpoly.py", "cut = -(-t.numerator // t.denominator)",

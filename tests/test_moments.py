@@ -1,6 +1,7 @@
 """Exact moment quantities: paper values, cross-route identities, oracle checks."""
 
 import hashlib
+import json
 import math
 import tracemalloc
 from fractions import Fraction as F
@@ -11,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convolution_reference import I_integral, full_bracket, poly_integral, poly_mul, reflect
+import write_ledger
+from convolution_reference import (I_integral, full_bracket, pair_sum_R, pair_sum_S, poly_integral,
+                                   poly_mul, psi_terms, reflect, tail_mass)
 from oracle_reference import (oracle_I_integral, oracle_sigma_phi_sq, oracle_X_xi,
                               t_transform_numeric)
 from splitmoments import exactpoly as ep
@@ -19,7 +22,7 @@ from splitmoments import moments as mo
 from splitmoments import quadrature as qd
 from splitmoments import testfn
 from splitmoments.errors import DomainError, InvariantViolation, ToleranceError
-from splitmoments.testfn import fejer, psi_terms
+from splitmoments.testfn import fejer
 
 HALF = fejer(F(1, 2))
 THREE_FIFTHS = fejer(F(3, 5))
@@ -79,7 +82,7 @@ def bar_X_xi(tf, n, ell):
     """
     via_sum = 2 ** (ell + 1) * sum(math.comb(n - ell, i) * mo.X_xi(tf, n, i + ell)
                                    for i in range((n + 1) // 2 - ell))
-    via_closed = 2 ** (ell + 1) * mo._tail_mass(tf, n - ell, ell)
+    via_closed = 2 ** (ell + 1) * tail_mass(tf, n - ell, ell)
     if via_sum != via_closed:
         raise InvariantViolation(f"bar_X_xi({n}, {ell}): {via_sum} != {via_closed}")
     return via_sum
@@ -138,15 +141,52 @@ class TestRMoment:
         with pytest.raises(DomainError):
             mo.R_moment(HALF, 2, 0)
 
+    def test_refused_outside_the_fold_window(self):
+        """At sigma > 1/(m - i) the pair sum keeps i of the m + 1 binomial
+        terms, so it is no power of the signed fold, and R refuses."""
+        assert pair_sum_R(HALF, 4, 1) == F(31, 630)
+        with pytest.raises(DomainError, match=r"1/\(m-i\)"):
+            mo.R_moment(HALF, 4, 1)
+
+
+class TestChainAgainstPairSum:
+    """R and S from one chain of the signed fold equal the pair sum over
+    psi_k * gp^{*l} that the chain collapses by the binomial theorem."""
+
+    def test_every_ledger_case(self):
+        """Each (sigma, n, a) of the exact ledger's moments, and r = 19's."""
+        rows = json.loads(write_ledger.LEDGER.read_text())["predicted_centered_moment"]
+        cases = {(F(sigma), n, a) for sigma, n, a, _, _ in rows} | {(F(1, 10), 20, 10)}
+        assert len(cases) == 80
+        for sigma, n, a in sorted(cases):
+            tf = fejer(sigma)
+            assert mo.S_correction(tf, n, a) == pair_sum_S(tf, n, a), (sigma, n, a)
+            if a >= 1:
+                assert mo.R_moment(tf, n, a) == pair_sum_R(tf, n, a), (sigma, n, a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(even_fhat())
+    def test_random_transforms(self, drawn):
+        """Every i inside the window sigma <= 1/(m - i) for m <= 6, and S at
+        every valid a."""
+        tf = drawn_test_function(*drawn)
+        for m in range(1, 7):
+            for i in range(1, m + 1):
+                if (m - i) * tf.sigma <= 1:
+                    assert mo.R_moment(tf, m, i) == pair_sum_R(tf, m, i), (m, i)
+            for a in mo.valid_a_range(tf, m):
+                assert mo.S_correction(tf, m, a) == pair_sum_S(tf, m, a), (m, a)
+
 
 def cut_bracket(tf, k, ell):
-    """The R route's bracket phi(0)^(k+l) / 2 - 2^l M(k, l)."""
-    return tf.phi_zero() ** (k + ell) / 2 - 2 ** ell * mo._tail_mass(tf, k, ell)
+    """The pair sum's bracket phi(0)^(k+l) / 2 - 2^l M(k, l)."""
+    return tf.phi_zero() ** (k + ell) / 2 - 2 ** ell * tail_mass(tf, k, ell)
 
 
 class TestBracketCut:
-    """Each R bracket is read from the knots of psi_k * gp^{*l} below -1 only;
-    it must equal the bracket built from every knot of psi_k * reflect(gp^{*l})."""
+    """Each bracket of the pair sum is read from the knots of psi_k * gp^{*l}
+    below -1 only; it must equal the bracket built from every knot of
+    psi_k * reflect(gp^{*l})."""
 
     @pytest.mark.parametrize("sigma", [F(1, 2), F(1, 3), F(1, 5), F(1),  # -1 a knot
                                        F(2, 5), F(3, 7), F(5, 8), F(4, 9)])

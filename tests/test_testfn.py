@@ -2,18 +2,17 @@
 
 import hashlib
 import math
-import threading
 from fractions import Fraction as F
 
 import pytest
 from scipy.integrate import quad
 
-from convolution_reference import reflect
+from convolution_reference import gp_terms, psi_terms, reflect
 from oracle_reference import phi_value_numeric
 from splitmoments import exactpoly as ep
 from splitmoments.errors import DomainError
-from splitmoments.moments import predicted_centered_moment, sigma_phi_sq
-from splitmoments.testfn import fejer, gp_terms, phi_power_hat, psi_terms
+from splitmoments.moments import sigma_phi_sq
+from splitmoments.testfn import fejer, phi_power_hat
 
 
 class TestFejer:
@@ -90,54 +89,19 @@ class TestPhiPowerHat:
             phi_power_hat(fejer(F(1, 2)), 0)
 
     def test_term_caches_reject_powers_below_one(self):
+        """The reference power lists of ``convolution_reference``."""
         tf = fejer(F(1, 2))
-        psi_terms(tf, 3)
-        gp_terms(tf, 2)
         for power in (psi_terms, gp_terms):
             for k in (0, -1):
                 with pytest.raises(DomainError):
                     power(tf, k)
 
-    @pytest.mark.parametrize("power", [psi_terms, gp_terms])
-    def test_power_list_shared_across_threads(self, power, monkeypatch):
-        """Two threads that each build the second power before either stores
-        it still get the third power, and the cache they leave is still the
-        list of powers."""
-        expected = [power(fejer(F(1, 7)), k) for k in (1, 2, 3, 4)]
-        tf = fejer(F(1, 7))
-        convolve, met = ep.term_convolve, threading.local()
-        barrier = threading.Barrier(2, timeout=10)
-
-        def convolve_then_meet(*args, **kwargs):
-            out = convolve(*args, **kwargs)
-            if not getattr(met, "done", False):
-                met.done = True
-                barrier.wait()  # both threads hold power 2; neither has stored it
-            return out
-
-        monkeypatch.setattr(ep, "term_convolve", convolve_then_meet)
-        got = [None, None]
-
-        def build(i):
-            got[i] = power(tf, 3)
-
-        threads = [threading.Thread(target=build, args=(i,)) for i in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert got == [expected[2]] * 2
-        monkeypatch.undo()
-        assert [power(tf, k) for k in (1, 2, 3, 4)] == expected
-
     def test_fejer_psi_stores_one_term_per_knot(self):
-        """psi_k of the triangle is a sum of e_{2k-1} at knots -k..k; the
-        cache holds that one term per knot and no padding."""
+        """psi_k of the triangle is a sum of e_{2k-1} at knots -k..k; its
+        reference term list holds that one term per knot and no padding."""
         tf = fejer(F(1, 10))
-        predicted_centered_moment(tf, 20, 10, "minus")
-        cached = tf._psi
-        assert len(cached) == 20
-        for k, psi in enumerate(cached, start=1):
+        for k in range(1, 21):
+            psi = psi_terms(tf, k)
             assert [kk for kk, _ in psi.knots] == list(range(-k, k + 1))
             assert all(len(pairs) == 1 and pairs[0][0] == 2 * k - 1
                        for _, pairs in psi.knots)
@@ -148,9 +112,9 @@ class TestPhiPowerHat:
         (F(3, 5), "7171beefa4a56bbf72b04a3cdc64fc255d7fd713b949633153b9f539277c9253"),
     ])
     def test_power_term_lists_pinned(self, sigma, digest):
-        """psi_m (m <= 6), gp^{*l} (l <= 4) and the piecewise psi_m, pinned by
-        the sha256 of their repr: the Taylor shifts in and out of the term
-        lists and the constructor's canonical form stay bit for bit."""
+        """psi_m (m <= 6), gp^{*l} (l <= 4) of the reference and the piecewise
+        psi_m, pinned by the sha256 of their repr: the Taylor shifts in and out
+        of the term lists and the constructor's canonical form stay bit for bit."""
         tf = fejer(sigma)
         powers = ([psi_terms(tf, m) for m in range(1, 7)],
                   [gp_terms(tf, ell) for ell in range(1, 5)],
