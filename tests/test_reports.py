@@ -30,6 +30,8 @@ DIGESTS = {
         "45f9ce57ed7ebb8c13157af1329b3882ce720e915d56eae4cc404a9b9fe5c814",
     "verify combinat --n 8":
         "84cc9778fbacc31e9c7b53f83b4d5e00ebe0a0c2fb3d52e5eb1e03dd8e28e8b4",
+    "verify arith --qmax 20 --kloosterman-sweep":
+        "24ca921a333e6f9fb0596f061db5efcdcebd4cb3c6710e83bad7817f27b97a2d",
     "rmt --M 100 --sigma 3/5 --samples 2000 --nmax 4 --seed 1":
         "be1bd3796f2f34f7fdb5b37770e05d9b84310b90baf6b94de591cf63d5481b6c",
     "rmt --M 101 --sigma 1/10 --samples 2000 --nmax 4 --seed 1":
