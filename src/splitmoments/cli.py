@@ -29,7 +29,9 @@ the report was written.
 
 Importing this module loads ``errors`` and the standard library only; each
 command imports the package modules it runs when it runs, so a process pays
-for compiling and loading only what its command uses.
+for compiling and loading only what its command uses.  The ``verify
+combinat`` and ``verify arith`` runners are stubs: each suite, with its case
+ranges and cap, is ``sop.lemma_rows`` or ``arith.identity_rows``.
 
 Config files are line-oriented ``key = value`` with ``#`` comments and a
 ``command`` line (``verify-combinat`` for ``verify combinat``), which a
@@ -47,11 +49,10 @@ import re
 import sys
 import time
 from fractions import Fraction
-from math import comb, factorial
 from pathlib import Path
 from typing import Any, NamedTuple, Sequence
 
-from .errors import DomainError, InvariantViolation, ResourceLimitError, UsageError
+from .errors import DomainError, ResourceLimitError, UsageError
 
 __all__ = [
     "main", "run", "RunConfig", "PARAMS", "REQUIRED", "resolve", "load_config",
@@ -125,7 +126,7 @@ _COMMON = {"seed": (_at_least(0), 42), "json": (Path, None)}
 
 # PARAMS[command][key] = (parser, default or REQUIRED).  A default of None
 # means the command derives the value (moment's a: the minimal valid a;
-# verify combinat's a: ceil(n/2), which is >= 2 as n >= 3).  The lower
+# verify combinat's a: derived by ``sop.lemma_rows``).  The lower
 # bounds refuse sigma <= 0, a moment order n < 1, an order threshold r < 1,
 # SO(M) with M < 2 and verify suites that would check nothing, each as a bad
 # value of its key.
@@ -386,99 +387,16 @@ def _cmd_verify_combinat(cfg: RunConfig):
     """combinatorial lemmas on the class expansion"""
     from . import sop
 
-    n = cfg.params["n"]
-    a = cfg.params["a"]
-    if a is None:
-        a = (n + 1) // 2
-    table = sop.sum_TA_all(n, a, t_max=cfg.params["t_max"])
-    results = []
-    ok = True
-    counterexamples = []
-    for f in range(1, a):
-        got = table.get(sop.one_class(n, f), Fraction(0))
-        want = Fraction(2 * (-1) ** (n + f + 1) * comb(n, f))
-        good = got == want
-        ok &= good
-        if not good:
-            counterexamples.append({"lemma": "one-class coefficient", "f": f, "got": str(got)})
-        results.append(
-            {"lemma": "one-class coefficient", "f": f, "value": got, "passed": good}
-        )
-    f0 = table.get(sop.one_class(n, 0), Fraction(0))
-    results.append(
-        {
-            "lemma": "one-class f=0 (reported, not asserted)",
-            "f": 0,
-            "value": f0,
-            "matches_extension": f0 == 2 * (-1) ** (n + 1),
-        }
-    )
-    t_bad = []
-    for key, val in table.items():
-        if len(key) >= 2 and val != 0 and sop.tuple_feasible(key, n, a):
-            t_bad.append({"class": [list(s) for s in key], "value": str(val)})
-    ok &= not t_bad
-    results.append(
-        {
-            "lemma": "valid multi-set classes vanish",
-            "classes_checked": sum(1 for k in table if len(k) >= 2),
-            "passed": not t_bad,
-        }
-    )
-    counterexamples.extend(t_bad)
-    sosh_ok = all(sop.soshnikov_coeff(k) == (1 if k == 1 else 0) for k in range(1, 13))
-    exp_ok = all(
-        sop.exp_neg_coeff(k) == Fraction((-1) ** k, factorial(k)) for k in range(13)
-    )
-    ok &= sosh_ok and exp_ok
-    results.append({"lemma": "log-series coefficients", "passed": sosh_ok})
-    results.append({"lemma": "exp-series coefficients", "passed": exp_ok})
-    if counterexamples:
-        results.append({"counterexamples": counterexamples})
+    results, ok = sop.lemma_rows(cfg.params["n"], cfg.params["a"], cfg.params["t_max"])
     return results, [], ok
-
-
-# verify arith's Ramanujan row is qmax^2 cases of O(qmax) work each, most of
-# the run: qmax = 300 takes 1.8-2.1 s in-process (2-core x86-64, Python
-# 3.11.7), and a larger qmax is refused before any case runs
-_QMAX_CAP = 300
 
 
 def _cmd_verify_arith(cfg: RunConfig):
     """Ramanujan, Gauss and Kloosterman sum identities"""
     from . import arith
 
-    qmax = cfg.params["qmax"]
-    if qmax > _QMAX_CAP:
-        raise ResourceLimitError(f"qmax={qmax} exceeds cap {_QMAX_CAP}")
-    identities = [
-        ("ramanujan three-way", arith.ramanujan,
-         ((n, q) for q in range(1, qmax + 1) for n in range(1, qmax + 1))),
-        ("gauss bounds (primitive) + principal=Ramanujan", arith.gauss_sum,
-         ((chi, n) for q in range(1, min(qmax, 50) + 1)
-          for chi in arith.enumerate_characters(q) for n in range(51))),
-        ("kloosterman Weil-type bound", arith.kloosterman,
-         ((m, n, q) for q in range(1, min(qmax, 100) + 1)
-          for m in range(21) for n in range(21))),
-    ]
-    if cfg.params["kloosterman_sweep"]:
-        identities.append(
-            ("prime-level Kloosterman factorization", arith.verify_kloosterman_factorization,
-             ((N, b, Q, m) for N in (3, 5, 7) for b in range(1, 21) if b % N
-              for Q in range(1, 31) if Q % N for m in range(1, 6) if m % N))
-        )
-    # a case fails when its check raises InvariantViolation or returns False
-    results = []
-    for name, check, cases in identities:
-        checked = failures = 0
-        for args in cases:
-            checked += 1
-            try:
-                failures += check(*args) is False
-            except InvariantViolation:
-                failures += 1
-        results.append({"identity": name, "checked": checked, "failures": failures})
-    return results, [], all(row["failures"] == 0 for row in results)
+    results, ok = arith.identity_rows(cfg.params["qmax"], cfg.params["kloosterman_sweep"])
+    return results, [], ok
 
 
 def _cmd_verify_all(cfg: RunConfig):

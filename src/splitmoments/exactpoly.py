@@ -62,7 +62,6 @@ RationalLike = Union[int, str, Fraction]
 __all__ = [
     "PiecewisePoly",
     "frac",
-    "from_global_pieces",
     "evaluate",
     "multiply",
     "convolve",
@@ -221,36 +220,6 @@ def _canonical(
     if not pl:
         return (), ()
     return tuple(bl), tuple(pl)
-
-
-# ---------------------------------------------------------------------------
-# constructors
-# ---------------------------------------------------------------------------
-
-def from_global_pieces(
-    spans: Sequence[tuple[RationalLike, RationalLike, Sequence[RationalLike]]]
-) -> PiecewisePoly:
-    """Build from (lo, hi, coefficients in x) spans.
-
-    Spans must be non-overlapping; gaps are filled with zero pieces.
-    """
-    cleaned = sorted(
-        ((frac(lo), frac(hi), tuple(frac(c) for c in cs)) for lo, hi, cs in spans),
-        key=lambda s: s[0],
-    )
-    breaks: list[Fraction] = []
-    pieces: list[tuple[Fraction, ...]] = []
-    for lo, hi, cs in cleaned:
-        if breaks and lo < breaks[-1]:
-            raise ValueError("overlapping spans")
-        if breaks and lo > breaks[-1]:
-            pieces.append(())
-            breaks.append(lo)
-        elif not breaks:
-            breaks.append(lo)
-        pieces.append(cs)
-        breaks.append(hi)
-    return PiecewisePoly(breaks, pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,7 @@ def _check_support(tf: TestFunction, n: int, a: int) -> None:
 
 def sigma_phi_sq(tf: TestFunction) -> Fraction:
     """2 * int |y| fhat(y)^2 dy, exactly: 4 int_0^sigma y fhat(y)^2 dy by evenness."""
-    y = ep.from_global_pieces([(0, tf.sigma, [0, 1])])
+    y = ep.PiecewisePoly((0, tf.sigma), ((0, 1),))
     return 4 * ep.integral(ep.multiply(ep.multiply(tf.fhat, tf.fhat), y))
 
 
@@ -137,7 +137,7 @@ def mean_value(tf: TestFunction) -> Fraction:
 
 def _fold_kernels(tf: TestFunction, n: int, orders) -> dict[int, Fraction]:
     """R(m, .) at each m of ``orders`` (all <= n), from one chain of the fold."""
-    sign = ep.from_global_pieces([(-tf.sigma, 0, [1]), (0, tf.sigma, [-1])])
+    sign = ep.PiecewisePoly((-tf.sigma, 0, tf.sigma), ((1,), (-1,)))
     g = cur = ep.to_terms(ep.multiply(tf.fhat, sign))
     kernels = {}
     for m in range(1, n + 1):

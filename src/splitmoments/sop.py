@@ -24,8 +24,9 @@ eps and -eps give the same sets, so only the E with bit n-1 clear are
 enumerated, at twice the weight.  A(S) * lcm(1..n) is an integer, so the
 sums stay in ints until one division per class at the end.
 
-Also here: the log/exp composition-sum coefficients that the
-``verify combinat`` command checks.  The tests hold the rest in
+Also here: the log/exp composition-sum coefficients, and ``lemma_rows``,
+the ``verify combinat`` suite, which checks the class sums and those
+coefficients.  The tests hold the rest in
 ``tests/combinat_reference.py``: the definitional systems of parameters,
 their J-sets, minimal sets and weights, and the loop over them that
 ``sum_TA_all`` is tested against; the G and H binomial telescopes and the
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, combinations, pairwise, permutations
-from math import factorial, lcm, prod
+from math import comb, factorial, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, ResourceLimitError
@@ -51,6 +52,7 @@ __all__ = [
     "sum_TA_all",
     "soshnikov_coeff",
     "exp_neg_coeff",
+    "lemma_rows",
     "ENUMERATION_CAP",
 ]
 
@@ -217,3 +219,44 @@ def exp_neg_coeff(n: int) -> Fraction:
     total = sum((-1) ** len(lam) * (factorial(n) // prod(factorial(l) for l in lam))
                 for lam in compositions(n))
     return Fraction(total, factorial(n))
+
+
+# ---------------------------------------------------------------------------
+# the verify combinat suite
+# ---------------------------------------------------------------------------
+
+def lemma_rows(n: int, a: int | None, t_max: int) -> tuple[list[dict], bool]:
+    """The rows and verdict of ``verify combinat`` at (n, a), a = ceil(n/2)
+    if None, over the classes of at most t_max subsets.
+
+    Asserts the one-class coefficient 2(-1)^{n+f+1} C(n, f) for 1 <= f < a
+    (f = 0 is reported only), the vanishing of every feasible class of two or
+    more subsets, and the log/exp coefficients up to order 12.  A final row
+    lists the counterexamples, if any.
+    """
+    if a is None:
+        a = (n + 1) // 2
+    table = sum_TA_all(n, a, t_max=t_max)
+    rows, bad = [], []
+    for f in range(1, a):
+        got = table.get(one_class(n, f), Fraction(0))
+        good = got == 2 * (-1) ** (n + f + 1) * comb(n, f)
+        if not good:
+            bad.append({"lemma": "one-class coefficient", "f": f, "got": str(got)})
+        rows.append({"lemma": "one-class coefficient", "f": f, "value": got, "passed": good})
+    f0 = table.get(one_class(n, 0), Fraction(0))
+    rows.append({"lemma": "one-class f=0 (reported, not asserted)", "f": 0, "value": f0,
+                 "matches_extension": f0 == 2 * (-1) ** (n + 1)})
+    multi = [(key, val) for key, val in table.items() if len(key) >= 2]
+    t_bad = [{"class": [list(s) for s in key], "value": str(val)}
+             for key, val in multi if val != 0 and tuple_feasible(key, n, a)]
+    rows.append({"lemma": "valid multi-set classes vanish", "classes_checked": len(multi),
+                 "passed": not t_bad})
+    bad += t_bad
+    sosh_ok = all(soshnikov_coeff(k) == (1 if k == 1 else 0) for k in range(1, 13))
+    exp_ok = all(exp_neg_coeff(k) == Fraction((-1) ** k, factorial(k)) for k in range(13))
+    rows.append({"lemma": "log-series coefficients", "passed": sosh_ok})
+    rows.append({"lemma": "exp-series coefficients", "passed": exp_ok})
+    if bad:
+        rows.append({"counterexamples": bad})
+    return rows, not bad and sosh_ok and exp_ok

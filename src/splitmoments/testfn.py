@@ -75,12 +75,8 @@ def fejer(sigma) -> TestFunction:
         raise DomainError("fejer requires sigma > 0")
     inv = 1 / s
     inv2 = 1 / (s * s)
-    fhat = ep.from_global_pieces(
-        [
-            (-s, 0, [inv, inv2]),     # 1/sigma + y/sigma^2
-            (0, s, [inv, -inv2]),     # 1/sigma - y/sigma^2
-        ]
-    )
+    # 1/sigma + y/sigma^2 on [-sigma, 0), 1/sigma - y/sigma^2 on [0, sigma)
+    fhat = PiecewisePoly((-s, 0, s), ((inv, inv2), (inv, -inv2)))
     sf = float(s)
 
     def phi(x: float) -> float:

@@ -19,6 +19,10 @@ computed the long way, from the full convolution psi_k * reflect(gp^{*l}),
 against which the cut to the knots below -1 is checked.  Its signed form
 gives the paper's signed-fold integrals :func:`I_integral`, on which the
 tests check the two recursions that collapse I(alpha, delta) to I(omega, 0).
+
+:func:`from_global_pieces` builds a ``PiecewisePoly`` from (lo, hi,
+coefficients) spans in any order, filling gaps with zero and refusing
+overlaps; the tests write their piecewise inputs with it.
 """
 
 from __future__ import annotations
@@ -29,8 +33,32 @@ from math import comb, factorial
 
 from splitmoments import exactpoly as ep
 from splitmoments.errors import DomainError
-from splitmoments.exactpoly import PiecewisePoly, from_global_pieces
+from splitmoments.exactpoly import PiecewisePoly, frac
 from splitmoments.moments import sigma_phi_sq
+
+
+def from_global_pieces(spans) -> PiecewisePoly:
+    """Build from (lo, hi, coefficients in x) spans, in any order.
+
+    Spans must be non-overlapping; gaps are filled with zero pieces.
+    """
+    cleaned = sorted(
+        ((frac(lo), frac(hi), tuple(frac(c) for c in cs)) for lo, hi, cs in spans),
+        key=lambda s: s[0],
+    )
+    breaks: list[Fraction] = []
+    pieces: list[tuple[Fraction, ...]] = []
+    for lo, hi, cs in cleaned:
+        if breaks and lo < breaks[-1]:
+            raise ValueError("overlapping spans")
+        if breaks and lo > breaks[-1]:
+            pieces.append(())
+            breaks.append(lo)
+        elif not breaks:
+            breaks.append(lo)
+        pieces.append(cs)
+        breaks.append(hi)
+    return PiecewisePoly(breaks, pieces)
 
 
 def reflect(p: PiecewisePoly) -> PiecewisePoly:

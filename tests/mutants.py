@@ -45,7 +45,7 @@ MUTANTS = [
            "the sign of S in the predicted moment"),
     Mutant("moments.py", "(-1) ** ell * comb(n, ell)", "(-1) ** ell * comb(n, ell + 1)",
            ("tests/test_moments.py::TestQnCrossPath",), "Q_n's binomial C(n, l)"),
-    Mutant("moments.py", "(0, tf.sigma, [-1])", "(0, tf.sigma, [1])",
+    Mutant("moments.py", "((1,), (-1,))", "((1,), (1,))",
            (*LEDGER, "tests/test_moments.py::TestChainAgainstPairSum"),
            "the signed fold's sign on [0, sigma)"),
     Mutant("moments.py", "below=-1 + (n - m) * tf.sigma", "below=-1 + (n - m - 1) * tf.sigma",
@@ -79,6 +79,10 @@ MUTANTS = [
            LEDGER, "the mean fhat(0) + phi(0)/2"),
     Mutant("sop.py", "2 * (-1) ** (len(lam) + 1)", "(-1) ** (len(lam) + 1)",
            ("tests/test_sop.py",), "sum_TA_all's doubling for the pair of masks eps, -eps"),
+    Mutant("sop.py", "* comb(n, f)", "* comb(n, f + 1)",
+           ("tests/test_reports.py::test_report_digest_pinned[verify combinat --n 8]",
+            "tests/test_reports.py::test_report_digest_pinned[verify all --quick]"),
+           "verify combinat's one-class coefficient 2(-1)^(n+f+1) C(n, f)"),
     # Scaling by the smallest |coefficient| instead is an equivalent mutant: any
     # positive scale gives the same verdict.
     Mutant("linfeas.py", "lo.strict or up.strict", "lo.strict and up.strict",
@@ -103,6 +107,11 @@ MUTANTS = [
            "abs(total) > 2 * math.sqrt(q) + 1e-9",
            ("tests/test_arith.py::TestGaussSums::test_primitive_bound_raises",),
            "the primitive Gauss sum bound sqrt(q)"),
+    # Only the factorization sweep returns a bool, so only its digest sees this.
+    Mutant("arith.py", "check(*args) is False", "check(*args) is True",
+           ("tests/test_reports.py::test_report_digest_pinned"
+            "[verify arith --qmax 20 --kloosterman-sweep]",),
+           "verify arith counting a check that returns False as a failure"),
 ]
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import combinat_reference as cr
-from convolution_reference import I_integral, reflect
+from convolution_reference import I_integral, from_global_pieces, reflect
 from oracle_reference import oracle_Qn_mc, oracle_sigma_phi_sq, oracle_X_xi
 from splitmoments import arith, linfeas, moments as mo, quadrature as qd, rmt, sop
 from splitmoments import vanishing as vb
@@ -224,7 +224,7 @@ def test_criterion_9_invariant_sweeps():
                 spans.append(
                     (F(lo, 2), F(hi, 2), [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(deg + 1)])
                 )
-            return ep.from_global_pieces(spans)
+            return from_global_pieces(spans)
 
         for _ in range(200):
             p, q = rand_poly(), rand_poly()

@@ -222,7 +222,7 @@ class TestVerify:
         # the checks are stubbed, so only the case count at the cap is run
         for name in ("ramanujan", "gauss_sum", "kloosterman"):
             monkeypatch.setattr(arith, name, lambda *args: True)
-        qmax = cli._QMAX_CAP
+        qmax = arith._QMAX_CAP
         code, report = run_cli(["verify", "arith", "--qmax", str(qmax)], capsys)
         assert code == 0 and report["passed"]
         assert report["results"][0]["checked"] == qmax * qmax
@@ -688,6 +688,11 @@ class TestDependencyBoundary:
         (["rmt", "--M", "10", "--sigma", "1/2", "--samples", "20", "--nmax", "2"],
          ("arith", "sop", "linfeas", "vanishing", "quadrature")),
         (["verify", "combinat"], ("exactpoly", "testfn", "moments")),
+        (["verify", "arith", "--qmax", "5"],
+         ("exactpoly", "testfn", "moments", "sop", "linfeas", "quadrature")),
+        (["moment", "--sigma", "1/2", "--n", "4"], ("arith", "sop", "linfeas", "quadrature", "rmt")),
+        (["vanish", "--r", "5", "--n", "4", "--sigma", "1/2"],
+         ("arith", "sop", "linfeas", "quadrature", "rmt")),
     ])
     def test_command_loads_only_its_modules(self, argv, unused):
         got = run_script(MODULES_LOADED, json.dumps(argv))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from convolution_reference import convolve_at, reference_convolve, reflect
+from convolution_reference import convolve_at, from_global_pieces, reference_convolve, reflect
 from splitmoments import exactpoly as ep
 from splitmoments.testfn import fejer
 
@@ -17,7 +17,7 @@ def triangle_fhat(sigma):
 
 def box(lo, hi):
     """Indicator of [lo, hi)."""
-    return ep.from_global_pieces([(lo, hi, [1])])
+    return from_global_pieces([(lo, hi, [1])])
 
 
 class TestEvaluate:
@@ -69,8 +69,8 @@ class TestConvolve:
         assert ep.evaluate(tri, 0) == 1
 
     def test_total_integral_multiplies(self):
-        p = ep.from_global_pieces([(0, 1, [1, 2]), (1, 3, [F(1, 2)])])
-        q = ep.from_global_pieces([(-1, 1, [2, 0, -1])])
+        p = from_global_pieces([(0, 1, [1, 2]), (1, 3, [F(1, 2)])])
+        q = from_global_pieces([(-1, 1, [2, 0, -1])])
         assert ep.integral(ep.convolve(p, q)) == ep.integral(p) * ep.integral(q)
 
     def test_bspline_edge_mass(self):
@@ -83,7 +83,7 @@ class TestConvolve:
         assert c.support == (-2 * s, 2 * s)
 
     def test_commutative(self):
-        p = ep.from_global_pieces([(0, 2, [1, 1])])
+        p = from_global_pieces([(0, 2, [1, 1])])
         q = triangle_fhat(F(1, 3))
         assert ep.convolve(p, q) == ep.convolve(q, p)
 
@@ -106,7 +106,7 @@ class TestCalculus:
     def test_sigma_sq_integrand(self):
         # 2 int |y| fhat^2 = 1/3 for the Fejer triangle, any sigma
         t = triangle_fhat(F(1, 2))
-        abs_y = ep.from_global_pieces([(-1, 0, [0, -1]), (0, 1, [0, 1])])
+        abs_y = from_global_pieces([(-1, 0, [0, -1]), (0, 1, [0, 1])])
         assert 2 * ep.integral(ep.multiply(ep.multiply(t, t), abs_y)) == F(1, 3)
 
     def test_antiderivative_normalization(self):
@@ -128,17 +128,17 @@ class TestCanonicalForms:
         # the same triangle built via convolution and via explicit pieces
         b = box(F(-1, 2), F(1, 2))
         via_conv = ep.convolve(b, b)
-        explicit = ep.from_global_pieces([(-1, 0, [1, 1]), (0, 1, [1, -1])])
+        explicit = from_global_pieces([(-1, 0, [1, 1]), (0, 1, [1, -1])])
         assert via_conv == explicit
         assert hash(via_conv) == hash(explicit)
 
     def test_adjacent_merge(self):
-        p = ep.from_global_pieces([(0, 1, [1]), (1, 2, [1])])
+        p = from_global_pieces([(0, 1, [1]), (1, 2, [1])])
         assert p == box(0, 2)
         assert len(p.pieces) == 1
 
     def test_zero_pieces_dropped(self):
-        p = ep.from_global_pieces([(0, 1, [0]), (1, 2, [1]), (2, 3, [])])
+        p = from_global_pieces([(0, 1, [0]), (1, 2, [1]), (2, 3, [])])
         assert p == box(1, 2)
 
 
@@ -162,7 +162,7 @@ def piecewise_polys(draw, max_pieces=3, max_degree=2):
         [draw(small_rational) for _ in range(draw(st.integers(0, max_degree)) + 1)]
         for _ in range(n_pieces)
     ]
-    return ep.from_global_pieces(
+    return from_global_pieces(
         [(lo, hi, cs) for (lo, hi), cs in zip(zip(cuts, cuts[1:]), pieces)]
     )
 
@@ -263,7 +263,7 @@ def lattice_polys(draw, denominator):
     n_pieces = draw(st.integers(1, 2))
     cuts = sorted(draw(st.lists(st.integers(-6, 6), min_size=n_pieces + 1,
                                 max_size=n_pieces + 1, unique=True)))
-    return ep.from_global_pieces([
+    return from_global_pieces([
         (F(lo, denominator), F(hi, denominator),
          [draw(small_rational) for _ in range(draw(st.integers(1, 2)))])
         for lo, hi in zip(cuts, cuts[1:])
@@ -389,7 +389,7 @@ def test_rejects_float_input():
                  id="one-break-extra"),
     pytest.param(lambda: ep.PiecewisePoly((0, 0), [(1,)]), "strictly increasing",
                  id="repeated-break"),
-    pytest.param(lambda: ep.from_global_pieces([(0, 2, [1]), (1, 3, [1])]), "overlapping",
+    pytest.param(lambda: from_global_pieces([(0, 2, [1]), (1, 3, [1])]), "overlapping",
                  id="overlapping-spans"),
     pytest.param(lambda: ep.restrict(box(0, 2), 1, 1), "restrict requires lo < hi",
                  id="restrict-empty"),

@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import write_ledger
-from convolution_reference import (I_integral, full_bracket, pair_sum_R, pair_sum_S, poly_integral,
-                                   poly_mul, psi_terms, reflect, tail_mass)
+from convolution_reference import (I_integral, from_global_pieces, full_bracket, pair_sum_R,
+                                   pair_sum_S, poly_integral, poly_mul, psi_terms, reflect,
+                                   tail_mass)
 from oracle_reference import (oracle_I_integral, oracle_sigma_phi_sq, oracle_X_xi,
                               t_transform_numeric)
 from splitmoments import exactpoly as ep
@@ -29,7 +30,7 @@ THREE_FIFTHS = fejer(F(3, 5))
 # fhat(y) = (1/2 - |y|)^3 on [-1/2, 1/2], with no closed-form phi
 CUBIC = testfn.TestFunction(
     sigma=F(1, 2),
-    fhat=ep.from_global_pieces([(-F(1, 2), 0, [F(1, 8), F(3, 4), F(3, 2), 1]),
+    fhat=from_global_pieces([(-F(1, 2), 0, [F(1, 8), F(3, 4), F(3, 2), 1]),
                                 (0, F(1, 2), [F(1, 8), -F(3, 4), F(3, 2), -1])]),
     phi_at=None,
     label="cubic",
@@ -37,7 +38,7 @@ CUBIC = testfn.TestFunction(
 # fhat(y) = 1 - (2y)^16 on [-1/2, 1/2], one piece across 0
 DEG16 = testfn.TestFunction(
     sigma=F(1, 2),
-    fhat=ep.from_global_pieces([(-F(1, 2), F(1, 2), [1] + [0] * 15 + [-(2**16)])]),
+    fhat=from_global_pieces([(-F(1, 2), F(1, 2), [1] + [0] * 15 + [-(2**16)])]),
     phi_at=None,
     label="deg16",
 )
@@ -59,7 +60,7 @@ def even_fhat(draw):
 def drawn_test_function(sigma, half):
     """The even test function whose fhat is the drawn half on [0, sigma],
     reflected to [-sigma, 0]."""
-    fhat = ep.from_global_pieces(
+    fhat = from_global_pieces(
         [(-hi, -lo, [-c if j % 2 else c for j, c in enumerate(cs)])
          for lo, hi, cs in reversed(half)] + half)
     return testfn.TestFunction(sigma=sigma, fhat=fhat, phi_at=None, label="drawn")

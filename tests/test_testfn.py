@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 from scipy.integrate import quad
 
-from convolution_reference import gp_terms, psi_terms, reflect
+from convolution_reference import from_global_pieces, gp_terms, psi_terms, reflect
 from oracle_reference import phi_value_numeric
 from splitmoments import exactpoly as ep
 from splitmoments.errors import DomainError
@@ -46,7 +46,7 @@ class TestFejer:
     def test_structural_invariants_rejected(self):
         from splitmoments.testfn import TestFunction
 
-        odd = ep.from_global_pieces([(0, 1, [1])])  # not even
+        odd = from_global_pieces([(0, 1, [1])])  # not even
         with pytest.raises(DomainError, match="even"):
             TestFunction(sigma=F(1), fhat=odd, phi_at=None, label="bad")
         wide = fejer(1).fhat
